@@ -11,10 +11,10 @@
 //! deterministic for a given `GR_SCALE`/`GR_FRAMES`, regardless of
 //! `GR_THREADS`.
 
-use grbench::json::Json;
 use grbench::{
     experiments::fig12_policies, run_frame_sequence, run_workload, ExperimentConfig, RunOptions,
 };
+use grjson::Json;
 use grsynth::AppProfile;
 use grtrace::{PolicyClass, StreamId};
 

@@ -18,8 +18,9 @@
 //! byte-identical figure output.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use grcache::{
@@ -28,20 +29,21 @@ use grcache::{
 };
 use grdram::TimingParams;
 use grgpu::{GpuConfig, Workload};
-use grsynth::{AppProfile, FrameGraph, FrameWork};
+use grsynth::{AppProfile, FrameGraph, FrameWork, Scale};
 use grtrace::Trace;
 use gspc::registry;
 use gspc::registry::PolicyVisitor;
 
-use crate::{framecache, ExperimentConfig};
+use crate::framecache::{self, DiskSource, FrameData};
+use crate::ExperimentConfig;
 
 /// What to run and what to collect.
 ///
 /// # Environment precedence
 ///
-/// Four fields have environment-variable fallbacks (`threads` ←
-/// `GR_THREADS`, `streamed` ← `GR_STREAMED`, `boxed` ← `GR_BOXED`,
-/// `check` ← `GR_CHECK`). The precedence is, highest first:
+/// Three fields have environment-variable fallbacks (`threads` ←
+/// `GR_THREADS`, `streamed` ← `GR_STREAMED`, `check` ← `GR_CHECK`). The
+/// precedence is, highest first:
 ///
 /// 1. an explicit field value set by the caller (including struct-update
 ///    syntax over a constructor),
@@ -81,9 +83,9 @@ pub struct RunOptions {
     /// Construct policies through the boxed [`registry::create`] fallback
     /// instead of the monomorphized [`registry::with_policy`] visitor.
     /// Results are bit-identical either way; the boxed path pays a virtual
-    /// call per policy event and exists as the dynamic-dispatch reference
-    /// the benchmark harness measures against. Defaults to the `GR_BOXED`
-    /// environment variable.
+    /// call per policy event. It has no environment fallback: only code
+    /// sets it, to verify the two dispatch paths agree. Defaults to
+    /// `false`.
     pub boxed: bool,
     /// Attach the structural-invariant checker
     /// ([`grcache::InvariantObserver`]) to every replay: mirror/Block
@@ -93,20 +95,19 @@ pub struct RunOptions {
     /// access's sequence number. Defaults to the `GR_CHECK` environment
     /// variable.
     pub check: bool,
-    /// Force a specific probe kernel ([`grcache::ProbeKind`]) for every
-    /// replay instead of the process-wide `GR_SIMD` resolution. Results
-    /// are bit-identical across kernels — this exists so verification
-    /// sweeps can exercise the scalar and vector paths side by side in one
-    /// process. `None` keeps the default (`GR_SIMD`, else the widest
-    /// kernel the host supports).
+    /// Force a specific replay path ([`grcache::ProbeKind`]) for every
+    /// replay instead of the CPU-detected one. Results are bit-identical
+    /// across paths; `Some(ProbeKind::Scalar)` lets an AVX2 host verify
+    /// the plain per-access loop every other host runs. `None` keeps the
+    /// default (AVX2 where detected, else the plain loop).
     pub probe: Option<ProbeKind>,
 }
 
 impl RunOptions {
     /// Convenience constructor for a misses-only run on the 8 MB LLC.
     ///
-    /// `streamed`/`boxed`/`check` are snapshotted from the environment
-    /// here; `threads` is left `None`, so `GR_THREADS` is re-read per
+    /// `streamed`/`check` are snapshotted from the environment here;
+    /// `threads` is left `None`, so `GR_THREADS` is re-read per
     /// `run_workload` call (the one-shot-CLI convention). Long-lived
     /// processes should use [`RunOptions::from_env`] instead.
     pub fn misses(policies: &[&str]) -> Self {
@@ -115,7 +116,7 @@ impl RunOptions {
 
     /// Constructor that snapshots **every** environment fallback exactly
     /// once, at the moment of the call: `GR_THREADS` (pinned into
-    /// `threads: Some(..)`), `GR_STREAMED`, `GR_BOXED`, and `GR_CHECK`.
+    /// `threads: Some(..)`), `GR_STREAMED`, and `GR_CHECK`.
     ///
     /// Runs driven by the returned options never consult the environment
     /// again, so a daemon that constructs its base options at startup and
@@ -130,7 +131,7 @@ impl RunOptions {
             llc_paper_mb: 8,
             threads: Some(resolve_threads(None)),
             streamed: streamed_from_env(),
-            boxed: boxed_from_env(),
+            boxed: false,
             check: check_from_env(),
             probe: None,
         }
@@ -141,12 +142,6 @@ impl RunOptions {
 /// value other than unset, empty, or `0`).
 pub fn streamed_from_env() -> bool {
     env_flag("GR_STREAMED")
-}
-
-/// `true` when `GR_BOXED` requests the dynamic-dispatch fallback path (any
-/// value other than unset, empty, or `0`).
-pub fn boxed_from_env() -> bool {
-    env_flag("GR_BOXED")
 }
 
 /// `true` when `GR_CHECK` requests invariant-checked replay (any value
@@ -386,7 +381,7 @@ pub fn simulate_cell(
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
-    run_cell(app, frame, policy_name, cfg.llc(opts.llc_paper_mb), opts, cfg)
+    run_cell(Frames::App(app), frame, policy_name, cfg.llc(opts.llc_paper_mb), opts, cfg)
 }
 
 /// Replays one `(policy, graph, frame)` cell — the frame-graph analogue of
@@ -406,66 +401,7 @@ pub fn simulate_graph_cell(
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
-    let llc_cfg = cfg.llc(opts.llc_paper_mb);
-    if opts.boxed {
-        let policy = registry::create(policy_name, &llc_cfg)
-            .unwrap_or_else(|| panic!("unknown policy {policy_name}"));
-        return graph_cell_with(policy, policy_name, graph, frame, llc_cfg, opts, cfg);
-    }
-    struct Visit<'a> {
-        graph: &'a FrameGraph,
-        frame: u32,
-        policy_name: &'a str,
-        llc_cfg: LlcConfig,
-        opts: &'a RunOptions,
-        cfg: &'a ExperimentConfig,
-    }
-    impl PolicyVisitor for Visit<'_> {
-        type Output = CellResult;
-        fn visit<P: Policy + 'static>(self, policy: P) -> CellResult {
-            graph_cell_with(
-                policy,
-                self.policy_name,
-                self.graph,
-                self.frame,
-                self.llc_cfg,
-                self.opts,
-                self.cfg,
-            )
-        }
-    }
-    registry::with_policy(
-        policy_name,
-        &llc_cfg,
-        Visit { graph, frame, policy_name, llc_cfg, opts, cfg },
-    )
-    .unwrap_or_else(|| panic!("unknown policy {policy_name}"))
-}
-
-fn graph_cell_with<P: Policy + 'static>(
-    policy: P,
-    policy_name: &str,
-    graph: &FrameGraph,
-    frame: u32,
-    llc_cfg: LlcConfig,
-    opts: &RunOptions,
-    cfg: &ExperimentConfig,
-) -> CellResult {
-    let needs_nu = registry::needs_next_use(policy_name);
-    if opts.streamed {
-        let disk = framecache::graph_disk_source(graph, frame, cfg.scale, needs_nu)
-            .expect("streaming disk tier failed");
-        if let Some(mut src) = disk {
-            return replay(llc_cfg, policy, &mut src.reader, &src.work, opts);
-        }
-    }
-    let data = framecache::graph_frame_data(graph, frame, cfg.scale);
-    if needs_nu {
-        let ann = data.next_use().clone();
-        replay(llc_cfg, policy, &mut data.trace.source_annotated(&ann), &data.work, opts)
-    } else {
-        replay(llc_cfg, policy, &mut data.trace.source(), &data.work, opts)
-    }
+    run_cell(Frames::Graph(graph), frame, policy_name, cfg.llc(opts.llc_paper_mb), opts, cfg)
 }
 
 /// Replays an externally supplied trace — e.g. one imported from a
@@ -486,12 +422,6 @@ pub fn simulate_trace_cell(
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
-    let llc_cfg = cfg.llc(opts.llc_paper_mb);
-    if opts.boxed {
-        let policy = registry::create(policy_name, &llc_cfg)
-            .unwrap_or_else(|| panic!("unknown policy {policy_name}"));
-        return trace_cell_with(policy, policy_name, trace, llc_cfg, opts);
-    }
     struct Visit<'a> {
         trace: &'a Trace,
         policy_name: &'a str,
@@ -501,26 +431,70 @@ pub fn simulate_trace_cell(
     impl PolicyVisitor for Visit<'_> {
         type Output = CellResult;
         fn visit<P: Policy + 'static>(self, policy: P) -> CellResult {
-            trace_cell_with(policy, self.policy_name, self.trace, self.llc_cfg, self.opts)
+            let (trace, opts) = (self.trace, self.opts);
+            let work = FrameWork { raw_accesses: trace.len() as u64, ..FrameWork::default() };
+            if registry::needs_next_use(self.policy_name) {
+                let ann = grcache::annotate_next_use(trace.accesses());
+                replay(self.llc_cfg, policy, &mut trace.source_annotated(&ann), &work, opts)
+            } else {
+                replay(self.llc_cfg, policy, &mut trace.source(), &work, opts)
+            }
         }
     }
-    registry::with_policy(policy_name, &llc_cfg, Visit { trace, policy_name, llc_cfg, opts })
-        .unwrap_or_else(|| panic!("unknown policy {policy_name}"))
+    let llc_cfg = cfg.llc(opts.llc_paper_mb);
+    dispatch(policy_name, &llc_cfg, opts.boxed, Visit { trace, policy_name, llc_cfg, opts })
 }
 
-fn trace_cell_with<P: Policy + 'static>(
-    policy: P,
-    policy_name: &str,
-    trace: &Trace,
-    llc_cfg: LlcConfig,
-    opts: &RunOptions,
-) -> CellResult {
-    let work = FrameWork { raw_accesses: trace.len() as u64, ..FrameWork::default() };
-    if registry::needs_next_use(policy_name) {
-        let ann = grcache::annotate_next_use(trace.accesses());
-        replay(llc_cfg, policy, &mut trace.source_annotated(&ann), &work, opts)
+/// Builds the named policy and hands it to `visitor`: the concrete type
+/// through [`registry::with_policy`], or a `Box<dyn Policy>` through
+/// [`registry::create`] when `boxed`. `Box<dyn Policy>` implements
+/// `Policy`, so both run the same generic body — the boxed one with a
+/// virtual call per policy event — and produce identical results.
+///
+/// # Panics
+///
+/// Panics when `name` is not in the registry.
+fn dispatch<V: PolicyVisitor>(
+    name: &str,
+    llc_cfg: &LlcConfig,
+    boxed: bool,
+    visitor: V,
+) -> V::Output {
+    let out = if boxed {
+        registry::create(name, llc_cfg).map(|policy| visitor.visit(policy))
     } else {
-        replay(llc_cfg, policy, &mut trace.source(), &work, opts)
+        registry::with_policy(name, llc_cfg, visitor)
+    };
+    out.unwrap_or_else(|| panic!("unknown policy {name}"))
+}
+
+/// Where a cell's frames come from: a Table 1 application or a frame
+/// graph. Both are served by the process-wide [`crate::framecache`].
+#[derive(Clone, Copy)]
+enum Frames<'a> {
+    App(&'a AppProfile),
+    Graph(&'a FrameGraph),
+}
+
+impl Frames<'_> {
+    /// The in-memory trace of `frame`, synthesized at most once.
+    fn data(self, frame: u32, scale: Scale) -> Arc<FrameData> {
+        match self {
+            Frames::App(app) => framecache::frame_data(app, frame, scale),
+            Frames::Graph(graph) => framecache::graph_frame_data(graph, frame, scale),
+        }
+    }
+
+    /// The streaming disk tier of `frame`; `None` when `GR_TRACE_CACHE`
+    /// is unset.
+    fn disk(self, frame: u32, scale: Scale, with_next_use: bool) -> Option<DiskSource> {
+        match self {
+            Frames::App(app) => framecache::disk_source(app, frame, scale, with_next_use),
+            Frames::Graph(graph) => {
+                framecache::graph_disk_source(graph, frame, scale, with_next_use)
+            }
+        }
+        .expect("streaming disk tier failed")
     }
 }
 
@@ -560,8 +534,8 @@ pub fn run_workload(opts: &RunOptions, cfg: &ExperimentConfig) -> WorkloadResult
     let worker = || loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(cell) = cells.get(i) else { break };
-        let out =
-            run_cell(&apps[cell.app], cell.frame, &opts.policies[cell.policy], llc_cfg, opts, cfg);
+        let frames = Frames::App(&apps[cell.app]);
+        let out = run_cell(frames, cell.frame, &opts.policies[cell.policy], llc_cfg, opts, cfg);
         *slots[i].lock().expect("cell slot poisoned") = Some(out);
     };
     if threads == 1 {
@@ -622,23 +596,18 @@ pub fn run_workload(opts: &RunOptions, cfg: &ExperimentConfig) -> WorkloadResult
 }
 
 fn run_cell(
-    app: &AppProfile,
+    frames: Frames<'_>,
     frame: u32,
     policy_name: &str,
     llc_cfg: LlcConfig,
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
-    if opts.boxed {
-        // Dynamic-dispatch fallback: `Box<dyn Policy>` implements `Policy`,
-        // so the same generic cell body runs with one virtual call per
-        // policy event instead of inlined callbacks.
-        let policy = registry::create(policy_name, &llc_cfg)
-            .unwrap_or_else(|| panic!("unknown policy {policy_name}"));
-        return run_cell_with(policy, policy_name, app, frame, llc_cfg, opts, cfg);
-    }
+    /// The cell body: `P` is the concrete policy type selected by the
+    /// registry visitor (or `Box<dyn Policy>` on the boxed path), so the
+    /// replay loop compiles once per policy with the callbacks inlined.
     struct Visit<'a> {
-        app: &'a AppProfile,
+        frames: Frames<'a>,
         frame: u32,
         policy_name: &'a str,
         llc_cfg: LlcConfig,
@@ -648,55 +617,26 @@ fn run_cell(
     impl PolicyVisitor for Visit<'_> {
         type Output = CellResult;
         fn visit<P: Policy + 'static>(self, policy: P) -> CellResult {
-            run_cell_with(
-                policy,
-                self.policy_name,
-                self.app,
-                self.frame,
-                self.llc_cfg,
-                self.opts,
-                self.cfg,
-            )
+            let (llc_cfg, opts, scale) = (self.llc_cfg, self.opts, self.cfg.scale);
+            let needs_nu = registry::needs_next_use(self.policy_name);
+            if opts.streamed {
+                if let Some(mut src) = self.frames.disk(self.frame, scale, needs_nu) {
+                    return replay(llc_cfg, policy, &mut src.reader, &src.work, opts);
+                }
+                // `GR_TRACE_CACHE` unset: fall back to the in-memory trace
+                // (the results are identical either way).
+            }
+            let data = self.frames.data(self.frame, scale);
+            if needs_nu {
+                let ann = data.next_use().clone();
+                replay(llc_cfg, policy, &mut data.trace.source_annotated(&ann), &data.work, opts)
+            } else {
+                replay(llc_cfg, policy, &mut data.trace.source(), &data.work, opts)
+            }
         }
     }
-    registry::with_policy(
-        policy_name,
-        &llc_cfg,
-        Visit { app, frame, policy_name, llc_cfg, opts, cfg },
-    )
-    .unwrap_or_else(|| panic!("unknown policy {policy_name}"))
-}
-
-/// The monomorphic cell body: `P` is the concrete policy type selected by
-/// the registry visitor (or `Box<dyn Policy>` on the fallback path), so
-/// the replay loop below compiles once per policy with the policy
-/// callbacks inlined.
-fn run_cell_with<P: Policy + 'static>(
-    policy: P,
-    policy_name: &str,
-    app: &AppProfile,
-    frame: u32,
-    llc_cfg: LlcConfig,
-    opts: &RunOptions,
-    cfg: &ExperimentConfig,
-) -> CellResult {
-    let needs_nu = registry::needs_next_use(policy_name);
-    if opts.streamed {
-        let disk = framecache::disk_source(app, frame, cfg.scale, needs_nu)
-            .expect("streaming disk tier failed");
-        if let Some(mut src) = disk {
-            return replay(llc_cfg, policy, &mut src.reader, &src.work, opts);
-        }
-        // `GR_TRACE_CACHE` unset: fall back to the in-memory trace (the
-        // results are identical either way).
-    }
-    let data = framecache::frame_data(app, frame, cfg.scale);
-    if needs_nu {
-        let ann = data.next_use().clone();
-        replay(llc_cfg, policy, &mut data.trace.source_annotated(&ann), &data.work, opts)
-    } else {
-        replay(llc_cfg, policy, &mut data.trace.source(), &data.work, opts)
-    }
+    let visit = Visit { frames, frame, policy_name, llc_cfg, opts, cfg };
+    dispatch(policy_name, &llc_cfg, opts.boxed, visit)
 }
 
 /// Drains `source` through an LLC carrying exactly the observers the run
@@ -810,71 +750,11 @@ fn finish_cell<P: Policy, O: LlcObserver>(
 pub fn run_frame_sequence(
     policy_name: &str,
     app: &AppProfile,
-    frames: std::ops::Range<u32>,
+    frames: Range<u32>,
     llc_paper_mb: u64,
     cfg: &ExperimentConfig,
 ) -> Vec<LlcStats> {
-    let llc_cfg = cfg.llc(llc_paper_mb);
-    if boxed_from_env() {
-        let policy = registry::create(policy_name, &llc_cfg)
-            .unwrap_or_else(|| panic!("unknown policy {policy_name}"));
-        return sequence_with(policy, policy_name, app, frames, llc_cfg, cfg);
-    }
-    struct Visit<'a> {
-        policy_name: &'a str,
-        app: &'a AppProfile,
-        frames: std::ops::Range<u32>,
-        llc_cfg: LlcConfig,
-        cfg: &'a ExperimentConfig,
-    }
-    impl PolicyVisitor for Visit<'_> {
-        type Output = Vec<LlcStats>;
-        fn visit<P: Policy + 'static>(self, policy: P) -> Vec<LlcStats> {
-            sequence_with(policy, self.policy_name, self.app, self.frames, self.llc_cfg, self.cfg)
-        }
-    }
-    registry::with_policy(policy_name, &llc_cfg, Visit { policy_name, app, frames, llc_cfg, cfg })
-        .unwrap_or_else(|| panic!("unknown policy {policy_name}"))
-}
-
-fn sequence_with<P: Policy>(
-    policy: P,
-    policy_name: &str,
-    app: &AppProfile,
-    frames: std::ops::Range<u32>,
-    llc_cfg: LlcConfig,
-    cfg: &ExperimentConfig,
-) -> Vec<LlcStats> {
-    if check_from_env() {
-        let inv = InvariantObserver::new(&llc_cfg, policy.state_bits_per_block());
-        let llc = Llc::with_observer(llc_cfg, policy, (inv, NullObserver));
-        sequence_loop(llc, policy_name, app, frames, cfg)
-    } else {
-        sequence_loop(Llc::new(llc_cfg, policy), policy_name, app, frames, cfg)
-    }
-}
-
-fn sequence_loop<P: Policy, O: LlcObserver>(
-    mut llc: Llc<P, O>,
-    policy_name: &str,
-    app: &AppProfile,
-    frames: std::ops::Range<u32>,
-    cfg: &ExperimentConfig,
-) -> Vec<LlcStats> {
-    let needs_nu = registry::needs_next_use(policy_name);
-    let mut snapshots = Vec::with_capacity(frames.len());
-    for frame in frames {
-        let data = framecache::frame_data(app, frame, cfg.scale);
-        let served = if needs_nu {
-            let ann = data.next_use().clone();
-            llc.run_source(&mut data.trace.source_annotated(&ann))
-        } else {
-            llc.run_source(&mut data.trace.source())
-        };
-        served.expect("in-memory replay cannot fail");
-        snapshots.push(llc.stats().clone());
-    }
-    snapshots
+    run_sequence(policy_name, Frames::App(app), frames, llc_paper_mb, cfg)
 }
 
 /// Replays consecutive frames of a [`FrameGraph`] through one persistent
@@ -884,78 +764,61 @@ fn sequence_loop<P: Policy, O: LlcObserver>(
 pub fn run_graph_sequence(
     policy_name: &str,
     graph: &FrameGraph,
-    frames: std::ops::Range<u32>,
+    frames: Range<u32>,
     llc_paper_mb: u64,
     cfg: &ExperimentConfig,
 ) -> Vec<LlcStats> {
-    let llc_cfg = cfg.llc(llc_paper_mb);
-    if boxed_from_env() {
-        let policy = registry::create(policy_name, &llc_cfg)
-            .unwrap_or_else(|| panic!("unknown policy {policy_name}"));
-        return graph_sequence_with(policy, policy_name, graph, frames, llc_cfg, cfg);
-    }
+    run_sequence(policy_name, Frames::Graph(graph), frames, llc_paper_mb, cfg)
+}
+
+fn run_sequence(
+    policy_name: &str,
+    source: Frames<'_>,
+    frames: Range<u32>,
+    llc_paper_mb: u64,
+    cfg: &ExperimentConfig,
+) -> Vec<LlcStats> {
     struct Visit<'a> {
         policy_name: &'a str,
-        graph: &'a FrameGraph,
-        frames: std::ops::Range<u32>,
+        source: Frames<'a>,
+        frames: Range<u32>,
         llc_cfg: LlcConfig,
-        cfg: &'a ExperimentConfig,
+        scale: Scale,
     }
     impl PolicyVisitor for Visit<'_> {
         type Output = Vec<LlcStats>;
         fn visit<P: Policy + 'static>(self, policy: P) -> Vec<LlcStats> {
-            graph_sequence_with(
-                policy,
-                self.policy_name,
-                self.graph,
-                self.frames,
-                self.llc_cfg,
-                self.cfg,
-            )
+            if check_from_env() {
+                let inv = InvariantObserver::new(&self.llc_cfg, policy.state_bits_per_block());
+                let llc = Llc::with_observer(self.llc_cfg, policy, (inv, NullObserver));
+                self.run(llc)
+            } else {
+                let llc = Llc::new(self.llc_cfg, policy);
+                self.run(llc)
+            }
         }
     }
-    registry::with_policy(policy_name, &llc_cfg, Visit { policy_name, graph, frames, llc_cfg, cfg })
-        .unwrap_or_else(|| panic!("unknown policy {policy_name}"))
-}
-
-fn graph_sequence_with<P: Policy>(
-    policy: P,
-    policy_name: &str,
-    graph: &FrameGraph,
-    frames: std::ops::Range<u32>,
-    llc_cfg: LlcConfig,
-    cfg: &ExperimentConfig,
-) -> Vec<LlcStats> {
-    if check_from_env() {
-        let inv = InvariantObserver::new(&llc_cfg, policy.state_bits_per_block());
-        let llc = Llc::with_observer(llc_cfg, policy, (inv, NullObserver));
-        graph_sequence_loop(llc, policy_name, graph, frames, cfg)
-    } else {
-        graph_sequence_loop(Llc::new(llc_cfg, policy), policy_name, graph, frames, cfg)
+    impl Visit<'_> {
+        fn run<P: Policy, O: LlcObserver>(self, mut llc: Llc<P, O>) -> Vec<LlcStats> {
+            let needs_nu = registry::needs_next_use(self.policy_name);
+            let mut snapshots = Vec::with_capacity(self.frames.len());
+            for frame in self.frames {
+                let data = self.source.data(frame, self.scale);
+                let served = if needs_nu {
+                    let ann = data.next_use().clone();
+                    llc.run_source(&mut data.trace.source_annotated(&ann))
+                } else {
+                    llc.run_source(&mut data.trace.source())
+                };
+                served.expect("in-memory replay cannot fail");
+                snapshots.push(llc.stats().clone());
+            }
+            snapshots
+        }
     }
-}
-
-fn graph_sequence_loop<P: Policy, O: LlcObserver>(
-    mut llc: Llc<P, O>,
-    policy_name: &str,
-    graph: &FrameGraph,
-    frames: std::ops::Range<u32>,
-    cfg: &ExperimentConfig,
-) -> Vec<LlcStats> {
-    let needs_nu = registry::needs_next_use(policy_name);
-    let mut snapshots = Vec::with_capacity(frames.len());
-    for frame in frames {
-        let data = framecache::graph_frame_data(graph, frame, cfg.scale);
-        let served = if needs_nu {
-            let ann = data.next_use().clone();
-            llc.run_source(&mut data.trace.source_annotated(&ann))
-        } else {
-            llc.run_source(&mut data.trace.source())
-        };
-        served.expect("in-memory replay cannot fail");
-        snapshots.push(llc.stats().clone());
-    }
-    snapshots
+    let llc_cfg = cfg.llc(llc_paper_mb);
+    let visit = Visit { policy_name, source, frames, llc_cfg, scale: cfg.scale };
+    dispatch(policy_name, &llc_cfg, false, visit)
 }
 
 #[cfg(test)]
@@ -1020,10 +883,13 @@ mod tests {
         assert!(r.perf.merge_seconds >= 0.0);
         // Replay is a strict subset of the run: synthesis and merge are
         // excluded, so on one thread replay time cannot exceed wall time.
+        // With more workers replay time sums the workers' replay spans, each
+        // bounded by wall time.
+        assert!(r.perf.replay_seconds <= r.perf.wall_seconds * r.perf.threads as f64);
         if r.perf.threads == 1 {
             assert!(r.perf.replay_seconds <= r.perf.wall_seconds);
+            assert!(r.perf.replay_accesses_per_sec() >= r.perf.accesses_per_sec());
         }
-        assert!(r.perf.replay_accesses_per_sec() >= r.perf.accesses_per_sec());
     }
 
     #[test]

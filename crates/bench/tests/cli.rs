@@ -3,7 +3,7 @@
 //! `GR_SCALE=tiny GR_FRAMES=1` against the crate's own frame cache, so a
 //! whole invocation is a few hundred milliseconds.
 
-use grbench::json::Json;
+use grjson::Json;
 use std::process::Command;
 
 fn grsim() -> Command {

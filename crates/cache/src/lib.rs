@@ -45,7 +45,7 @@ pub mod stats;
 pub use basic::{Lookup, LruCache};
 pub use chartrack::{CharReport, CharTracker};
 pub use config::{CacheConfig, LlcConfig, LlcGeometry};
-pub use llc::{replay_lanes, AccessResult, Llc};
+pub use llc::{AccessResult, Llc};
 pub use observe::{InvariantObserver, LlcObserver, MemoryLog, NullObserver, SetSnapshot};
 pub use optgen::annotate_next_use;
 pub use policy::{AccessInfo, Block, FillInfo, Policy};

@@ -13,36 +13,43 @@
 //! construction. The default [`NullObserver`] instantiation carries zero
 //! per-access instrumentation branches.
 //!
-//! # The batched replay core
+//! # The replay core
 //!
-//! Slice replays ([`Llc::run_trace`] / [`Llc::run_source`]) retire
-//! accesses through a three-phase batch driver: a *map* phase computes
-//! every slot's `(bank, set, tag)` coordinates and prefetches its mirror
-//! words, a *probe* phase lane-compares the whole batch against the packed
-//! mirror ([`crate::probe`]), and a *retire* phase consumes the slots
-//! strictly in arrival order. Because the probe reads only the tag words
-//! and validity mask, and a *fill* is the only event that writes them, the
-//! up-front probes are exact unless an earlier access in the same batch
-//! filled the same set — the retire phase tracks in-batch fills and
-//! re-probes exactly those collided slots against the live mirror. The
-//! result is bit-identical to the sequential loop for every policy and
+//! Every access runs the same three phases: a *map* phase computes the
+//! access's `(bank, set, tag)` coordinates (`map_access`), a
+//! *probe* compares the tag against the packed mirror ([`crate::probe`]),
+//! and a *retire* phase applies the hit, bypass, victim, and fill logic
+//! (`retire`), which exists once.
+//!
+//! There are two ways to drive the phases, chosen by CPU detection
+//! ([`ProbeKind::best_available`]). The plain loop runs them one access at
+//! a time with the scalar compare; it is what [`Llc::access`] and every
+//! host without AVX2 run. Where AVX2 is detected, slice replays
+//! ([`Llc::run_trace`] / [`Llc::run_source`]) batch them instead: the map
+//! phase fills a batch of slots and prefetches their mirror words, one
+//! AVX2 sweep probes the whole batch, and the retire phase consumes the
+//! slots strictly in arrival order. Because the probe reads only the tag
+//! words and validity mask, and a *fill* is the only event that writes
+//! them, the up-front probes are exact unless an earlier access in the
+//! same batch filled the same set — the retire phase tracks in-batch fills
+//! and re-probes exactly those collided slots against the live mirror. The
+//! result is bit-identical to the plain loop for every policy and
 //! observer: same stats, same memory-log order, same characterization.
-//! `GR_SIMD=0` (or [`Llc::set_probe_kind`] with [`ProbeKind::Scalar`])
-//! selects the original unbatched per-access loop at runtime.
 
 use std::io;
 
 use grtrace::{Access, AccessSource, Chunk, Trace};
 
-use crate::probe::{self, probe_batch, Slot};
+use crate::probe::{self, Slot};
 use crate::{
     AccessInfo, Block, CharTracker, LlcConfig, LlcGeometry, LlcObserver, LlcStats, MemoryLog,
     NullObserver, Policy, ProbeKind, SetSnapshot,
 };
 
-/// Accesses retired per batch of the vectorized replay driver. Sixteen
-/// slots keep the whole batch state in registers/L1 while giving the
-/// probe sweep enough independent lanes to hide the mirror-load latency.
+/// Accesses retired per batch of the AVX2 replay driver. Sixteen slots
+/// keep the whole batch state in registers/L1 while giving the probe
+/// sweep enough independent lanes to hide the mirror-load latency.
+#[cfg(target_arch = "x86_64")]
 const BATCH: usize = 16;
 
 /// Outcome of one LLC access.
@@ -118,8 +125,8 @@ pub struct Llc<P, O = NullObserver> {
     blocks: Vec<Block>,
     stats: LlcStats,
     seq: u64,
-    /// Which tag-compare implementation services the probe, and whether
-    /// slice replays run the batched driver (`GR_SIMD`-selectable).
+    /// Which replay path services slice replays: the batched AVX2 driver
+    /// or the plain per-access loop (CPU-detected).
     probe_kind: ProbeKind,
 }
 
@@ -165,7 +172,7 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
             blocks: vec![Block::default(); cfg.total_blocks()],
             stats: LlcStats::new(),
             seq: 0,
-            probe_kind: ProbeKind::from_env(),
+            probe_kind: ProbeKind::best_available(),
         }
     }
 
@@ -186,15 +193,14 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
         }
     }
 
-    /// The probe implementation servicing this instance.
+    /// The replay path servicing this instance.
     pub fn probe_kind(&self) -> ProbeKind {
         self.probe_kind
     }
 
-    /// Selects the probe implementation — and, with [`ProbeKind::Scalar`],
-    /// the original unbatched replay loop — overriding the process-wide
-    /// `GR_SIMD` default. Lets differential harnesses A/B the scalar and
-    /// vector paths inside one process.
+    /// Selects the replay path, overriding the CPU-detected default. With
+    /// [`ProbeKind::Scalar`] an AVX2 host runs the plain per-access loop,
+    /// so differential harnesses can verify both paths in one process.
     ///
     /// # Panics
     ///
@@ -252,73 +258,93 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
         // bounds checks). The branch is on a loop-invariant field, so the
         // predictor never misses it.
         if self.cfg.ways == 16 {
-            self.access_ways::<16>(access, next_use)
+            self.access_one::<16>(access, next_use)
         } else {
-            self.access_ways::<0>(access, next_use)
+            self.access_one::<0>(access, next_use)
         }
     }
 
-    /// The unbatched access body, specialized per associativity: `WAYS` is
-    /// the compile-time way count, or 0 for the generic any-associativity
-    /// instantiation.
+    /// The plain per-access path, specialized per associativity (`WAYS` is
+    /// the compile-time way count, or 0 for any associativity): map, scalar
+    /// probe, and the same retire phase the batched driver runs.
+    #[inline(always)]
+    fn access_one<const WAYS: usize>(&mut self, access: &Access, next_use: u64) -> AccessResult {
+        let ways = if WAYS > 0 { WAYS } else { self.cfg.ways };
+        let mut slot = self.map_access(access, next_use, ways);
+        let base = slot.base as usize;
+        // SAFETY: `base + ways <= tags.len()` for every mapped slot (see
+        // `map_access`).
+        let tags = unsafe { self.tags.get_unchecked(base..base + ways) };
+        slot.hit_mask = probe::probe_scalar(tags, slot.tag) & slot.vmask;
+        self.retire::<WAYS>(&slot)
+    }
+
+    /// The map phase: decomposes one access into a probe [`Slot`]. Pure
+    /// reads — the slot captures the validity mask as of now, which stays
+    /// exact until a fill to the same set.
     ///
-    /// This is the pre-vectorization replay core, kept verbatim as the
-    /// single-access path and the `GR_SIMD=0` reference loop: one fused
-    /// map-probe-retire chain with the OR-folded scalar compare. The
-    /// batched driver ([`Llc::run_slice`]) runs the same logic split into
-    /// [`Llc::map_access`] / [`crate::probe::probe_batch`] /
-    /// [`Llc::retire`] phases; the grcheck invariant sweep and the crate's
-    /// differential tests hold the two bit-identical.
-    #[inline]
-    fn access_ways<const WAYS: usize>(&mut self, access: &Access, next_use: u64) -> AccessResult {
+    /// Every slot it returns satisfies the invariant the unchecked indexing
+    /// in the probe and retire phases relies on: `map` masks `set` into
+    /// `[0, sets_per_bank)` and `bank` into `[0, banks)`, so `set_idx <
+    /// valid.len()` and `base + ways <= tags.len() == blocks.len()`. The
+    /// bounds checks this elides sit on the hottest path in the repository.
+    #[inline(always)]
+    fn map_access(&self, access: &Access, next_use: u64, ways: usize) -> Slot {
         let block = access.block();
         let (bank, set, tag) = self.geo.map(block);
-        let info = AccessInfo {
-            seq: self.seq,
-            block,
-            bank,
-            set_in_bank: set,
-            stream: access.stream,
-            class: access.stream.policy_class(),
-            write: access.write,
-            is_sample: self.cfg.is_sample_set(set),
-            next_use,
-        };
-        self.seq += 1;
-
-        let ways = if WAYS > 0 { WAYS } else { self.cfg.ways };
         let set_idx = self.geo.set_index(bank, set);
         let base = set_idx * ways;
-        // SAFETY invariant for the unchecked indexing below: `map` masks
-        // `set` into `[0, sets_per_bank)` and `bank` into `[0, banks)`, so
-        // `set_idx < total_sets == valid.len()` and `base + ways <=
-        // total_blocks == tags.len() == blocks.len()`. The bounds checks
-        // this elides sit on the hottest path in the repository.
         debug_assert!(set_idx < self.valid.len());
         debug_assert!(base + ways <= self.tags.len());
+        Slot {
+            block,
+            tag,
+            next_use,
+            // SAFETY: `set_idx < valid.len()` (see above).
+            vmask: unsafe { *self.valid.get_unchecked(set_idx) },
+            hit_mask: 0,
+            bank: bank as u32,
+            set_in_bank: set as u32,
+            set_idx: set_idx as u32,
+            base: base as u32,
+            stream: access.stream,
+            write: access.write,
+        }
+    }
 
-        // Packed probe: the tag-match needs only the tag words, so the
-        // scan touches 8 bytes per way (two cache lines for a 16-way
-        // set). The compare is branchless — every way's equality bit is
-        // OR-folded into a match mask, which vectorizes and never
-        // mispredicts — and ANDing with the validity mask discards
-        // never-written tag words.
-        let vmask = unsafe { *self.valid.get_unchecked(set_idx) };
-        let hit_mask = {
-            let tags = unsafe { self.tags.get_unchecked(base..base + ways) };
-            let mut eq = 0u64;
-            for (i, &t) in tags.iter().enumerate() {
-                eq |= u64::from(t == tag) << i;
-            }
-            eq & vmask
+    /// The retire phase: consumes one probed [`Slot`] — statistics, policy
+    /// callbacks, observer events, and the fill's mirror rewrite. The
+    /// slot's `hit_mask` and `vmask` must reflect the mirror as of this
+    /// call (the batch driver re-probes slots whose set was filled earlier
+    /// in the batch).
+    #[inline(always)]
+    fn retire<const WAYS: usize>(&mut self, slot: &Slot) -> AccessResult {
+        let ways = if WAYS > 0 { WAYS } else { self.cfg.ways };
+        let set_idx = slot.set_idx as usize;
+        let base = slot.base as usize;
+        let info = AccessInfo {
+            seq: self.seq,
+            block: slot.block,
+            bank: slot.bank as usize,
+            set_in_bank: slot.set_in_bank as usize,
+            stream: slot.stream,
+            class: slot.stream.policy_class(),
+            write: slot.write,
+            is_sample: self.cfg.is_sample_set(slot.set_in_bank as usize),
+            next_use: slot.next_use,
         };
+        self.seq += 1;
+        let next_use = slot.next_use;
+        let vmask = slot.vmask;
+        let hit_mask = slot.hit_mask;
 
         if hit_mask != 0 {
             let way = hit_mask.trailing_zeros() as usize;
             self.stats.record_hit(info.stream);
+            // SAFETY: the slot came from `map_access`, so `base + ways <=
+            // blocks.len()`; `hit_mask` only carries equality bits below
+            // `ways`, so its lowest set bit indexes inside the set.
             let set_blocks = unsafe { self.blocks.get_unchecked_mut(base..base + ways) };
-            // SAFETY: `hit_mask` only carries equality bits below `ways`,
-            // so its lowest set bit indexes inside the set slice.
             let hit_block = unsafe { set_blocks.get_unchecked_mut(way) };
             hit_block.dirty |= info.write;
             hit_block.next_use = next_use;
@@ -354,150 +380,8 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
         // Fill the first free way (one bit-scan of the inverted validity
         // mask), else ask the policy for a victim.
         let free = (!vmask).trailing_zeros() as usize;
-        // SAFETY: `base + ways <= blocks.len()` (see above).
+        // SAFETY: `base + ways <= blocks.len()` (see the hit path).
         let set_blocks = unsafe { self.blocks.get_unchecked_mut(base..base + ways) };
-        let mut dirty_eviction = false;
-        let way = if free < ways {
-            free
-        } else {
-            let victim = self.policy.choose_victim(&info, set_blocks);
-            assert!(victim < ways, "victim out of range");
-            self.policy.on_evict(&info, set_blocks, victim);
-            self.stats.evictions += 1;
-            dirty_eviction = set_blocks[victim].dirty;
-            if dirty_eviction {
-                self.stats.writebacks += 1;
-            }
-            // A writeback goes to the *victim's* address, rebuilt from
-            // its tag and the shared (bank, set); the rebuild is only
-            // paid when the attached observer declares it needs it.
-            let victim_block = if O::NEEDS_VICTIM_ADDR {
-                self.geo.unmap(bank, set, self.tags[base + victim])
-            } else {
-                0
-            };
-            self.observer.observe_evict(&info, victim, victim_block, dirty_eviction);
-            victim
-        };
-
-        // Install the block, let the policy initialize its state, then
-        // refresh the probe mirror — a fill is the only event that changes
-        // a way's tag or validity.
-        set_blocks[way] = Block { valid: true, dirty: info.write, meta: 0, next_use };
-        let fill = self.policy.on_fill(&info, set_blocks, way);
-        // SAFETY: `way < ways`, so `base + way` is in bounds; `set_idx <
-        // valid.len()` (see above). The victim arm is guarded by the
-        // `victim < ways` assert.
-        unsafe {
-            *self.tags.get_unchecked_mut(base + way) = tag;
-            *self.valid.get_unchecked_mut(set_idx) |= 1 << way;
-        }
-        self.stats.record_fill(info.class, fill.distant);
-        self.observer.observe_fill(&info, way);
-        if O::WANTS_SET_STATE {
-            self.observer.observe_set_state(
-                &info,
-                SetSnapshot {
-                    tags: &self.tags[base..base + ways],
-                    valid_mask: self.valid[set_idx],
-                    blocks: &self.blocks[base..base + ways],
-                    touched_way: way,
-                    hit: false,
-                },
-            );
-        }
-        AccessResult::Miss { dirty_eviction }
-    }
-
-    /// The map phase: decomposes one access into a probe [`Slot`]. Pure
-    /// reads — the slot captures the validity mask as of now, which stays
-    /// exact until a fill to the same set.
-    #[inline(always)]
-    fn map_access(&self, access: &Access, next_use: u64, ways: usize) -> Slot {
-        let block = access.block();
-        let (bank, set, tag) = self.geo.map(block);
-        let set_idx = self.geo.set_index(bank, set);
-        let base = set_idx * ways;
-        Slot {
-            block,
-            tag,
-            next_use,
-            vmask: self.valid[set_idx],
-            hit_mask: 0,
-            bank: bank as u32,
-            set_in_bank: set as u32,
-            set_idx: set_idx as u32,
-            base: base as u32,
-            stream: access.stream,
-            write: access.write,
-        }
-    }
-
-    /// The retire phase: consumes one probed [`Slot`] — statistics, policy
-    /// callbacks, observer events, and the fill's mirror rewrite, exactly
-    /// as the sequential loop orders them. The slot's `hit_mask` and
-    /// `vmask` must reflect the mirror as of this call (the batch driver
-    /// re-probes slots whose set was filled earlier in the batch).
-    #[inline(always)]
-    fn retire<const WAYS: usize>(&mut self, slot: &Slot) -> AccessResult {
-        let ways = if WAYS > 0 { WAYS } else { self.cfg.ways };
-        let set_idx = slot.set_idx as usize;
-        let base = slot.base as usize;
-        let info = AccessInfo {
-            seq: self.seq,
-            block: slot.block,
-            bank: slot.bank as usize,
-            set_in_bank: slot.set_in_bank as usize,
-            stream: slot.stream,
-            class: slot.stream.policy_class(),
-            write: slot.write,
-            is_sample: self.cfg.is_sample_set(slot.set_in_bank as usize),
-            next_use: slot.next_use,
-        };
-        self.seq += 1;
-        let next_use = slot.next_use;
-        let vmask = slot.vmask;
-        let hit_mask = slot.hit_mask;
-
-        if hit_mask != 0 {
-            let way = hit_mask.trailing_zeros() as usize;
-            self.stats.record_hit(info.stream);
-            let set_blocks = &mut self.blocks[base..base + ways];
-            set_blocks[way].dirty |= info.write;
-            set_blocks[way].next_use = next_use;
-            self.observer.observe_hit(&info, way);
-            self.policy.on_hit(&info, set_blocks, way);
-            if O::WANTS_SET_STATE {
-                self.observer.observe_set_state(
-                    &info,
-                    SetSnapshot {
-                        tags: &self.tags[base..base + ways],
-                        valid_mask: self.valid[set_idx],
-                        blocks: &self.blocks[base..base + ways],
-                        touched_way: way,
-                        hit: true,
-                    },
-                );
-            }
-            return AccessResult::Hit;
-        }
-
-        self.stats.record_miss(info.stream);
-
-        if self.policy.should_bypass(&info) {
-            if info.write {
-                self.stats.bypassed_writes += 1;
-            } else {
-                self.stats.bypassed_reads += 1;
-            }
-            self.observer.observe_bypass(&info);
-            return AccessResult::Bypass;
-        }
-
-        // Fill the first free way (one bit-scan of the inverted validity
-        // mask), else ask the policy for a victim.
-        let free = (!vmask).trailing_zeros() as usize;
-        let set_blocks = &mut self.blocks[base..base + ways];
         let mut dirty_eviction = false;
         let way = if free < ways {
             free
@@ -567,31 +451,35 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
         false
     }
 
-    /// Replays one access slice: the batched map-probe-retire driver when
-    /// the probe kind is vectorized, the original per-access loop under
-    /// [`ProbeKind::Scalar`]. Both retire in arrival order and are
-    /// bit-identical (see the module docs for the argument).
+    /// Replays one access slice: the batched map-probe-retire driver under
+    /// [`ProbeKind::Avx2`], the plain per-access loop otherwise. Both
+    /// retire in arrival order and are bit-identical (see the module docs
+    /// for the argument).
     fn run_slice<const WAYS: usize>(&mut self, accesses: &[Access], next_uses: Option<&[u64]>) {
-        if !self.probe_kind.is_batched() {
-            // The pre-vectorization replay core, kept verbatim as the
-            // GR_SIMD=0 reference path: one dependent chain per access.
-            match next_uses {
-                Some(nu) => {
-                    for (a, &next) in accesses.iter().zip(nu) {
-                        self.access_ways::<WAYS>(a, next);
-                    }
-                }
-                None => {
-                    for a in accesses {
-                        self.access_ways::<WAYS>(a, u64::MAX);
-                    }
+        #[cfg(target_arch = "x86_64")]
+        if self.probe_kind == ProbeKind::Avx2 {
+            return self.run_batched::<WAYS>(accesses, next_uses);
+        }
+        match next_uses {
+            Some(nu) => {
+                for (a, &next) in accesses.iter().zip(nu) {
+                    self.access_one::<WAYS>(a, next);
                 }
             }
-            return;
+            None => {
+                for a in accesses {
+                    self.access_one::<WAYS>(a, u64::MAX);
+                }
+            }
         }
+    }
 
+    /// The batched driver: map a batch, probe it in one AVX2 sweep, retire
+    /// it in arrival order. Only runs once [`ProbeKind::Avx2`] was
+    /// selected, which requires runtime AVX2 detection.
+    #[cfg(target_arch = "x86_64")]
+    fn run_batched<const WAYS: usize>(&mut self, accesses: &[Access], next_uses: Option<&[u64]>) {
         let ways = if WAYS > 0 { WAYS } else { self.cfg.ways };
-        let kind = self.probe_kind;
         let mut slots = [Slot::placeholder(); BATCH];
         let mut start = 0usize;
         while start < accesses.len() {
@@ -610,7 +498,8 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
                 slots[i] = s;
             }
             // Probe phase: one lane-compare sweep over the whole batch.
-            probe_batch(kind, &self.tags, ways, &mut slots[..n]);
+            // SAFETY: `Avx2` is only selected after runtime detection.
+            unsafe { probe::probe_batch_avx2(&self.tags, ways, &mut slots[..n]) };
             // Retire phase, strictly in arrival order. Only a fill
             // rewrites a set's mirror words, so a slot's up-front probe
             // is exact unless an earlier access in this batch filled the
@@ -625,8 +514,9 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
                 if filled_bloom & (1u64 << (s.set_idx & 63)) != 0 {
                     let base = s.base as usize;
                     s.vmask = self.valid[s.set_idx as usize];
-                    s.hit_mask =
-                        probe::probe_set(kind, &self.tags[base..base + ways], s.tag) & s.vmask;
+                    // SAFETY: as for the batch probe above.
+                    let eq = unsafe { probe::probe_avx2(&self.tags[base..base + ways], s.tag) };
+                    s.hit_mask = eq & s.vmask;
                 }
                 if matches!(self.retire::<WAYS>(s), AccessResult::Miss { .. }) {
                     filled_bloom |= 1u64 << (s.set_idx & 63);
@@ -691,44 +581,6 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
     pub fn into_observer(self) -> O {
         self.observer
     }
-}
-
-/// Replays the same access slice through several independent LLC cells,
-/// interleaved in fixed windows, and returns the aggregate access count
-/// (`accesses.len() × lanes.len()`).
-///
-/// Accesses to different *cells* are trivially independent — the
-/// experiment runner already replays policy×app cells separately — so
-/// interleaving K cells over the same trace windows hides each cell's
-/// dependent-load latency behind the others' work while the shared window
-/// of trace data stays hot in L1/L2. Every lane sees the full slice in
-/// order, so each cell's stats, memory log, and characterization are
-/// bit-identical to a solo replay of the same trace.
-///
-/// # Panics
-///
-/// Panics if `next_uses` is provided with a length different from
-/// `accesses`.
-pub fn replay_lanes<P: Policy, O: LlcObserver>(
-    lanes: &mut [Llc<P, O>],
-    accesses: &[Access],
-    next_uses: Option<&[u64]>,
-) -> u64 {
-    // Windows of 64 batches: long enough to amortize the per-lane switch,
-    // short enough that the window's accesses stay resident across lanes.
-    const WINDOW: usize = 64 * BATCH;
-    if let Some(nu) = next_uses {
-        assert_eq!(nu.len(), accesses.len(), "annotation length mismatch");
-    }
-    let mut start = 0usize;
-    while start < accesses.len() {
-        let end = (start + WINDOW).min(accesses.len());
-        for llc in lanes.iter_mut() {
-            llc.dispatch_slice(&accesses[start..end], next_uses.map(|nu| &nu[start..end]));
-        }
-        start = end;
-    }
-    accesses.len() as u64 * lanes.len() as u64
 }
 
 #[cfg(test)]
@@ -853,20 +705,65 @@ mod tests {
         assert_eq!(report.rt_consumed, 1);
     }
 
+    /// Evicts the way whose next use lies farthest ahead — a policy whose
+    /// decisions depend on the next-use annotation.
+    struct TestFarthest;
+    impl Policy for TestFarthest {
+        fn name(&self) -> &str {
+            "TEST-FARTHEST"
+        }
+        fn state_bits_per_block(&self) -> u32 {
+            0
+        }
+        fn on_hit(&mut self, _a: &AccessInfo, _s: &mut [Block], _w: usize) {}
+        fn choose_victim(&mut self, _a: &AccessInfo, set: &mut [Block]) -> usize {
+            set.iter().enumerate().max_by_key(|(_, b)| b.next_use).map(|(i, _)| i).unwrap()
+        }
+        fn on_fill(&mut self, _a: &AccessInfo, _s: &mut [Block], _w: usize) -> FillInfo {
+            FillInfo::default()
+        }
+    }
+
+    /// Replays `t` access by access through [`Llc::access_annotated`] and
+    /// as whole slices under every available kind, asserting identical
+    /// stats and memory logs.
+    fn assert_slice_matches_manual<P: Policy>(
+        cfg: LlcConfig,
+        policy: impl Fn() -> P,
+        t: &Trace,
+        next_uses: Option<&[u64]>,
+    ) {
+        let mut manual = Llc::new(cfg, policy()).with_memory_log();
+        for (i, acc) in t.iter().enumerate() {
+            manual.access_annotated(acc, next_uses.map_or(u64::MAX, |nu| nu[i]));
+        }
+        assert!(manual.stats().evictions > 0, "trace must exercise the victim path");
+        for kind in ProbeKind::all_available() {
+            let mut llc = Llc::new(cfg, policy()).with_memory_log();
+            llc.set_probe_kind(kind);
+            llc.run_trace(t, next_uses);
+            let what = format!("{kind:?} ways={} annotated={}", cfg.ways, next_uses.is_some());
+            assert_eq!(llc.stats(), manual.stats(), "{what}");
+            assert_eq!(llc.memory_log(), manual.memory_log(), "{what}");
+        }
+    }
+
+    /// `Llc::access` shares the retire phase with the batched driver, so a
+    /// slice replay under every kind — including in-batch same-set fills
+    /// that force the re-probe — matches access-by-access replay at 2 and
+    /// at the paper's 16 ways, annotated and unannotated.
     #[test]
     fn run_trace_matches_manual_replay() {
-        let mut t = Trace::new("t", 0);
-        for i in 0..100u64 {
-            t.push(Access::load((i % 7) * 64, StreamId::Texture));
+        // 4 banks x 2 sets x 16 ways = 8 KB: tiny enough to evict.
+        let sixteen = LlcConfig { size_bytes: 8192, ways: 16, banks: 4, sample_period: 2 };
+        let t = conflict_trace(4_000);
+        let nu = crate::annotate_next_use(t.accesses());
+        for cfg in [small_llc().config(), sixteen] {
+            for next_uses in [None, Some(nu.as_slice())] {
+                assert_slice_matches_manual(cfg, || TestLru { tick: 0 }, &t, next_uses);
+                assert_slice_matches_manual(cfg, || TestFarthest, &t, next_uses);
+            }
         }
-        let mut a = small_llc();
-        a.run_trace(&t, None);
-        let mut b = small_llc();
-        for acc in t.iter() {
-            b.access(acc);
-        }
-        assert_eq!(a.stats().total_hits(), b.stats().total_hits());
-        assert_eq!(a.stats().total_misses(), b.stats().total_misses());
     }
 
     #[test]
@@ -1003,68 +900,6 @@ mod tests {
             });
         }
         t
-    }
-
-    /// Every probe kind's batched replay is bit-identical to the scalar
-    /// unbatched loop — stats and memory-log order — including in-batch
-    /// same-set fills that force the retire-phase re-probe.
-    #[test]
-    fn batched_replay_matches_scalar_for_all_kinds() {
-        let t = conflict_trace(3_000);
-        let nu = crate::annotate_next_use(t.accesses());
-        for annotated in [false, true] {
-            let next_uses = annotated.then_some(nu.as_slice());
-            let mut reference = small_llc().with_memory_log();
-            reference.set_probe_kind(ProbeKind::Scalar);
-            reference.run_trace(&t, next_uses);
-            for kind in ProbeKind::all_available() {
-                let mut llc = small_llc().with_memory_log();
-                llc.set_probe_kind(kind);
-                llc.run_trace(&t, next_uses);
-                assert_eq!(llc.stats(), reference.stats(), "{kind:?} annotated={annotated}");
-                assert_eq!(
-                    llc.memory_log(),
-                    reference.memory_log(),
-                    "{kind:?} annotated={annotated}"
-                );
-            }
-        }
-    }
-
-    /// The 16-way const-generic body (the paper's associativity, with the
-    /// specialized AVX2 batch probe) is bit-identical across kinds too.
-    #[test]
-    fn batched_replay_matches_scalar_at_16_ways() {
-        // 4 banks x 2 sets x 16 ways = 8 KB: tiny enough to evict.
-        let cfg = LlcConfig { size_bytes: 8192, ways: 16, banks: 4, sample_period: 2 };
-        let t = conflict_trace(4_000);
-        let mut reference = Llc::new(cfg, TestLru { tick: 0 }).with_memory_log();
-        reference.set_probe_kind(ProbeKind::Scalar);
-        reference.run_trace(&t, None);
-        assert!(reference.stats().evictions > 0, "trace must exercise the victim path");
-        for kind in ProbeKind::all_available() {
-            let mut llc = Llc::new(cfg, TestLru { tick: 0 }).with_memory_log();
-            llc.set_probe_kind(kind);
-            llc.run_trace(&t, None);
-            assert_eq!(llc.stats(), reference.stats(), "{kind:?}");
-            assert_eq!(llc.memory_log(), reference.memory_log(), "{kind:?}");
-        }
-    }
-
-    /// Lane-interleaved replay leaves every cell bit-identical to a solo
-    /// replay and reports the aggregate access count.
-    #[test]
-    fn replay_lanes_matches_solo_replay() {
-        let t = conflict_trace(2_500);
-        let mut solo = small_llc().with_memory_log();
-        solo.run_trace(&t, None);
-        let mut lanes: Vec<_> = (0..3).map(|_| small_llc().with_memory_log()).collect();
-        let n = crate::replay_lanes(&mut lanes, t.accesses(), None);
-        assert_eq!(n, 2_500 * 3);
-        for lane in &lanes {
-            assert_eq!(lane.stats(), solo.stats());
-            assert_eq!(lane.memory_log(), solo.memory_log());
-        }
     }
 
     #[test]

@@ -1,67 +1,45 @@
-//! The vectorized tag probe over the packed LLC mirror.
+//! The tag probe over the packed LLC mirror.
 //!
-//! PR 3 laid the probe mirror out for SIMD — one `u64` tag word per way,
-//! one validity bitmask per set — but compared it scalar-wise. This module
-//! supplies the explicit-width lane compares: an AVX2 path (four tag words
-//! per compare, selected by runtime feature detection), an SSE2 path (two
-//! tag words per compare, unconditionally available on `x86_64`), and a
-//! manually unrolled 4×`u64` portable fallback for every other target. The
-//! scalar OR-folded loop survives as [`ProbeKind::Scalar`] so `GR_SIMD=0`
-//! can select the pre-vectorization replay core at runtime for A/B
-//! benchmarking and differential testing.
+//! The probe mirror holds one `u64` tag word per way and one validity
+//! bitmask per set. Replay runs one of exactly two paths, chosen by CPU
+//! detection and never by a user knob:
 //!
-//! Every path computes the same function: bit `w` of the returned mask is
+//! * [`ProbeKind::Avx2`] — where `is_x86_feature_detected!("avx2")` holds,
+//!   slice replays run the batched map→probe→retire driver with a 256-bit
+//!   lane compare (four tag words per compare).
+//! * [`ProbeKind::Scalar`] — everywhere else, the plain per-access loop with
+//!   the OR-folded scalar compare.
+//!
+//! Batching pays only with the AVX2 compare; with narrower compares it is
+//! slower than the plain loop (DESIGN.md §3.2 has the measurements).
+//!
+//! Both compares compute the same function: bit `w` of the returned mask is
 //! set iff `tags[w] == tag`. Callers AND the result with the set's validity
 //! mask; the probe itself never consults it, which keeps the compare a pure
-//! streaming read of the mirror.
-//!
-//! # `GR_SIMD`
-//!
-//! * `GR_SIMD=0` — the scalar per-access loop (probe *and* the unbatched
-//!   retire loop; see [`crate::Llc::run_source`]).
-//! * `GR_SIMD=portable` — force the 4×`u64` portable lanes.
-//! * `GR_SIMD=sse2` — force the 128-bit path (`x86_64` only).
-//! * unset / `GR_SIMD=1` — the widest available path (AVX2 where detected).
-//!
-//! The variable is read once per process and cached; tests that need both
-//! paths in one process select a kind programmatically via
-//! [`crate::Llc::set_probe_kind`].
+//! streaming read of the mirror. Tests that need both paths in one process
+//! select a kind via [`crate::Llc::set_probe_kind`].
 
-use std::sync::OnceLock;
-
-/// Which compare implementation services the probe.
+/// Which replay path services the probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeKind {
-    /// The scalar OR-folded loop — the pre-vectorization replay core,
-    /// selected by `GR_SIMD=0`. This kind also disables the batched
-    /// front-end in [`crate::Llc::run_source`].
+    /// The plain per-access loop with the scalar compare — the path of
+    /// every host without AVX2.
     Scalar,
-    /// Manually unrolled 4×`u64` lane compare — the portable fallback.
-    Portable,
-    /// 128-bit compares via `core::arch::x86_64` (baseline on `x86_64`,
-    /// no detection needed).
-    #[cfg(target_arch = "x86_64")]
-    Sse2,
-    /// 256-bit compares; requires runtime AVX2 detection.
+    /// The batched driver with 256-bit compares; requires runtime AVX2
+    /// detection.
     #[cfg(target_arch = "x86_64")]
     Avx2,
 }
 
 impl ProbeKind {
-    /// The widest kind this host supports, ignoring `GR_SIMD`.
+    /// The path this host runs by default: [`ProbeKind::Avx2`] where AVX2
+    /// is detected, [`ProbeKind::Scalar`] otherwise.
     pub fn best_available() -> ProbeKind {
         #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                ProbeKind::Avx2
-            } else {
-                ProbeKind::Sse2
-            }
+        if is_x86_feature_detected!("avx2") {
+            return ProbeKind::Avx2;
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            ProbeKind::Portable
-        }
+        ProbeKind::Scalar
     }
 
     /// `true` when this kind can run on the current host.
@@ -69,68 +47,23 @@ impl ProbeKind {
         match self {
             #[cfg(target_arch = "x86_64")]
             ProbeKind::Avx2 => is_x86_feature_detected!("avx2"),
-            _ => true,
+            ProbeKind::Scalar => true,
         }
     }
 
     /// Every kind the current host can run, scalar first.
     pub fn all_available() -> Vec<ProbeKind> {
-        let mut kinds = vec![ProbeKind::Scalar, ProbeKind::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            kinds.push(ProbeKind::Sse2);
-            if is_x86_feature_detected!("avx2") {
-                kinds.push(ProbeKind::Avx2);
-            }
+        let best = ProbeKind::best_available();
+        let mut kinds = vec![ProbeKind::Scalar];
+        if best != ProbeKind::Scalar {
+            kinds.push(best);
         }
         kinds
     }
-
-    /// `true` when this kind engages the batched front-end (everything but
-    /// [`ProbeKind::Scalar`]).
-    pub fn is_batched(self) -> bool {
-        self != ProbeKind::Scalar
-    }
-
-    /// The process-wide default: `GR_SIMD` consulted once, then cached.
-    pub fn from_env() -> ProbeKind {
-        static DEFAULT: OnceLock<ProbeKind> = OnceLock::new();
-        *DEFAULT.get_or_init(|| Self::parse_env(std::env::var("GR_SIMD").ok().as_deref()))
-    }
-
-    /// The kind a given `GR_SIMD` value selects (un-cached; [`from_env`]
-    /// is the cached front end). Unknown spellings select the default.
-    ///
-    /// [`from_env`]: ProbeKind::from_env
-    pub fn parse_env(value: Option<&str>) -> ProbeKind {
-        match value {
-            Some("0") => ProbeKind::Scalar,
-            Some("portable") => ProbeKind::Portable,
-            #[cfg(target_arch = "x86_64")]
-            Some("sse2") => ProbeKind::Sse2,
-            _ => ProbeKind::best_available(),
-        }
-    }
 }
 
-/// Compares every tag word of one set against `tag`: bit `w` of the result
-/// is set iff `tags[w] == tag`. The caller ANDs with the validity mask.
-#[inline]
-pub fn probe_set(kind: ProbeKind, tags: &[u64], tag: u64) -> u64 {
-    match kind {
-        ProbeKind::Scalar => probe_scalar(tags, tag),
-        ProbeKind::Portable => probe_portable(tags, tag),
-        #[cfg(target_arch = "x86_64")]
-        ProbeKind::Sse2 => probe_sse2(tags, tag),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2` is only constructed after runtime detection
-        // (`best_available` / `is_available` / `set_probe_kind`'s assert).
-        ProbeKind::Avx2 => unsafe { probe_avx2(tags, tag) },
-    }
-}
-
-/// The scalar OR-folded compare — the exact loop the pre-vectorization
-/// replay core ran, kept as the `GR_SIMD=0` reference path.
+/// The scalar OR-folded compare. Every way's equality bit is folded into
+/// the match mask, so the loop is branchless and never mispredicts.
 #[inline]
 pub fn probe_scalar(tags: &[u64], tag: u64) -> u64 {
     let mut eq = 0u64;
@@ -138,59 +71,6 @@ pub fn probe_scalar(tags: &[u64], tag: u64) -> u64 {
         eq |= u64::from(t == tag) << i;
     }
     eq
-}
-
-/// The portable lane compare: four `u64` equality bits per unrolled
-/// iteration, independent so the compiler can schedule them as one wide
-/// compare on any target.
-#[inline]
-pub fn probe_portable(tags: &[u64], tag: u64) -> u64 {
-    let mut eq = 0u64;
-    let mut i = 0;
-    while i + 4 <= tags.len() {
-        let e0 = u64::from(tags[i] == tag);
-        let e1 = u64::from(tags[i + 1] == tag);
-        let e2 = u64::from(tags[i + 2] == tag);
-        let e3 = u64::from(tags[i + 3] == tag);
-        eq |= (e0 | (e1 << 1) | (e2 << 2) | (e3 << 3)) << i;
-        i += 4;
-    }
-    while i < tags.len() {
-        eq |= u64::from(tags[i] == tag) << i;
-        i += 1;
-    }
-    eq
-}
-
-/// 128-bit lane compare. SSE2 is part of the `x86_64` baseline, so this
-/// needs no runtime detection and inlines into the caller.
-///
-/// SSE2 has no 64-bit integer compare; a `u64` lane is equal iff both of
-/// its 32-bit halves compare equal, so the 32-bit equality mask is ANDed
-/// with its within-lane swap before extracting one bit per 64-bit lane.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-pub fn probe_sse2(tags: &[u64], tag: u64) -> u64 {
-    use core::arch::x86_64::*;
-    // SAFETY: SSE2 is statically enabled on every x86_64 target; the
-    // unaligned loads stay within `tags` by the loop bound.
-    unsafe {
-        let needle = _mm_set1_epi64x(tag as i64);
-        let mut eq = 0u64;
-        let mut i = 0;
-        while i + 2 <= tags.len() {
-            let lanes = _mm_loadu_si128(tags.as_ptr().add(i).cast());
-            let eq32 = _mm_cmpeq_epi32(lanes, needle);
-            let swapped = _mm_shuffle_epi32(eq32, 0b10_11_00_01);
-            let eq64 = _mm_and_si128(eq32, swapped);
-            eq |= (_mm_movemask_pd(_mm_castsi128_pd(eq64)) as u64) << i;
-            i += 2;
-        }
-        if i < tags.len() {
-            eq |= u64::from(tags[i] == tag) << i;
-        }
-        eq
-    }
 }
 
 /// 256-bit lane compare: four tag words per `VPCMPEQQ`, one bit per lane
@@ -219,10 +99,10 @@ pub unsafe fn probe_avx2(tags: &[u64], tag: u64) -> u64 {
     eq
 }
 
-/// One slot of the batched front-end: the mapped coordinates of an access
-/// plus the probe's output. The map phase fills the coordinates, the probe
-/// phase fills `hit_mask` (already ANDed with `vmask`), and the retire
-/// phase consumes the slot in arrival order — see
+/// One access decomposed for the retire phase: the mapped coordinates of
+/// the access plus the probe's output. [`crate::Llc`]'s map phase fills the
+/// coordinates, a probe fills `hit_mask` (already ANDed with `vmask`), and
+/// the retire phase consumes the slot in arrival order — see
 /// [`crate::Llc::run_source`] for the ordering argument.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Slot {
@@ -253,6 +133,7 @@ pub(crate) struct Slot {
 impl Slot {
     /// A placeholder slot for initializing batch buffers; every field is
     /// overwritten by the map phase before use.
+    #[cfg(target_arch = "x86_64")]
     pub(crate) fn placeholder() -> Slot {
         Slot {
             block: 0,
@@ -271,25 +152,9 @@ impl Slot {
 }
 
 /// Probes every slot of a batch against the mirror, writing
-/// `slot.hit_mask = matches & slot.vmask`. The AVX2 variant runs the whole
-/// batch inside one `#[target_feature]` function so the per-call dispatch
-/// cost is amortized over the batch.
-#[inline]
-pub(crate) fn probe_batch(kind: ProbeKind, mirror: &[u64], ways: usize, slots: &mut [Slot]) {
-    match kind {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2` is only constructed after runtime detection.
-        ProbeKind::Avx2 => unsafe { probe_batch_avx2(mirror, ways, slots) },
-        _ => {
-            for s in slots {
-                let base = s.base as usize;
-                s.hit_mask = probe_set(kind, &mirror[base..base + ways], s.tag) & s.vmask;
-            }
-        }
-    }
-}
-
-/// Batched AVX2 probe; the 16-way geometry (the paper's only associativity)
+/// `slot.hit_mask = matches & slot.vmask`. The whole batch runs inside one
+/// `#[target_feature]` function so the per-call dispatch cost is amortized
+/// over the batch; the 16-way geometry (the paper's only associativity)
 /// takes a fixed four-compare body.
 ///
 /// # Safety
@@ -297,7 +162,7 @@ pub(crate) fn probe_batch(kind: ProbeKind, mirror: &[u64], ways: usize, slots: &
 /// The caller must have verified AVX2 support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn probe_batch_avx2(mirror: &[u64], ways: usize, slots: &mut [Slot]) {
+pub(crate) unsafe fn probe_batch_avx2(mirror: &[u64], ways: usize, slots: &mut [Slot]) {
     use core::arch::x86_64::*;
     if ways == 16 {
         for s in slots {
@@ -331,19 +196,16 @@ unsafe fn probe_batch_avx2(mirror: &[u64], ways: usize, slots: &mut [Slot]) {
     }
 }
 
-/// Hints the prefetcher at the cache line holding `p` (no-op off `x86_64`).
-/// The map phase issues these for the tag words, validity word, and policy
-/// blocks the retire phase will touch, so the dependent loads of a whole
-/// batch overlap instead of serializing.
+/// Hints the prefetcher at the cache line holding `p`. The map phase issues
+/// these for the tag words and policy blocks the retire phase will touch,
+/// so the dependent loads of a whole batch overlap instead of serializing.
+#[cfg(target_arch = "x86_64")]
 #[inline(always)]
 pub(crate) fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch is a hint; it cannot fault even on invalid addresses.
     unsafe {
         core::arch::x86_64::_mm_prefetch(p.cast::<i8>(), core::arch::x86_64::_MM_HINT_T0);
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
 }
 
 #[cfg(test)]
@@ -378,12 +240,16 @@ mod tests {
         (tags, valid)
     }
 
-    /// Every available kind computes the same match mask as the scalar
+    /// The AVX2 compare computes the same match mask as the scalar
     /// reference on randomized, partially-valid mirrors — including
-    /// non-paper geometries (`ways != 16`) that exercise the unrolled
-    /// remainder lanes.
+    /// non-paper geometries (`ways != 16`) that exercise the remainder
+    /// lanes.
+    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn all_kinds_match_scalar_on_random_mirrors() {
+    fn avx2_matches_scalar_on_random_mirrors() {
+        if !ProbeKind::Avx2.is_available() {
+            return;
+        }
         let mut rng = Rng(0x9E3779B97F4A7C15);
         for ways in [1usize, 2, 3, 4, 5, 7, 8, 12, 15, 16, 24, 33, 64] {
             let (tags, valid) = random_mirror(&mut rng, 32, ways);
@@ -392,21 +258,21 @@ mod tests {
                 let set_tags = &tags[base..base + ways];
                 let needle = rng.next() % 7;
                 let want = probe_scalar(set_tags, needle) & vmask;
-                for kind in ProbeKind::all_available() {
-                    let got = probe_set(kind, set_tags, needle) & vmask;
-                    assert_eq!(
-                        got, want,
-                        "{kind:?} diverged: ways={ways} set={set} needle={needle}"
-                    );
-                }
+                // SAFETY: AVX2 availability was checked above.
+                let got = unsafe { probe_avx2(set_tags, needle) } & vmask;
+                assert_eq!(got, want, "AVX2 diverged: ways={ways} set={set} needle={needle}");
             }
         }
     }
 
-    /// The batched probe agrees with per-set probes for every kind,
-    /// including the specialized 16-way AVX2 body and partially-valid sets.
+    /// The batched AVX2 probe agrees with per-set scalar probes, including
+    /// the specialized 16-way body and partially-valid sets.
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn batch_probe_matches_single_probes() {
+        if !ProbeKind::Avx2.is_available() {
+            return;
+        }
         let mut rng = Rng(0x243F6A8885A308D3);
         for ways in [4usize, 13, 16, 20] {
             let sets = 64;
@@ -419,19 +285,16 @@ mod tests {
                     s.vmask = valid[set];
                     s.set_idx = set as u32;
                     s.base = (set * ways) as u32;
+                    s.hit_mask = u64::MAX; // must be overwritten
                     s
                 })
                 .collect();
-            for kind in ProbeKind::all_available() {
-                for s in &mut slots {
-                    s.hit_mask = u64::MAX; // must be overwritten
-                }
-                probe_batch(kind, &tags, ways, &mut slots);
-                for s in &slots {
-                    let base = s.base as usize;
-                    let want = probe_scalar(&tags[base..base + ways], s.tag) & s.vmask;
-                    assert_eq!(s.hit_mask, want, "{kind:?} batch diverged at base {base}");
-                }
+            // SAFETY: AVX2 availability was checked above.
+            unsafe { probe_batch_avx2(&tags, ways, &mut slots) };
+            for s in &slots {
+                let base = s.base as usize;
+                let want = probe_scalar(&tags[base..base + ways], s.tag) & s.vmask;
+                assert_eq!(s.hit_mask, want, "batch diverged at base {base}");
             }
         }
     }
@@ -440,23 +303,26 @@ mod tests {
     #[test]
     fn full_width_mask_has_no_truncation() {
         let tags: Vec<u64> = (0..64).map(|i| u64::from(i % 2 == 0)).collect();
-        for kind in ProbeKind::all_available() {
-            let m = probe_set(kind, &tags, 1);
-            assert_eq!(m, 0x5555_5555_5555_5555, "{kind:?}");
-            assert_eq!(probe_set(kind, &tags, 9), 0, "{kind:?}");
+        assert_eq!(probe_scalar(&tags, 1), 0x5555_5555_5555_5555);
+        assert_eq!(probe_scalar(&tags, 9), 0);
+        #[cfg(target_arch = "x86_64")]
+        if ProbeKind::Avx2.is_available() {
+            // SAFETY: AVX2 availability was checked above.
+            unsafe {
+                assert_eq!(probe_avx2(&tags, 1), 0x5555_5555_5555_5555);
+                assert_eq!(probe_avx2(&tags, 9), 0);
+            }
         }
     }
 
+    /// The default is the widest available kind, and the available list
+    /// holds the scalar path plus at most AVX2.
     #[test]
-    fn env_spellings() {
-        assert_eq!(ProbeKind::parse_env(Some("0")), ProbeKind::Scalar);
-        assert_eq!(ProbeKind::parse_env(Some("portable")), ProbeKind::Portable);
-        assert_eq!(ProbeKind::parse_env(None), ProbeKind::best_available());
-        assert_eq!(ProbeKind::parse_env(Some("1")), ProbeKind::best_available());
-        assert!(ProbeKind::parse_env(None).is_available());
-        assert!(!ProbeKind::Scalar.is_batched());
-        assert!(ProbeKind::Portable.is_batched());
-        #[cfg(target_arch = "x86_64")]
-        assert_eq!(ProbeKind::parse_env(Some("sse2")), ProbeKind::Sse2);
+    fn best_available_is_listed_and_runnable() {
+        let kinds = ProbeKind::all_available();
+        assert_eq!(kinds[0], ProbeKind::Scalar);
+        assert!(kinds.len() <= 2);
+        assert!(kinds.contains(&ProbeKind::best_available()));
+        assert!(kinds.iter().all(|k| k.is_available()));
     }
 }

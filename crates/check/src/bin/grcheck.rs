@@ -14,14 +14,14 @@
 //!   (OPT agreement, Belady lower bound, pinned hit-rate goldens,
 //!   GSPC-vs-baseline miss ratios).
 //! * `invariants` replays the workload through every registry policy
-//!   across the full checked/unchecked x mono/boxed matrix plus every
-//!   probe kernel the host supports (scalar, portable, SSE2, AVX2),
-//!   asserts bit-identical stats everywhere, and reports the
+//!   across the full checked/unchecked x mono/boxed x replay-path matrix
+//!   (the plain scalar loop, plus the batched AVX2 driver where the host
+//!   has AVX2), asserts bit-identical stats everywhere, and reports the
 //!   checked-replay overhead (budget: 3x).
 //!
 //! `conformance` and `invariants` honour `GR_SCALE` / `GR_FRAMES`.
 
-use grbench::{run_workload, ExperimentConfig, RunOptions};
+use grbench::{run_workload, ExperimentConfig, RunOptions, WorkloadResults};
 use grcache::ProbeKind;
 use grcheck::{conform, fuzz};
 use gspc::registry;
@@ -132,88 +132,69 @@ fn run_conformance(args: &[String]) {
 }
 
 /// Replays every registry policy checked and unchecked, through both the
-/// monomorphized and boxed dispatch paths and under every probe kernel the
+/// monomorphized and boxed dispatch paths and under every replay path the
 /// host supports, asserting identical stats everywhere and a bounded
-/// slowdown from the invariant observer.
+/// slowdown from the invariant observer. Per dispatch path, the slowdown
+/// is checked replay on the host's default replay path against unchecked
+/// replay on the plain loop.
 fn run_invariants() {
     let cfg = ExperimentConfig::from_env();
     let policies: Vec<String> = registry::ALL_POLICIES.iter().map(|e| e.name.to_string()).collect();
-    let base = |boxed: bool, check: bool, probe: Option<ProbeKind>| RunOptions {
-        policies: policies.clone(),
-        boxed,
-        check,
-        probe,
-        streamed: false,
-        ..RunOptions::misses(&[])
-    };
-    let mut runs = Vec::new();
-    let mut reference = None;
-    for boxed in [false, true] {
-        let mut timings = [0.0f64; 2];
-        let mut results = Vec::new();
-        for check in [false, true] {
-            // The unchecked leg pins the scalar kernel so the probe sweep
-            // below compares every vector kernel against a scalar-produced
-            // reference; the checked leg keeps the default (`GR_SIMD`).
-            let probe = (!check).then_some(ProbeKind::Scalar);
-            let r = run_workload(&base(boxed, check, probe), &cfg);
-            timings[check as usize] = r.perf.replay_seconds;
-            results.push(r);
-        }
-        let (plain, checked) = (&results[0], &results[1]);
-        for p in &policies {
-            for app in plain.apps.clone() {
-                assert_eq!(
-                    plain.get(p, &app).stats,
-                    checked.get(p, &app).stats,
-                    "{p}/{app}: checked replay changed the stats (boxed={boxed})"
-                );
-            }
-        }
-        let ratio = timings[1] / timings[0].max(1e-9);
-        let path = if boxed { "boxed" } else { "mono" };
-        println!(
-            "invariants[{path}]: {} policies x {} apps identical; \
-             checked replay {:.2}s vs {:.2}s unchecked ({ratio:.2}x)",
-            policies.len(),
-            plain.apps.len(),
-            timings[1],
-            timings[0]
-        );
-        runs.push((path, ratio));
-        if reference.is_none() {
-            reference = Some(results.swap_remove(0));
-        }
-    }
-    // Probe-kernel sweep: every available kernel, through both dispatch
-    // paths, must reproduce the scalar reference bit for bit.
-    let reference = reference.expect("mono sweep ran");
+    let best = ProbeKind::best_available();
+    let mut reference: Option<WorkloadResults> = None;
+    // Replay seconds per dispatch path (mono, boxed).
+    let mut checked_s = [0.0f64; 2];
+    let mut plain_s = [0.0f64; 2];
     for kind in ProbeKind::all_available() {
-        if kind == ProbeKind::Scalar {
-            continue; // the reference itself
-        }
         for boxed in [false, true] {
-            let r = run_workload(&base(boxed, false, Some(kind)), &cfg);
-            for p in &policies {
-                for app in reference.apps.clone() {
-                    assert_eq!(
-                        reference.get(p, &app).stats,
-                        r.get(p, &app).stats,
-                        "{p}/{app}: {kind:?} probe kernel diverged from scalar (boxed={boxed})"
-                    );
+            let path = format!("{}/{kind:?}", if boxed { "boxed" } else { "mono" });
+            for check in [false, true] {
+                let opts = RunOptions {
+                    policies: policies.clone(),
+                    boxed,
+                    check,
+                    probe: Some(kind),
+                    streamed: false,
+                    ..RunOptions::misses(&[])
+                };
+                let r = run_workload(&opts, &cfg);
+                if check && kind == best {
+                    checked_s[boxed as usize] = r.perf.replay_seconds;
+                } else if !check && kind == ProbeKind::Scalar {
+                    plain_s[boxed as usize] = r.perf.replay_seconds;
+                }
+                // The first leg (mono, scalar, unchecked) is the reference.
+                let Some(want) = &reference else {
+                    reference = Some(r);
+                    continue;
+                };
+                for p in &policies {
+                    for app in &want.apps {
+                        assert_eq!(
+                            want.get(p, app).stats,
+                            r.get(p, app).stats,
+                            "{p}/{app}: {path} (checked={check}) diverged from mono/Scalar"
+                        );
+                    }
                 }
             }
-            let path = if boxed { "boxed" } else { "mono" };
             println!(
-                "invariants[{path}/{kind:?}]: {} policies x {} apps identical to scalar",
+                "invariants[{path}]: {} policies x {} apps identical to mono/Scalar, \
+                 checked and unchecked",
                 policies.len(),
-                reference.apps.len()
+                reference.as_ref().map_or(0, |r| r.apps.len()),
             );
         }
     }
     run_profile_invariants(&cfg, &policies);
     let mut failed = false;
-    for (path, ratio) in runs {
+    for (i, path) in ["mono", "boxed"].into_iter().enumerate() {
+        let ratio = checked_s[i] / plain_s[i].max(1e-9);
+        println!(
+            "invariants[{path}]: checked replay ({best:?}) {:.2}s vs {:.2}s unchecked (Scalar) \
+             ({ratio:.2}x)",
+            checked_s[i], plain_s[i]
+        );
         if ratio > 3.0 {
             eprintln!("FAIL invariants[{path}]: checked replay {ratio:.2}x > 3x budget");
             failed = true;
@@ -227,7 +208,7 @@ fn run_invariants() {
 /// Frame-graph profile sweep: for every built-in profile, the streamed
 /// generator must emit exactly the materialized render, the `.gtrace`
 /// export must import back bit-identically, and frame-0 replay stats must
-/// agree across mono/boxed dispatch and every probe kernel the host
+/// agree across mono/boxed dispatch and every replay path the host
 /// supports.
 fn run_profile_invariants(cfg: &ExperimentConfig, policies: &[String]) {
     use grbench::simulate_graph_cell;
@@ -278,7 +259,7 @@ fn run_profile_invariants(cfg: &ExperimentConfig, policies: &[String]) {
                     let r = simulate_graph_cell(name, &graph, 0, &base(boxed, Some(kind)), cfg);
                     assert_eq!(
                         reference.stats, r.stats,
-                        "{}/{name}: {kind:?} probe (boxed={boxed}) diverged from scalar/mono",
+                        "{}/{name}: {kind:?} path (boxed={boxed}) diverged from mono/Scalar",
                         profile.name
                     );
                 }
@@ -286,7 +267,7 @@ fn run_profile_invariants(cfg: &ExperimentConfig, policies: &[String]) {
         }
         println!(
             "invariants[profile/{}]: stream == render ({} accesses), round trip identical, \
-             {} policies x {} kernels x mono/boxed identical",
+             {} policies x {} replay paths x mono/boxed identical",
             profile.name,
             trace.len(),
             policies.len(),

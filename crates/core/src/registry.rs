@@ -11,7 +11,7 @@
 //!   miss-ratio ceilings.
 //! * **grserved** validates job specs through [`resolve`] and lists the
 //!   full vocabulary (including [`PARAMETERIZED`] families) from the table.
-//! * **grbench** derives its perfbench sweep and figure policy sets from
+//! * **grbench** derives its figure policy sets from
 //!   [`PolicyMeta::groups`], and gates `.nu` annotation attachment on
 //!   [`needs_next_use`].
 //!
@@ -76,7 +76,7 @@ pub struct Conformance {
 /// Per-policy metadata consumed by the check, serve, and bench layers.
 ///
 /// Built with a `const` chain so a table row stays one expression:
-/// `PolicyMeta::new().oracle("drrip-2").panel().groups(&[GROUP_PERF])`.
+/// `PolicyMeta::new().oracle("nru").panel().groups(&[GROUP_FIG12])`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyMeta {
     /// The policy requires Belady next-use annotations
@@ -89,8 +89,8 @@ pub struct PolicyMeta {
     pub conformance: Conformance,
     /// Include in the differential fuzz campaign's default policy set.
     pub fuzz: bool,
-    /// Bench/experiment groupings (see [`GROUP_PERF`], [`GROUP_FIG12`]);
-    /// group members keep table order.
+    /// Experiment groupings (see [`GROUP_FIG12`]); group members keep
+    /// table order.
     pub groups: &'static [&'static str],
 }
 
@@ -145,7 +145,7 @@ impl PolicyMeta {
         self
     }
 
-    /// Assigns bench/experiment groups.
+    /// Assigns experiment groups.
     pub const fn groups(mut self, groups: &'static [&'static str]) -> Self {
         self.groups = groups;
         self
@@ -170,7 +170,7 @@ pub struct PolicyEntry {
     /// (e.g. `"DRRIP-2"` for `"DRRIP"`). Empty for most entries.
     pub aliases: &'static [&'static str],
     /// Cross-layer metadata: oracle dispatch, conformance participation,
-    /// fuzz inclusion, bench grouping.
+    /// fuzz inclusion, experiment grouping.
     pub meta: PolicyMeta,
 }
 
@@ -270,20 +270,6 @@ pub trait PolicyVisitor {
     fn visit<P: Policy + 'static>(self, policy: P) -> Self::Output;
 }
 
-/// Receives a fleet of identically constructed concrete policies from
-/// [`with_policy_lanes`] — the lane-interleaved replay's counterpart to
-/// [`PolicyVisitor`]. One `visit` call gets all the lanes at once so the
-/// caller can build the K independent LLC cells with the policy callbacks
-/// still monomorphized into the replay loop.
-pub trait PolicyLanesVisitor {
-    /// What the visit produces (e.g. aggregate replay statistics).
-    type Output;
-
-    /// Called exactly once, with the freshly constructed policies
-    /// (`policies.len()` equals the requested lane count).
-    fn visit<P: Policy + 'static>(self, policies: Vec<P>) -> Self::Output;
-}
-
 /// The parameterized `"GSPZTC(t=N)"` spelling: `Some(t)` when `name` is a
 /// well-formed threshold sweep entry with a power-of-two `t`.
 fn parse_gspztc_threshold(name: &str) -> Option<u32> {
@@ -352,38 +338,9 @@ macro_rules! define_registry {
                 other => unreachable!("resolve() returned unregistered entry {other:?}"),
             }
         }
-
-        /// Builds `lanes` identical copies of the named policy and hands
-        /// them, still concretely typed, to `visitor` — the construction
-        /// side of the lane-interleaved replay
-        /// ([`grcache::replay_lanes`]). Same table and same name set as
-        /// [`with_policy`]; returns `None` for unknown names without
-        /// calling the visitor.
-        pub fn with_policy_lanes<V: PolicyLanesVisitor>(
-            name: &str,
-            cfg: &LlcConfig,
-            lanes: usize,
-            visitor: V,
-        ) -> Option<V::Output> {
-            let resolved = resolve(name)?;
-            if let Resolved::Gspztc { t, .. } = resolved {
-                return Some(
-                    visitor.visit((0..lanes).map(|_| Gspztc::with_threshold(cfg, t)).collect()),
-                );
-            }
-            let $cfg = cfg;
-            match resolved.entry().name {
-                $($name => {
-                    Some(visitor.visit((0..lanes).map(|_| $ctor).collect()))
-                })+
-                other => unreachable!("resolve() returned unregistered entry {other:?}"),
-            }
-        }
     };
 }
 
-/// Group of policies timed by the perfbench default sweep.
-pub const GROUP_PERF: &str = "perf";
 /// Group of policies plotted by Figures 12/13 (normalized to DRRIP).
 pub const GROUP_FIG12: &str = "fig12";
 
@@ -402,7 +359,6 @@ define_registry! { cfg;
         "DRRIP" | "DRRIP-2" => "Dynamic re-reference interval prediction",
         Drrip::new(2),
         PolicyMeta::new().oracle("drrip-2").panel().goldens(DRRIP_TINY_GOLDENS)
-            .groups(&[GROUP_PERF])
     },
     {
         "DRRIP-4" => "Four-bit DRRIP (iso-overhead study)",
@@ -412,12 +368,12 @@ define_registry! { cfg;
     {
         "SRRIP" | "SRRIP-2" => "Static re-reference interval prediction",
         Srrip::new(2),
-        PolicyMeta::new().oracle("srrip-2").panel().groups(&[GROUP_PERF])
+        PolicyMeta::new().oracle("srrip-2").panel()
     },
     {
         "NRU" => "Single-bit not-recently-used",
         Nru::new(),
-        PolicyMeta::new().oracle("nru").panel().groups(&[GROUP_PERF, GROUP_FIG12])
+        PolicyMeta::new().oracle("nru").panel().groups(&[GROUP_FIG12])
     },
     {
         "LRU" => "True least-recently-used",
@@ -454,13 +410,13 @@ define_registry! { cfg;
         Gspc::new(cfg),
         PolicyMeta::new().oracle("gspc").panel()
             .ceilings(&[("DRRIP", 1.00), ("SRRIP", 1.00)])
-            .groups(&[GROUP_PERF, GROUP_FIG12])
+            .groups(&[GROUP_FIG12])
     },
     {
         "GSPC+UCD" => "GSPC with uncached displayable color",
         Ucd::new(Gspc::new(cfg)),
         PolicyMeta::new().oracle("gspc+ucd").panel().ceilings(&[("DRRIP", 1.00)])
-            .groups(&[GROUP_PERF, GROUP_FIG12])
+            .groups(&[GROUP_FIG12])
     },
     {
         "DRRIP+UCD" => "DRRIP with uncached displayable color",
@@ -480,14 +436,13 @@ define_registry! { cfg;
     {
         "OPT" => "Belady's optimal (offline oracle)",
         Belady::new(),
-        PolicyMeta::new().oracle("opt").annotated().panel().groups(&[GROUP_PERF])
+        PolicyMeta::new().oracle("opt").annotated().panel()
     },
     {
         "GOPT" => "OPT-trained region predictor (learns Belady decisions per region)",
         Gopt::new(cfg),
         PolicyMeta::new().oracle("gopt").annotated().panel()
             .ceilings(&[("SRRIP", 1.00)])
-            .groups(&[GROUP_PERF])
     },
     {
         "DIP" => "Dynamic insertion policy (LRU/BIP dueling)",
@@ -841,17 +796,12 @@ mod tests {
         }
     }
 
-    /// The bench groups drive real consumers: the perfbench sweep and the
-    /// Figure 12 policy set. Their membership is pinned here so an
-    /// accidental group edit fails loudly rather than silently changing
-    /// what CI measures.
+    /// The Figure 12 group drives real consumers (the figure and the
+    /// benchmark sweep). Its membership is pinned here so an accidental
+    /// group edit fails loudly rather than silently changing what they
+    /// measure.
     #[test]
     fn bench_groups_match_their_consumers() {
-        assert_eq!(
-            group_names(GROUP_PERF),
-            ["DRRIP", "SRRIP", "NRU", "GSPC", "GSPC+UCD", "OPT", "GOPT"],
-            "perfbench sweep membership changed"
-        );
         assert_eq!(
             group_names(GROUP_FIG12),
             [

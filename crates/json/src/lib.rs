@@ -6,12 +6,9 @@
 //! which makes exported `BENCH_*.json` files diffable across runs and
 //! thread counts, and makes the `grserve` daemon's responses byte-stable
 //! for content-addressed caching. The companion [`Json::parse`] reads the
-//! same documents back — the benchmark regression gate uses it to load the
-//! committed `BENCH_baseline.json`, and the serving layer uses it to
-//! decode request bodies.
-//!
-//! Historically this lived at `grbench::json`; that path remains as a
-//! re-export for existing callers.
+//! same documents back — the `grload` regression gate uses it to load the
+//! committed `BENCH_serve.json`, and the serving layer uses it to decode
+//! request bodies.
 
 use std::fmt::Write as _;
 

@@ -40,7 +40,7 @@
 //! p50/p95/p99/max); `--out` merges the curve into a JSON report under
 //! `--label`, and `--baseline` + `--tolerance` gate normalized efficiency
 //! (achieved/offered) against a committed baseline, exiting nonzero on
-//! regression — the same shape as `grbench perf`.
+//! regression.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};

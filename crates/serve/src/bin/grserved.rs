@@ -29,7 +29,7 @@
 //! cross-daemon result-cache peering.
 //!
 //! Execution knobs come from the environment once, at startup
-//! (`GR_THREADS`, `GR_STREAMED`, `GR_BOXED`, `GR_CHECK`, `GR_SCALE`,
+//! (`GR_THREADS`, `GR_STREAMED`, `GR_CHECK`, `GR_SCALE`,
 //! `GR_RESULT_CACHE_MAX`) via [`grbench::RunOptions::from_env`]; per-job
 //! fields come from each request.
 
