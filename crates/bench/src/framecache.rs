@@ -21,10 +21,16 @@
 //! [`ChunkedReader`], so even a full-scale `GR_SCALE=full` frame fits in a
 //! few megabytes of working set. `GR_STREAM_CHUNK` tunes the chunk size
 //! (accesses per read; default 65536).
+//!
+//! Every disk-tier file is written through `write_atomic`: workers and
+//! processes sharing one cache directory may write the same frame at once,
+//! and a reader must never see a half-written file.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::fs::File;
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use grcache::annotate_next_use;
@@ -93,11 +99,32 @@ fn load_next_use(path: &Path, expected: u64) -> Option<Vec<u64>> {
 fn store_next_use(path: &Path, nu: &[u64]) {
     // Sidecar write failures are never fatal — the in-memory annotation is
     // already computed — so errors are dropped.
-    let _ = (|| -> io::Result<()> {
-        let mut writer = io::BufWriter::new(std::fs::File::create(path)?);
-        grtrace::io::write_next_use(&mut writer, nu)?;
-        writer.flush()
+    let _ = write_atomic(path, |w| grtrace::io::write_next_use(w, nu));
+}
+
+/// Writes `path` without ever exposing a partial file: `fill` writes a
+/// temp file in the same directory whose name is unique to this process
+/// and call, which is flushed and then renamed over `path`. A concurrent
+/// reader sees either the previous file or the complete new one. Temp
+/// names end in `.tmp`, never in a cache extension such as `.grtr`.
+fn write_atomic(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut name = path.file_name().expect("cache paths name a file").to_os_string();
+    name.push(format!(".{}-{}.tmp", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed)));
+    let tmp = path.with_file_name(name);
+    let written = (|| {
+        let mut writer = BufWriter::new(File::create(&tmp)?);
+        fill(&mut writer)?;
+        writer.flush()?;
+        std::fs::rename(&tmp, path)
     })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Cache key: workload identity (app abbreviation or frame-graph cache
@@ -176,15 +203,8 @@ pub fn ensure_on_disk(app: &AppProfile, frame: u32, scale: Scale) -> io::Result<
         return Ok(Some(trace_path));
     }
     let mut stream = FrameStream::new(app, frame, scale);
-    let file = std::fs::File::create(&trace_path)?;
-    let mut writer = TraceWriter::new(io::BufWriter::new(file), app.name, frame)?;
-    while stream.advance()? {
-        for a in stream.chunk().accesses {
-            writer.push(a)?;
-        }
-    }
-    writer.finish()?.flush()?;
-    std::fs::write(&work_path, write_work(&stream.work()))?;
+    write_atomic(&trace_path, |w| stream_to(w, &mut stream, app.name, frame))?;
+    write_atomic(&work_path, |w| w.write_all(&write_work(&stream.work())))?;
     Ok(Some(trace_path))
 }
 
@@ -278,16 +298,26 @@ pub fn graph_ensure_on_disk(
         return Ok(Some(trace_path));
     }
     let mut stream = GraphStream::new(graph, frame, scale);
-    let file = std::fs::File::create(&trace_path)?;
-    let mut writer = TraceWriter::new(io::BufWriter::new(file), graph.name(), frame)?;
+    write_atomic(&trace_path, |w| stream_to(w, &mut stream, graph.name(), frame))?;
+    write_atomic(&work_path, |w| w.write_all(&write_work(&stream.work())))?;
+    Ok(Some(trace_path))
+}
+
+/// Drains `stream` into `.grtr` format band by band.
+fn stream_to<S: AccessSource>(
+    out: &mut BufWriter<File>,
+    stream: &mut S,
+    app: &str,
+    frame: u32,
+) -> io::Result<()> {
+    let mut writer = TraceWriter::new(out, app, frame)?;
     while stream.advance()? {
         for a in stream.chunk().accesses {
             writer.push(a)?;
         }
     }
-    writer.finish()?.flush()?;
-    std::fs::write(&work_path, write_work(&stream.work()))?;
-    Ok(Some(trace_path))
+    writer.finish()?;
+    Ok(())
 }
 
 /// Opens frame `(graph, frame, scale)` as a streaming [`AccessSource`] from
@@ -358,14 +388,7 @@ fn graph_load_from_disk(graph: &FrameGraph, frame: u32, scale: Scale) -> Option<
 
 fn graph_store_to_disk(graph: &FrameGraph, frame: u32, scale: Scale, data: &FrameData) {
     let Some(dir) = disk_dir() else { return };
-    let stem = graph_file_stem(graph, frame, scale);
-    let _ = (|| -> io::Result<()> {
-        let file = std::fs::File::create(dir.join(format!("{stem}.grtr")))?;
-        let mut writer = io::BufWriter::new(file);
-        grtrace::io::write(&mut writer, &data.trace)?;
-        writer.flush()?;
-        std::fs::write(dir.join(format!("{stem}.work")), write_work(&data.work))
-    })();
+    store_frame(dir, &graph_file_stem(graph, frame, scale), data);
 }
 
 /// The `.nu` sidecar path for a frame, when the disk tier is active.
@@ -393,16 +416,16 @@ fn load_from_disk(app: &AppProfile, frame: u32, scale: Scale) -> Option<FrameDat
 
 fn store_to_disk(app: &AppProfile, frame: u32, scale: Scale, data: &FrameData) {
     let Some(dir) = disk_dir() else { return };
-    let stem = file_stem(app, frame, scale);
-    // A cache write failure is never fatal — the in-memory tier still holds
-    // the frame — so errors are dropped.
-    let _ = (|| -> io::Result<()> {
-        let file = std::fs::File::create(dir.join(format!("{stem}.grtr")))?;
-        let mut writer = io::BufWriter::new(file);
-        grtrace::io::write(&mut writer, &data.trace)?;
-        writer.flush()?;
-        std::fs::write(dir.join(format!("{stem}.work")), write_work(&data.work))
-    })();
+    store_frame(dir, &file_stem(app, frame, scale), data);
+}
+
+/// Persists a materialized frame as `<stem>.grtr` plus `<stem>.work`. A
+/// cache write failure is never fatal — the in-memory tier still holds the
+/// frame — so errors are dropped.
+fn store_frame(dir: &Path, stem: &str, data: &FrameData) {
+    let trace = dir.join(format!("{stem}.grtr"));
+    let _ = write_atomic(&trace, |w| grtrace::io::write(w, &data.trace));
+    let _ = write_atomic(&trace.with_extension("work"), |w| w.write_all(&write_work(&data.work)));
 }
 
 fn write_work(w: &FrameWork) -> Vec<u8> {

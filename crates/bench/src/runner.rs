@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use grcache::{
     CharReport, CharTracker, InvariantObserver, Llc, LlcConfig, LlcObserver, LlcStats, MemoryLog,
-    NullObserver, Policy, ProbeKind,
+    NullObserver, Policy,
 };
 use grdram::TimingParams;
 use grgpu::{GpuConfig, Workload};
@@ -95,12 +95,11 @@ pub struct RunOptions {
     /// access's sequence number. Defaults to the `GR_CHECK` environment
     /// variable.
     pub check: bool,
-    /// Force a specific replay path ([`grcache::ProbeKind`]) for every
-    /// replay instead of the CPU-detected one. Results are bit-identical
-    /// across paths; `Some(ProbeKind::Scalar)` lets an AVX2 host verify
-    /// the plain per-access loop every other host runs. `None` keeps the
-    /// default (AVX2 where detected, else the plain loop).
-    pub probe: Option<ProbeKind>,
+    /// Always `None`: replay has one path, so there is nothing to select.
+    /// The field exists only so the benchmark's sources, which build
+    /// `RunOptions` by field name, keep compiling; it goes when the
+    /// benchmark may be edited.
+    pub probe: Option<std::convert::Infallible>,
 }
 
 impl RunOptions {
@@ -702,9 +701,6 @@ fn replay_with<P: Policy, O: LlcObserver, S: grtrace::AccessSource>(
     opts: &RunOptions,
 ) -> CellResult {
     let mut llc = Llc::with_observer(llc_cfg, policy, observer);
-    if let Some(kind) = opts.probe {
-        llc.set_probe_kind(kind);
-    }
     let n = llc.run_source(source).expect("streaming replay failed");
     finish_cell(&llc, n, started, work, opts)
 }

@@ -38,7 +38,6 @@ pub mod llc;
 pub mod observe;
 pub mod optgen;
 pub mod policy;
-pub mod probe;
 pub mod render;
 pub mod stats;
 
@@ -49,6 +48,5 @@ pub use llc::{AccessResult, Llc};
 pub use observe::{InvariantObserver, LlcObserver, MemoryLog, NullObserver, SetSnapshot};
 pub use optgen::annotate_next_use;
 pub use policy::{AccessInfo, Block, FillInfo, Policy};
-pub use probe::ProbeKind;
 pub use render::{RenderCaches, TextureHierarchyConfig};
 pub use stats::LlcStats;

@@ -15,42 +15,64 @@
 //!
 //! # The replay core
 //!
-//! Every access runs the same three phases: a *map* phase computes the
-//! access's `(bank, set, tag)` coordinates (`map_access`), a
-//! *probe* compares the tag against the packed mirror ([`crate::probe`]),
-//! and a *retire* phase applies the hit, bypass, victim, and fill logic
-//! (`retire`), which exists once.
-//!
-//! There are two ways to drive the phases, chosen by CPU detection
-//! ([`ProbeKind::best_available`]). The plain loop runs them one access at
-//! a time with the scalar compare; it is what [`Llc::access`] and every
-//! host without AVX2 run. Where AVX2 is detected, slice replays
-//! ([`Llc::run_trace`] / [`Llc::run_source`]) batch them instead: the map
-//! phase fills a batch of slots and prefetches their mirror words, one
-//! AVX2 sweep probes the whole batch, and the retire phase consumes the
-//! slots strictly in arrival order. Because the probe reads only the tag
-//! words and validity mask, and a *fill* is the only event that writes
-//! them, the up-front probes are exact unless an earlier access in the
-//! same batch filled the same set — the retire phase tracks in-batch fills
-//! and re-probes exactly those collided slots against the live mirror. The
-//! result is bit-identical to the plain loop for every policy and
-//! observer: same stats, same memory-log order, same characterization.
+//! Every access runs the same three phases, one access at a time: a *map*
+//! phase computes the access's `(bank, set, tag)` coordinates
+//! (`map_access`), a *probe* compares the tag against the packed mirror
+//! (`probe_scalar`), and a *retire* phase applies the hit, bypass,
+//! victim, and fill logic (`retire`). [`Llc::access`], [`Llc::run_trace`]
+//! and [`Llc::run_source`] all run this one loop on every host, so
+//! streamed, materialized and access-by-access replays are bit-identical:
+//! same stats, same memory-log order, same characterization.
 
 use std::io;
 
-use grtrace::{Access, AccessSource, Chunk, Trace};
+use grtrace::{Access, AccessSource, Chunk, StreamId, Trace};
 
-use crate::probe::{self, Slot};
 use crate::{
     AccessInfo, Block, CharTracker, LlcConfig, LlcGeometry, LlcObserver, LlcStats, MemoryLog,
-    NullObserver, Policy, ProbeKind, SetSnapshot,
+    NullObserver, Policy, SetSnapshot,
 };
 
-/// Accesses retired per batch of the AVX2 replay driver. Sixteen slots
-/// keep the whole batch state in registers/L1 while giving the probe
-/// sweep enough independent lanes to hide the mirror-load latency.
-#[cfg(target_arch = "x86_64")]
-const BATCH: usize = 16;
+/// The tag probe: bit `w` of the result is set iff `tags[w] == tag`. Every
+/// way's equality bit is OR-folded into the mask, so the loop is branchless,
+/// never mispredicts, and vectorizes. Callers AND the result with the set's
+/// validity mask; the probe itself never consults it.
+#[inline]
+fn probe_scalar(tags: &[u64], tag: u64) -> u64 {
+    let mut eq = 0u64;
+    for (i, &t) in tags.iter().enumerate() {
+        eq |= u64::from(t == tag) << i;
+    }
+    eq
+}
+
+/// One access decomposed for the retire phase: the mapped coordinates from
+/// `map_access` plus the probe's match mask.
+#[derive(Debug)]
+struct Slot {
+    /// Block address of the access.
+    block: u64,
+    /// Tag to match against the mirror.
+    tag: u64,
+    /// Belady next-use annotation (`u64::MAX` when unannotated).
+    next_use: u64,
+    /// Validity bitmask of the set, as read during the map phase.
+    vmask: u64,
+    /// Way-match mask: probe result ANDed with `vmask`.
+    hit_mask: u64,
+    /// Bank index.
+    bank: usize,
+    /// Set index within the bank.
+    set_in_bank: usize,
+    /// Flat set index across banks.
+    set_idx: usize,
+    /// Index of the set's first tag word in the flat mirror.
+    base: usize,
+    /// Graphics stream of the access.
+    stream: StreamId,
+    /// `true` for a store.
+    write: bool,
+}
 
 /// Outcome of one LLC access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,9 +147,6 @@ pub struct Llc<P, O = NullObserver> {
     blocks: Vec<Block>,
     stats: LlcStats,
     seq: u64,
-    /// Which replay path services slice replays: the batched AVX2 driver
-    /// or the plain per-access loop (CPU-detected).
-    probe_kind: ProbeKind,
 }
 
 impl<P: Policy> Llc<P, NullObserver> {
@@ -172,7 +191,6 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
             blocks: vec![Block::default(); cfg.total_blocks()],
             stats: LlcStats::new(),
             seq: 0,
-            probe_kind: ProbeKind::best_available(),
         }
     }
 
@@ -189,27 +207,7 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
             blocks: self.blocks,
             stats: self.stats,
             seq: self.seq,
-            probe_kind: self.probe_kind,
         }
-    }
-
-    /// The replay path servicing this instance.
-    pub fn probe_kind(&self) -> ProbeKind {
-        self.probe_kind
-    }
-
-    /// Selects the replay path, overriding the CPU-detected default. With
-    /// [`ProbeKind::Scalar`] an AVX2 host runs the plain per-access loop,
-    /// so differential harnesses can verify both paths in one process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any access has already been serviced, or if `kind` is not
-    /// available on this host (e.g. [`ProbeKind::Avx2`] without AVX2).
-    pub fn set_probe_kind(&mut self, kind: ProbeKind) {
-        assert_eq!(self.seq, 0, "probe kind must be selected before the first access");
-        assert!(kind.is_available(), "probe kind {kind:?} is unavailable on this host");
-        self.probe_kind = kind;
     }
 
     /// The recorded DRAM-bound transfers, if an attached observer keeps
@@ -265,17 +263,17 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
     }
 
     /// The plain per-access path, specialized per associativity (`WAYS` is
-    /// the compile-time way count, or 0 for any associativity): map, scalar
-    /// probe, and the same retire phase the batched driver runs.
+    /// the compile-time way count, or 0 for any associativity): map, probe,
+    /// retire.
     #[inline(always)]
     fn access_one<const WAYS: usize>(&mut self, access: &Access, next_use: u64) -> AccessResult {
         let ways = if WAYS > 0 { WAYS } else { self.cfg.ways };
         let mut slot = self.map_access(access, next_use, ways);
-        let base = slot.base as usize;
+        let base = slot.base;
         // SAFETY: `base + ways <= tags.len()` for every mapped slot (see
         // `map_access`).
         let tags = unsafe { self.tags.get_unchecked(base..base + ways) };
-        slot.hit_mask = probe::probe_scalar(tags, slot.tag) & slot.vmask;
+        slot.hit_mask = probe_scalar(tags, slot.tag) & slot.vmask;
         self.retire::<WAYS>(&slot)
     }
 
@@ -303,10 +301,10 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
             // SAFETY: `set_idx < valid.len()` (see above).
             vmask: unsafe { *self.valid.get_unchecked(set_idx) },
             hit_mask: 0,
-            bank: bank as u32,
-            set_in_bank: set as u32,
-            set_idx: set_idx as u32,
-            base: base as u32,
+            bank,
+            set_in_bank: set,
+            set_idx,
+            base,
             stream: access.stream,
             write: access.write,
         }
@@ -315,22 +313,21 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
     /// The retire phase: consumes one probed [`Slot`] — statistics, policy
     /// callbacks, observer events, and the fill's mirror rewrite. The
     /// slot's `hit_mask` and `vmask` must reflect the mirror as of this
-    /// call (the batch driver re-probes slots whose set was filled earlier
-    /// in the batch).
+    /// call.
     #[inline(always)]
     fn retire<const WAYS: usize>(&mut self, slot: &Slot) -> AccessResult {
         let ways = if WAYS > 0 { WAYS } else { self.cfg.ways };
-        let set_idx = slot.set_idx as usize;
-        let base = slot.base as usize;
+        let set_idx = slot.set_idx;
+        let base = slot.base;
         let info = AccessInfo {
             seq: self.seq,
             block: slot.block,
-            bank: slot.bank as usize,
-            set_in_bank: slot.set_in_bank as usize,
+            bank: slot.bank,
+            set_in_bank: slot.set_in_bank,
             stream: slot.stream,
             class: slot.stream.policy_class(),
             write: slot.write,
-            is_sample: self.cfg.is_sample_set(slot.set_in_bank as usize),
+            is_sample: self.cfg.is_sample_set(slot.set_in_bank),
             next_use: slot.next_use,
         };
         self.seq += 1;
@@ -451,15 +448,8 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
         false
     }
 
-    /// Replays one access slice: the batched map-probe-retire driver under
-    /// [`ProbeKind::Avx2`], the plain per-access loop otherwise. Both
-    /// retire in arrival order and are bit-identical (see the module docs
-    /// for the argument).
+    /// Replays one access slice through the plain per-access loop.
     fn run_slice<const WAYS: usize>(&mut self, accesses: &[Access], next_uses: Option<&[u64]>) {
-        #[cfg(target_arch = "x86_64")]
-        if self.probe_kind == ProbeKind::Avx2 {
-            return self.run_batched::<WAYS>(accesses, next_uses);
-        }
         match next_uses {
             Some(nu) => {
                 for (a, &next) in accesses.iter().zip(nu) {
@@ -471,58 +461,6 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
                     self.access_one::<WAYS>(a, u64::MAX);
                 }
             }
-        }
-    }
-
-    /// The batched driver: map a batch, probe it in one AVX2 sweep, retire
-    /// it in arrival order. Only runs once [`ProbeKind::Avx2`] was
-    /// selected, which requires runtime AVX2 detection.
-    #[cfg(target_arch = "x86_64")]
-    fn run_batched<const WAYS: usize>(&mut self, accesses: &[Access], next_uses: Option<&[u64]>) {
-        let ways = if WAYS > 0 { WAYS } else { self.cfg.ways };
-        let mut slots = [Slot::placeholder(); BATCH];
-        let mut start = 0usize;
-        while start < accesses.len() {
-            let n = BATCH.min(accesses.len() - start);
-            // Map phase: every slot's address math and mirror prefetch,
-            // up front. The chains are independent, so the loads overlap
-            // instead of serializing behind each retire.
-            for (i, a) in accesses[start..start + n].iter().enumerate() {
-                let next = next_uses.map_or(u64::MAX, |nu| nu[start + i]);
-                let s = self.map_access(a, next, ways);
-                // Pull the mirror and block words the probe and retire
-                // phases will touch; the batch gives the lines time to
-                // arrive before they are demanded.
-                probe::prefetch_read(&self.tags[s.base as usize]);
-                probe::prefetch_read(&self.blocks[s.base as usize]);
-                slots[i] = s;
-            }
-            // Probe phase: one lane-compare sweep over the whole batch.
-            // SAFETY: `Avx2` is only selected after runtime detection.
-            unsafe { probe::probe_batch_avx2(&self.tags, ways, &mut slots[..n]) };
-            // Retire phase, strictly in arrival order. Only a fill
-            // rewrites a set's mirror words, so a slot's up-front probe
-            // is exact unless an earlier access in this batch filled the
-            // same set — those slots re-probe against the live mirror.
-            // Collision tracking over-approximates with a one-word bloom
-            // over the set index: a false positive only triggers a
-            // redundant re-probe of the live mirror, which is always
-            // exact, so results stay bit-identical while the retire loop
-            // pays one bit test instead of a list scan per slot.
-            let mut filled_bloom = 0u64;
-            for s in &mut slots[..n] {
-                if filled_bloom & (1u64 << (s.set_idx & 63)) != 0 {
-                    let base = s.base as usize;
-                    s.vmask = self.valid[s.set_idx as usize];
-                    // SAFETY: as for the batch probe above.
-                    let eq = unsafe { probe::probe_avx2(&self.tags[base..base + ways], s.tag) };
-                    s.hit_mask = eq & s.vmask;
-                }
-                if matches!(self.retire::<WAYS>(s), AccessResult::Miss { .. }) {
-                    filled_bloom |= 1u64 << (s.set_idx & 63);
-                }
-            }
-            start += n;
         }
     }
 
@@ -587,7 +525,6 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
 mod tests {
     use super::*;
     use crate::FillInfo;
-    use grtrace::StreamId;
 
     /// LRU-by-sequence policy for testing the simulator plumbing.
     struct TestLru {
@@ -725,8 +662,8 @@ mod tests {
     }
 
     /// Replays `t` access by access through [`Llc::access_annotated`] and
-    /// as whole slices under every available kind, asserting identical
-    /// stats and memory logs.
+    /// as one slice through [`Llc::run_trace`], asserting identical stats
+    /// and memory logs.
     fn assert_slice_matches_manual<P: Policy>(
         cfg: LlcConfig,
         policy: impl Fn() -> P,
@@ -738,20 +675,15 @@ mod tests {
             manual.access_annotated(acc, next_uses.map_or(u64::MAX, |nu| nu[i]));
         }
         assert!(manual.stats().evictions > 0, "trace must exercise the victim path");
-        for kind in ProbeKind::all_available() {
-            let mut llc = Llc::new(cfg, policy()).with_memory_log();
-            llc.set_probe_kind(kind);
-            llc.run_trace(t, next_uses);
-            let what = format!("{kind:?} ways={} annotated={}", cfg.ways, next_uses.is_some());
-            assert_eq!(llc.stats(), manual.stats(), "{what}");
-            assert_eq!(llc.memory_log(), manual.memory_log(), "{what}");
-        }
+        let mut llc = Llc::new(cfg, policy()).with_memory_log();
+        llc.run_trace(t, next_uses);
+        let what = format!("ways={} annotated={}", cfg.ways, next_uses.is_some());
+        assert_eq!(llc.stats(), manual.stats(), "{what}");
+        assert_eq!(llc.memory_log(), manual.memory_log(), "{what}");
     }
 
-    /// `Llc::access` shares the retire phase with the batched driver, so a
-    /// slice replay under every kind — including in-batch same-set fills
-    /// that force the re-probe — matches access-by-access replay at 2 and
-    /// at the paper's 16 ways, annotated and unannotated.
+    /// A slice replay matches access-by-access replay at 2 and at the
+    /// paper's 16 ways, annotated and unannotated.
     #[test]
     fn run_trace_matches_manual_replay() {
         // 4 banks x 2 sets x 16 ways = 8 KB: tiny enough to evict.
@@ -885,8 +817,7 @@ mod tests {
         ));
     }
 
-    /// A conflict-heavy mixed trace: same-set bursts (so in-batch fills
-    /// collide with later probes of the same set) plus spread traffic.
+    /// A conflict-heavy mixed trace: same-set bursts plus spread traffic.
     fn conflict_trace(len: u64) -> Trace {
         let blocks = conflicting_blocks(6);
         let mut t = Trace::new("conflicts", 0);
@@ -902,12 +833,12 @@ mod tests {
         t
     }
 
+    /// Full-width 64-way sets exercise every bit of the match mask.
     #[test]
-    #[should_panic(expected = "before the first access")]
-    fn probe_kind_is_fixed_after_first_access() {
-        let mut llc = small_llc();
-        llc.access(&Access::load(0, StreamId::Texture));
-        llc.set_probe_kind(ProbeKind::Scalar);
+    fn full_width_mask_has_no_truncation() {
+        let tags: Vec<u64> = (0..64).map(|i| u64::from(i % 2 == 0)).collect();
+        assert_eq!(probe_scalar(&tags, 1), 0x5555_5555_5555_5555);
+        assert_eq!(probe_scalar(&tags, 9), 0);
     }
 
     #[test]

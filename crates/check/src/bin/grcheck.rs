@@ -14,15 +14,13 @@
 //!   (OPT agreement, Belady lower bound, pinned hit-rate goldens,
 //!   GSPC-vs-baseline miss ratios).
 //! * `invariants` replays the workload through every registry policy
-//!   across the full checked/unchecked x mono/boxed x replay-path matrix
-//!   (the plain scalar loop, plus the batched AVX2 driver where the host
-//!   has AVX2), asserts bit-identical stats everywhere, and reports the
-//!   checked-replay overhead (budget: 3x).
+//!   across the checked/unchecked x mono/boxed matrix, asserts
+//!   bit-identical stats everywhere, and reports the checked-replay
+//!   overhead (budget: 3x).
 //!
 //! `conformance` and `invariants` honour `GR_SCALE` / `GR_FRAMES`.
 
 use grbench::{run_workload, ExperimentConfig, RunOptions, WorkloadResults};
-use grcache::ProbeKind;
 use grcheck::{conform, fuzz};
 use gspc::registry;
 use std::path::PathBuf;
@@ -132,67 +130,59 @@ fn run_conformance(args: &[String]) {
 }
 
 /// Replays every registry policy checked and unchecked, through both the
-/// monomorphized and boxed dispatch paths and under every replay path the
-/// host supports, asserting identical stats everywhere and a bounded
-/// slowdown from the invariant observer. Per dispatch path, the slowdown
-/// is checked replay on the host's default replay path against unchecked
-/// replay on the plain loop.
+/// monomorphized and boxed dispatch paths, asserting identical stats
+/// everywhere and a bounded slowdown from the invariant observer. Per
+/// dispatch path, the slowdown is checked replay against unchecked replay.
 fn run_invariants() {
     let cfg = ExperimentConfig::from_env();
     let policies: Vec<String> = registry::ALL_POLICIES.iter().map(|e| e.name.to_string()).collect();
-    let best = ProbeKind::best_available();
     let mut reference: Option<WorkloadResults> = None;
     // Replay seconds per dispatch path (mono, boxed).
     let mut checked_s = [0.0f64; 2];
     let mut plain_s = [0.0f64; 2];
-    for kind in ProbeKind::all_available() {
-        for boxed in [false, true] {
-            let path = format!("{}/{kind:?}", if boxed { "boxed" } else { "mono" });
-            for check in [false, true] {
-                let opts = RunOptions {
-                    policies: policies.clone(),
-                    boxed,
-                    check,
-                    probe: Some(kind),
-                    streamed: false,
-                    ..RunOptions::misses(&[])
-                };
-                let r = run_workload(&opts, &cfg);
-                if check && kind == best {
-                    checked_s[boxed as usize] = r.perf.replay_seconds;
-                } else if !check && kind == ProbeKind::Scalar {
-                    plain_s[boxed as usize] = r.perf.replay_seconds;
-                }
-                // The first leg (mono, scalar, unchecked) is the reference.
-                let Some(want) = &reference else {
-                    reference = Some(r);
-                    continue;
-                };
-                for p in &policies {
-                    for app in &want.apps {
-                        assert_eq!(
-                            want.get(p, app).stats,
-                            r.get(p, app).stats,
-                            "{p}/{app}: {path} (checked={check}) diverged from mono/Scalar"
-                        );
-                    }
+    for boxed in [false, true] {
+        let path = if boxed { "boxed" } else { "mono" };
+        for check in [false, true] {
+            let opts = RunOptions {
+                policies: policies.clone(),
+                boxed,
+                check,
+                streamed: false,
+                ..RunOptions::misses(&[])
+            };
+            let r = run_workload(&opts, &cfg);
+            if check {
+                checked_s[boxed as usize] = r.perf.replay_seconds;
+            } else {
+                plain_s[boxed as usize] = r.perf.replay_seconds;
+            }
+            // The first leg (mono, unchecked) is the reference.
+            let Some(want) = &reference else {
+                reference = Some(r);
+                continue;
+            };
+            for p in &policies {
+                for app in &want.apps {
+                    assert_eq!(
+                        want.get(p, app).stats,
+                        r.get(p, app).stats,
+                        "{p}/{app}: {path} (checked={check}) diverged from mono"
+                    );
                 }
             }
-            println!(
-                "invariants[{path}]: {} policies x {} apps identical to mono/Scalar, \
-                 checked and unchecked",
-                policies.len(),
-                reference.as_ref().map_or(0, |r| r.apps.len()),
-            );
         }
+        println!(
+            "invariants[{path}]: {} policies x {} apps identical to mono, checked and unchecked",
+            policies.len(),
+            reference.as_ref().map_or(0, |r| r.apps.len()),
+        );
     }
     run_profile_invariants(&cfg, &policies);
     let mut failed = false;
     for (i, path) in ["mono", "boxed"].into_iter().enumerate() {
         let ratio = checked_s[i] / plain_s[i].max(1e-9);
         println!(
-            "invariants[{path}]: checked replay ({best:?}) {:.2}s vs {:.2}s unchecked (Scalar) \
-             ({ratio:.2}x)",
+            "invariants[{path}]: checked replay {:.2}s vs {:.2}s unchecked ({ratio:.2}x)",
             checked_s[i], plain_s[i]
         );
         if ratio > 3.0 {
@@ -208,8 +198,7 @@ fn run_invariants() {
 /// Frame-graph profile sweep: for every built-in profile, the streamed
 /// generator must emit exactly the materialized render, the `.gtrace`
 /// export must import back bit-identically, and frame-0 replay stats must
-/// agree across mono/boxed dispatch and every replay path the host
-/// supports.
+/// agree across mono/boxed dispatch.
 fn run_profile_invariants(cfg: &ExperimentConfig, policies: &[String]) {
     use grbench::simulate_graph_cell;
     use grsynth::{GraphRenderer, GraphStream, GRAPH_PROFILES};
@@ -242,36 +231,22 @@ fn run_profile_invariants(cfg: &ExperimentConfig, policies: &[String]) {
             profile.name
         );
 
-        let base = |boxed: bool, probe: Option<ProbeKind>| RunOptions {
-            boxed,
-            probe,
-            streamed: false,
-            ..RunOptions::misses(&[])
-        };
+        let opts = |boxed: bool| RunOptions { boxed, streamed: false, ..RunOptions::misses(&[]) };
         for name in policies {
-            let reference =
-                simulate_graph_cell(name, &graph, 0, &base(false, Some(ProbeKind::Scalar)), cfg);
-            for kind in ProbeKind::all_available() {
-                for boxed in [false, true] {
-                    if !boxed && kind == ProbeKind::Scalar {
-                        continue; // the reference itself
-                    }
-                    let r = simulate_graph_cell(name, &graph, 0, &base(boxed, Some(kind)), cfg);
-                    assert_eq!(
-                        reference.stats, r.stats,
-                        "{}/{name}: {kind:?} path (boxed={boxed}) diverged from mono/Scalar",
-                        profile.name
-                    );
-                }
-            }
+            let mono = simulate_graph_cell(name, &graph, 0, &opts(false), cfg);
+            let boxed = simulate_graph_cell(name, &graph, 0, &opts(true), cfg);
+            assert_eq!(
+                mono.stats, boxed.stats,
+                "{}/{name}: boxed diverged from mono",
+                profile.name
+            );
         }
         println!(
             "invariants[profile/{}]: stream == render ({} accesses), round trip identical, \
-             {} policies x {} replay paths x mono/boxed identical",
+             {} policies x mono/boxed identical",
             profile.name,
             trace.len(),
-            policies.len(),
-            ProbeKind::all_available().len()
+            policies.len()
         );
     }
 }

@@ -323,6 +323,34 @@ mod tests {
         assert!(matches!(import(&bytes[..]), Err(ImportError::TrailingBytes { expected: 64 })));
     }
 
+    /// Imports `bytes`, failing the test with `case` if the import panics
+    /// or reports an untyped I/O error (a byte slice never fails to read,
+    /// so `Io` would mean an end-of-file escaped its typed mapping).
+    fn import_typed(bytes: &[u8], case: &str) -> Result<Trace, ImportError> {
+        let result = std::panic::catch_unwind(|| import(bytes))
+            .unwrap_or_else(|_| panic!("import panicked on {case}"));
+        if let Err(ImportError::Io(e)) = &result {
+            panic!("untyped I/O error on {case}: {e}");
+        }
+        result
+    }
+
+    /// Every truncation of a valid file is a typed error, and every
+    /// single-bit flip is either accepted or a typed error — never a panic.
+    #[test]
+    fn truncations_and_bit_flips_never_panic() {
+        let bytes = sample_bytes();
+        for cut in 0..bytes.len() {
+            let result = import_typed(&bytes[..cut], &format!("truncation at {cut}"));
+            assert!(result.is_err(), "truncation at {cut} was accepted");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = import_typed(&flipped, &format!("flip of bit {bit}"));
+        }
+    }
+
     #[test]
     fn errors_display_actionable_messages() {
         let err = import(&b"XXXXrest"[..]).unwrap_err();
