@@ -28,6 +28,120 @@ pub fn fixed(value: f64, places: usize) -> String {
     format!("{value:.places$}")
 }
 
+/// One table cell. Its JSON value and its markdown text come from the
+/// same number, so the two renderings cannot disagree.
+#[derive(Debug)]
+pub(crate) enum Cell {
+    /// An exact count, kept a JSON integer so the diff gates it exactly.
+    Count(u64),
+    /// A derived number at fixed precision (see [`fixed`]).
+    Fixed(f64, usize),
+    /// A label.
+    Text(String),
+}
+
+impl Cell {
+    fn json(&self) -> Json {
+        match self {
+            Cell::Count(n) => Json::UInt(*n),
+            _ => Json::Str(self.text()),
+        }
+    }
+
+    fn text(&self) -> String {
+        match self {
+            Cell::Count(n) => n.to_string(),
+            Cell::Fixed(value, places) => fixed(*value, *places),
+            Cell::Text(text) => text.clone(),
+        }
+    }
+}
+
+/// A table held once and rendered twice: as an artifact's JSON row
+/// objects and as its markdown.
+///
+/// Each row is a label plus one [`Cell`] per value column. A JSON row is
+/// `{label_key: label, key: cell, ...}`, or with [`Table::grouped`]
+/// `{label_key: label, group: {key: cell, ...}}`. The markdown heads the
+/// label column with `label_key` and each value column with its key
+/// unless [`Table::headings`] renames them.
+#[derive(Default)]
+pub(crate) struct Table {
+    title: String,
+    label_key: String,
+    group: Option<String>,
+    keys: Vec<String>,
+    head: Vec<String>,
+    json: Vec<Json>,
+    md: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// An empty table with flat JSON rows.
+    pub fn new<K: AsRef<str>>(title: &str, label_key: &str, keys: &[K]) -> Table {
+        let keys: Vec<String> = keys.iter().map(|k| k.as_ref().to_string()).collect();
+        let head = std::iter::once(label_key.to_string()).chain(keys.iter().cloned()).collect();
+        Table { title: title.into(), label_key: label_key.into(), keys, head, ..Table::default() }
+    }
+
+    /// Nests every row's value cells under the JSON key `group`.
+    pub fn grouped(mut self, group: &str) -> Table {
+        self.group = Some(group.into());
+        self
+    }
+
+    /// Replaces the markdown column headings (label column first).
+    pub fn headings(mut self, head: &[&str]) -> Table {
+        self.head = head.iter().map(|h| h.to_string()).collect();
+        self
+    }
+
+    /// Appends a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cells` does not hold one cell per value column.
+    pub fn row(&mut self, label: &str, cells: Vec<Cell>) {
+        assert_eq!(cells.len(), self.keys.len(), "{}: row {label} is ragged", self.title);
+        let values: Vec<(String, Json)> =
+            self.keys.iter().cloned().zip(cells.iter().map(Cell::json)).collect();
+        let label_entry = (self.label_key.clone(), Json::from(label));
+        self.json.push(match &self.group {
+            Some(group) => Json::Obj(vec![label_entry, (group.clone(), Json::Obj(values))]),
+            None => Json::Obj(std::iter::once(label_entry).chain(values).collect()),
+        });
+        self.md
+            .push(std::iter::once(label.to_string()).chain(cells.iter().map(Cell::text)).collect());
+    }
+
+    /// Appends a markdown-only row: a summary the JSON document carries
+    /// as a field of its own.
+    pub fn footer(&mut self, cells: Vec<String>) {
+        self.md.push(cells);
+    }
+
+    /// The table as artifact `name`: a document holding the title, then
+    /// the entries of the object `fields`, then the rows.
+    pub fn into_artifact(self, name: &str, fields: Json) -> Artifact {
+        let mut doc = Json::obj();
+        doc.set("title", self.title.clone());
+        if let Json::Obj(entries) = fields {
+            for (key, value) in entries {
+                doc.set(key, value);
+            }
+        }
+        let (rows, markdown) = self.finish();
+        doc.set("rows", rows);
+        Artifact { name: name.into(), doc, markdown }
+    }
+
+    /// The JSON `rows` array and the rendered markdown.
+    pub fn finish(self) -> (Json, String) {
+        let head: Vec<&str> = self.head.iter().map(String::as_str).collect();
+        (Json::Arr(self.json), markdown_table(&self.title, &head, &self.md))
+    }
+}
+
 /// Renders a markdown table.
 pub fn markdown_table(title: &str, head: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = format!("# {title}\n\n");
@@ -72,11 +186,19 @@ mod tests {
     }
 
     #[test]
-    fn markdown_table_renders() {
-        let md = markdown_table("T", &["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert!(md.contains("# T"));
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("| 1 | 2 |"));
+    fn table_renders_json_and_markdown_from_the_same_cells() {
+        let mut table = Table::new("T", "policy", &["hits", "rate"]).headings(&["p", "h", "r"]);
+        table.row("x", vec![Cell::Count(7), Cell::Fixed(0.5, 2)]);
+        table.footer(vec!["ALL".into(), "7".into(), "-".into()]);
+        let (rows, md) = table.finish();
+        assert_eq!(rows, Json::parse(r#"[{"policy": "x", "hits": 7, "rate": "0.50"}]"#).unwrap());
+        assert_eq!(md, "# T\n\n| p | h | r |\n|---|---|---|\n| x | 7 | 0.50 |\n| ALL | 7 | - |\n");
+
+        let mut grouped = Table::new("G", "app", &["x"]).grouped("values");
+        grouped.row("HAWX", vec![Cell::Text("a".into())]);
+        let artifact = grouped.into_artifact("g", Json::obj());
+        let expected = r#"{"title": "G", "rows": [{"app": "HAWX", "values": {"x": "a"}}]}"#;
+        assert_eq!(artifact.doc, Json::parse(expected).unwrap());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! grart serve-daemon --port-file PATH        (internal)
 //! ```
 //!
-//! `kick-tires` reproduces the headline claims at tiny scale in
-//! minutes; `full` runs the complete study (hours — intended for
+//! `kick-tires` reproduces every table and figure at tiny scale in
+//! seconds; `full` runs the complete study (hours — intended for
 //! nightly CI). Both write JSON + markdown artifacts and a digest
 //! manifest under `--out` (default `artifacts/<tier>`).
 //!

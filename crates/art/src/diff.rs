@@ -2,7 +2,9 @@
 //!
 //! `grart diff GOLDEN OUT` walks every `*.json` artifact in the golden
 //! tree (except `manifest.json`, whose digests exist for provenance,
-//! not gating) and compares it against the candidate:
+//! not gating) and compares it against the candidate. A candidate
+//! artifact with no golden is drift as well: an artifact nothing gates
+//! must be committed before it counts as reproduced.
 //!
 //! * **Structure is exact** — both sides must have the same keys in
 //!   the same order, the same array lengths, the same value kinds. A
@@ -35,19 +37,17 @@ const ABS_REGIME_MAX: f64 = 1.5;
 ///
 /// I/O or parse problems reading either tree.
 pub fn diff_dirs(golden: &Path, candidate: &Path) -> Result<Vec<String>, String> {
-    let mut names: Vec<String> = std::fs::read_dir(golden)
-        .map_err(|e| format!("cannot read golden dir {}: {e}", golden.display()))?
-        .filter_map(|entry| {
-            let name = entry.ok()?.file_name().into_string().ok()?;
-            (name.ends_with(".json") && name != "manifest.json").then_some(name)
-        })
-        .collect();
-    names.sort();
+    let names = artifact_names(golden)?;
     if names.is_empty() {
         return Err(format!("golden dir {} holds no artifacts", golden.display()));
     }
 
-    let mut drift = Vec::new();
+    // An artifact without a golden is never gated, so it is drift too.
+    let mut drift: Vec<String> = artifact_names(candidate)?
+        .into_iter()
+        .filter(|name| !names.contains(name))
+        .map(|name| format!("{name}: no golden"))
+        .collect();
     for name in &names {
         let golden_doc = load(&golden.join(name))?;
         let candidate_path = candidate.join(name);
@@ -59,6 +59,19 @@ pub fn diff_dirs(golden: &Path, candidate: &Path) -> Result<Vec<String>, String>
         compare(name, &golden_doc, &candidate_doc, &mut drift);
     }
     Ok(drift)
+}
+
+/// The sorted `*.json` artifact names in `dir`, `manifest.json` aside.
+fn artifact_names(dir: &Path) -> Result<Vec<String>, String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .map_err(|e| format!("cannot read artifact dir {}: {e}", dir.display()))?
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().into_string().ok()?;
+            (name.ends_with(".json") && name != "manifest.json").then_some(name)
+        })
+        .collect();
+    names.sort();
+    Ok(names)
 }
 
 fn load(path: &Path) -> Result<Json, String> {
@@ -137,6 +150,23 @@ fn summary(j: &Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn artifacts_without_goldens_are_drift() {
+        let root = std::env::temp_dir().join(format!("grart-diff-test-{}", std::process::id()));
+        let (golden, candidate) = (root.join("golden"), root.join("candidate"));
+        for dir in [&golden, &candidate] {
+            std::fs::create_dir_all(dir).unwrap();
+            std::fs::write(dir.join("fig01.json"), r#"{"a": 1}"#).unwrap();
+            std::fs::write(dir.join("manifest.json"), r#"{"artifacts": {}}"#).unwrap();
+        }
+        assert!(diff_dirs(&golden, &candidate).unwrap().is_empty());
+
+        std::fs::write(candidate.join("fig04.json"), r#"{"a": 1}"#).unwrap();
+        std::fs::write(candidate.join("fig04.md"), "# not an artifact document").unwrap();
+        assert_eq!(diff_dirs(&golden, &candidate).unwrap(), ["fig04.json: no golden"]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
 
     #[test]
     fn tolerance_regimes() {

@@ -4,13 +4,13 @@
 //! binaries and environment variables. `grart` packages the repo's
 //! experiments into two tiers:
 //!
-//! * **`grart kick-tires`** — the headline claims at tiny scale, in
-//!   minutes: the Table 1 workload inventory, the Figure 12 policy
-//!   sweep (normalized LLC misses), one Figure 15 FPS point per
-//!   performance policy, and the conformance panel.
-//! * **`grart full`** — the complete study: every app over its captured
-//!   frames through the miss sweep, all four Figure 15–17 machine
-//!   panels, the frame-graph profiles, and the same conformance gates.
+//! * **`grart kick-tires`** — every table, figure and ablation at tiny
+//!   scale, in seconds: Table 1, Figures 1, 4–9 and 11–15, Table 6,
+//!   the Section 4 overhead report, the partitioning, inter-frame and
+//!   sample-density ablations, and the conformance panel.
+//! * **`grart full`** — the complete study: the same artifacts over
+//!   every app's captured frames at half scale, plus the Figure 16/17
+//!   machine panels and the frame-graph profiles.
 //!
 //! Every table and figure is emitted twice under the output directory:
 //! a deterministic JSON document (numbers carried as fixed-precision

@@ -1,32 +1,48 @@
 //! The two artifact tiers and the jobs that build them.
 //!
-//! Every replay in the pipeline is phrased as a canonical `grserved`
-//! job-spec body and handed to a [`JobSource`] — the artifact layer
-//! never touches the simulator directly. One job per (figure, policy)
-//! keeps the specs small and exercises the serving stack's coalescing
-//! and result cache: the Figure 17 panels reuse Figure 15's exact spec
-//! bytes, so on a served run they are cache hits by construction.
+//! Every figure whose numbers a `grserved` payload carries is phrased
+//! as canonical job-spec bodies handed to a [`JobSource`]: the
+//! normalized-miss figures (1, 11, 12, 14 and the partitioning
+//! ablation) and the Figure 15–17 FPS panels. One job per (figure,
+//! policy) keeps the specs small and exercises the serving stack's
+//! coalescing and result cache: the Figure 17 panels reuse Figure 15's
+//! exact spec bytes, so on a served run they are cache hits by
+//! construction.
+//!
+//! Figures a payload cannot carry are computed in-process from
+//! `grbench`, the way the conformance panel is: the stream mix
+//! (Figure 4), the characterization counters behind Figures 5–9 and 13,
+//! Table 6, the Section 4 overhead report, and the inter-frame and
+//! sample-density ablations.
 //!
 //! Figure FPS points use the count-driven path
 //! ([`figures::fps_from_counts`]): payloads carry per-workload miss,
 //! writeback, and work counters, and the GPU interval model turns them
 //! into FPS deterministically. Payload bytes are a pure function of
-//! the spec, so artifacts are byte-identical whether the jobs ran
-//! in-process, in a spawned daemon, or across a fleet.
+//! the spec and the in-process figures merge in canonical order, so
+//! artifacts are byte-identical whether the jobs ran in-process, in a
+//! spawned daemon, or across a fleet, and at any `GR_THREADS`.
 
 use grbench::figures::{self, CountedCell, PerfConfig};
+use grbench::{
+    framecache, run_frame_sequence, run_workload, ExperimentConfig, RunOptions, WorkloadResults,
+};
+use grcache::{CharReport, Llc, LlcConfig, LlcStats};
 use grcheck::conform;
 use grjson::Json;
 use grsynth::{AppProfile, Scale, GRAPH_PROFILES};
+use grtrace::{PolicyClass, StreamId, StreamStats};
+use gspc::{overhead, registry, Drrip, Gspc};
 
-use crate::artifact::{fixed, markdown_table, Artifact};
+use crate::artifact::Cell::{self, Count, Fixed, Text};
+use crate::artifact::{fixed, markdown_table, Artifact, Table};
 use crate::source::JobSource;
 
 /// One pipeline tier: how much of the study to reproduce.
 pub struct Tier {
     /// Tier name (also the default output subdirectory).
     pub name: &'static str,
-    /// Rendering scale for every replay job.
+    /// Rendering scale for every replay.
     pub scale: Scale,
     /// Frames per app (clamped per app by the harness).
     pub frames: u32,
@@ -37,7 +53,23 @@ pub struct Tier {
     pub full: bool,
 }
 
-/// The kick-tires tier: headline claims at tiny scale, in minutes.
+impl Tier {
+    /// The harness configuration of the tier's in-process figures.
+    fn config(&self) -> ExperimentConfig {
+        ExperimentConfig { scale: self.scale, frames_per_app: Some(self.frames) }
+    }
+
+    /// `fields` followed by the tier's scale and frames: the document
+    /// fields of an artifact replayed at the tier's workload.
+    fn workload(&self, mut fields: Json) -> Json {
+        fields
+            .set("scale", grserve::spec::scale_name(self.scale))
+            .set("frames", u64::from(self.frames));
+        fields
+    }
+}
+
+/// The kick-tires tier: every figure and table at tiny scale, in seconds.
 pub fn kick_tires() -> Tier {
     Tier { name: "kick-tires", scale: Scale::Tiny, frames: 1, conform_apps: 2, full: false }
 }
@@ -55,26 +87,48 @@ pub struct PipelineOutput {
     pub conformance_pass: bool,
 }
 
-/// Runs `tier`'s jobs through `source` and builds its artifacts.
+/// Runs `tier`'s jobs through `source` and builds its artifacts, in
+/// paper order.
 ///
 /// # Errors
 ///
 /// Propagates job execution and payload-shape problems.
 pub fn run(tier: &Tier, source: &JobSource) -> Result<PipelineOutput, String> {
-    let mut artifacts = vec![table1()];
+    let step = |what: &str| eprintln!("grart: [{}] {what} via {}", tier.name, source.describe());
+    let [fig01, fig11, fig12, fig14, partitioning] = miss_figures();
 
-    eprintln!("grart: [{}] figure 12 sweep via {}", tier.name, source.describe());
-    artifacts.push(fig12(tier, source)?);
+    let mut artifacts = vec![table1()];
+    step(fig01.key);
+    artifacts.push(normalized_misses(tier, source, &fig01)?);
+    eprintln!("grart: [{}] fig04 and the fig05-09/fig13 characterization, in-process", tier.name);
+    artifacts.push(fig04(tier));
+    let characterized = characterize(tier);
+    artifacts.extend(characterization(tier, &characterized));
+    for figure in [&fig11, &fig12] {
+        step(figure.key);
+        artifacts.push(normalized_misses(tier, source, figure)?);
+    }
+    artifacts.push(fig13(tier, &characterized));
+    step(fig14.key);
+    artifacts.push(normalized_misses(tier, source, &fig14)?);
 
     let panels: Vec<PerfConfig> =
         if tier.full { figures::all_panels().to_vec() } else { vec![figures::fig15()] };
     for panel in &panels {
-        eprintln!("grart: [{}] {} via {}", tier.name, panel.key, source.describe());
+        step(panel.key);
         artifacts.push(figure_panel(tier, source, panel)?);
     }
 
+    artifacts.push(table6());
+    artifacts.push(overhead_report());
+    step(partitioning.key);
+    artifacts.push(normalized_misses(tier, source, &partitioning)?);
+    eprintln!("grart: [{}] inter-frame and sample-density ablations, in-process", tier.name);
+    artifacts.push(interframe(tier));
+    artifacts.push(sample_density(tier));
+
     if tier.full {
-        eprintln!("grart: [{}] frame-graph profiles via {}", tier.name, source.describe());
+        step("frame-graph profiles");
         artifacts.push(profiles(tier, source)?);
     }
 
@@ -142,93 +196,305 @@ fn counted_cell(entry: &Json) -> Result<CountedCell, String> {
     })
 }
 
+/// `num / den`, the denominator guarded so an empty cell reads 0, not NaN.
+fn ratio(num: u64, den: u64) -> f64 {
+    num as f64 / den.max(1) as f64
+}
+
 /// Table 1: the workload inventory, straight from the profiles.
 fn table1() -> Artifact {
+    const TITLE: &str = "Table 1: application workloads";
     let apps = AppProfile::all();
-    let mut rows_json = Vec::new();
-    let mut rows_md = Vec::new();
+    let mut table = Table::new(TITLE, "abbrev", &["name", "dx", "resolution", "frames"])
+        .headings(&["app", "name", "DX", "resolution", "frames"]);
     for app in &apps {
-        let mut row = Json::obj();
-        row.set("abbrev", app.abbrev)
-            .set("name", app.name)
-            .set("dx", u64::from(app.dx_version))
-            .set("resolution", format!("{}x{}", app.width, app.height))
-            .set("frames", u64::from(app.frames));
-        rows_json.push(row);
-        rows_md.push(vec![
-            app.abbrev.to_string(),
-            app.name.to_string(),
-            app.dx_version.to_string(),
-            format!("{}x{}", app.width, app.height),
-            app.frames.to_string(),
-        ]);
+        table.row(
+            app.abbrev,
+            vec![
+                Text(app.name.into()),
+                Count(app.dx_version.into()),
+                Text(format!("{}x{}", app.width, app.height)),
+                Count(app.frames.into()),
+            ],
+        );
     }
     let total_frames: u64 = apps.iter().map(|a| u64::from(a.frames)).sum();
-    rows_md.push(vec!["ALL".into(), "-".into(), "-".into(), "-".into(), total_frames.to_string()]);
+    table.footer(vec!["ALL".into(), "-".into(), "-".into(), "-".into(), total_frames.to_string()]);
 
+    let (rows, markdown) = table.finish();
     let mut doc = Json::obj();
-    doc.set("title", "Table 1: application workloads")
-        .set("apps", Json::Arr(rows_json))
-        .set("total_frames", total_frames);
-    let markdown = markdown_table(
-        "Table 1: application workloads",
-        &["app", "name", "DX", "resolution", "frames"],
-        &rows_md,
-    );
+    doc.set("title", TITLE).set("apps", rows).set("total_frames", total_frames);
     Artifact { name: "table1".into(), doc, markdown }
 }
 
-/// Figure 12: LLC misses normalized to two-bit DRRIP, one job per
-/// policy (the baseline included).
-fn fig12(tier: &Tier, source: &JobSource) -> Result<Artifact, String> {
-    const BASELINE: &str = "DRRIP";
-    let policies = grbench::experiments::fig12_policies();
+/// A figure of LLC misses normalized to a baseline policy.
+struct MissFigure {
+    key: &'static str,
+    title: &'static str,
+    policies: Vec<&'static str>,
+    baseline: &'static str,
+    llc_mb: u64,
+}
+
+/// The Figure 12 policy set: the registry rows in the `fig12` group, in
+/// table order (the registry's own tests pin the membership).
+fn fig12_policies() -> Vec<&'static str> {
+    registry::in_group(registry::GROUP_FIG12).map(|e| e.name).collect()
+}
+
+/// Figures 1, 11, 12, 14 and the partitioning ablation. Section 1.1.1
+/// of the paper argues that partitioning cannot exploit the
+/// inter-stream sharing of graphics data; the ablation measures it.
+fn miss_figures() -> [MissFigure; 5] {
+    let figure = |key, title, policies: &[&'static str], baseline| MissFigure {
+        key,
+        title,
+        policies: policies.to_vec(),
+        baseline,
+        llc_mb: 8,
+    };
+    [
+        figure(
+            "fig01",
+            "Figure 1: LLC misses of NRU and Belady's OPT normalized to two-bit DRRIP",
+            &["NRU", "OPT"],
+            "DRRIP",
+        ),
+        figure(
+            "fig11",
+            "Figure 11: GSPZTC misses normalized to threshold t=16",
+            &["GSPZTC(t=2)", "GSPZTC(t=4)", "GSPZTC(t=8)"],
+            "GSPZTC(t=16)",
+        ),
+        figure(
+            "fig12",
+            "Figure 12: LLC misses normalized to two-bit DRRIP",
+            &fig12_policies(),
+            "DRRIP",
+        ),
+        figure(
+            "fig14",
+            "Figure 14: iso-overhead policies, misses normalized to DRRIP",
+            &["LRU", "DRRIP-4", "GS-DRRIP-4", "GSPC"],
+            "DRRIP",
+        ),
+        figure(
+            "ablation-partitioning",
+            "Ablation: way partitioning vs stream-aware caching, misses normalized to DRRIP",
+            &["WayPart", "UCP-lite", "GSPC"],
+            "DRRIP",
+        ),
+    ]
+}
+
+/// One normalized-miss figure: one job per policy, the baseline
+/// included, and each policy's misses over the baseline's per app and
+/// workload-wide.
+fn normalized_misses(
+    tier: &Tier,
+    source: &JobSource,
+    figure: &MissFigure,
+) -> Result<Artifact, String> {
     let apps = AppProfile::all();
+    let misses = |policy: &str| -> Result<Vec<u64>, String> {
+        let payload = run_job(source, &job_body(policy, tier.frames, figure.llc_mb, tier.scale))?;
+        apps.iter()
+            .map(|app| entry_u64(result_entry(&payload, policy, app.abbrev)?, "misses"))
+            .collect()
+    };
+    let baseline = misses(figure.baseline)?;
 
-    let baseline_payload = run_job(source, &job_body(BASELINE, tier.frames, 8, tier.scale))?;
-    let mut baseline_misses = Vec::new();
-    for app in &apps {
-        baseline_misses
-            .push(entry_u64(result_entry(&baseline_payload, BASELINE, app.abbrev)?, "misses")?);
+    let mut keys: Vec<&str> = apps.iter().map(|a| a.abbrev).collect();
+    keys.push("ALL");
+    let mut table = Table::new(figure.title, "policy", &keys).grouped("normalized_misses");
+    for policy in &figure.policies {
+        let ours = misses(policy)?;
+        let mut cells: Vec<Cell> =
+            ours.iter().zip(&baseline).map(|(m, b)| Fixed(ratio(*m, *b), 4)).collect();
+        cells.push(Fixed(ratio(ours.iter().sum(), baseline.iter().sum()), 4));
+        table.row(policy, cells);
     }
 
-    let mut rows_json = Vec::new();
-    let mut rows_md = Vec::new();
-    for policy in &policies {
-        let payload = run_job(source, &job_body(policy, tier.frames, 8, tier.scale))?;
-        let mut normalized = Json::obj();
-        let mut md_row = vec![policy.to_string()];
-        let (mut ours_total, mut base_total) = (0u64, 0u64);
-        for (app, base) in apps.iter().zip(&baseline_misses) {
-            let misses = entry_u64(result_entry(&payload, policy, app.abbrev)?, "misses")?;
-            ours_total += misses;
-            base_total += base;
-            let ratio = fixed(misses as f64 / (*base).max(1) as f64, 4);
-            normalized.set(app.abbrev, ratio.clone());
-            md_row.push(ratio);
+    let mut fields = Json::obj();
+    fields.set("baseline", figure.baseline).set("llc_mb", figure.llc_mb);
+    Ok(table.into_artifact(figure.key, tier.workload(fields)))
+}
+
+/// Figure 4: each stream's share of the LLC accesses, per app and
+/// workload-wide, counted from the synthesized traces.
+fn fig04(tier: &Tier) -> Artifact {
+    let cfg = tier.config();
+    let mut keys = vec!["accesses"];
+    keys.extend(StreamId::ALL.iter().map(|s| s.label()));
+    let mut table = Table::new("Figure 4: stream-wise distribution of LLC accesses", "app", &keys);
+    let row = |table: &mut Table, label: &str, stats: &StreamStats| {
+        let shares = StreamId::ALL.iter().map(|s| Fixed(stats.fraction(*s), 4));
+        table.row(label, std::iter::once(Count(stats.total())).chain(shares).collect());
+    };
+
+    let mut total = StreamStats::new();
+    for app in AppProfile::all() {
+        let mut stats = StreamStats::new();
+        for frame in 0..cfg.frames_for(app.frames) {
+            stats.merge(framecache::frame_data(&app, frame, cfg.scale).trace.stats());
         }
-        let overall = fixed(ours_total as f64 / base_total.max(1) as f64, 4);
-        normalized.set("ALL", overall.clone());
-        md_row.push(overall);
-        let mut row = Json::obj();
-        row.set("policy", *policy).set("normalized_misses", normalized);
-        rows_json.push(row);
-        rows_md.push(md_row);
+        row(&mut table, app.abbrev, &stats);
+        total.merge(&stats);
+    }
+    row(&mut table, "ALL", &total);
+    table.into_artifact("fig04", tier.workload(Json::obj()))
+}
+
+/// The Figure 5–9 policies: Belady's OPT, two-bit DRRIP and NRU.
+const FIG05_POLICIES: [&str; 3] = ["OPT", "DRRIP", "NRU"];
+
+/// The Figure 13 policies: DRRIP and the proposals built on it.
+const FIG13_POLICIES: [&str; 6] = ["DRRIP", "GS-DRRIP", "GSPZTC", "GSPZTC+TSE", "GSPC", "GSPC+UCD"];
+
+/// One characterizing run over the union of the Figure 5–9 and
+/// Figure 13 policies; it feeds all six figures.
+fn characterize(tier: &Tier) -> WorkloadResults {
+    let mut policies = FIG05_POLICIES.to_vec();
+    policies.extend(FIG13_POLICIES.iter().filter(|p| !FIG05_POLICIES.contains(p)));
+    let opts = RunOptions { characterize: true, ..RunOptions::from_env(&policies) };
+    run_workload(&opts, &tier.config())
+}
+
+/// `policy`'s statistics and characterization counters, summed over
+/// every app.
+fn merged(r: &WorkloadResults, policy: &str) -> (LlcStats, CharReport) {
+    let (mut stats, mut chars) = (LlcStats::new(), CharReport::default());
+    for app in &r.apps {
+        let agg = r.get(policy, app);
+        stats.merge(&agg.stats);
+        chars.merge(&agg.chars);
+    }
+    (stats, chars)
+}
+
+/// A table of one row per policy, its cells drawn from the policy's
+/// merged counters.
+fn per_policy(
+    r: &WorkloadResults,
+    title: &str,
+    policies: &[&str],
+    keys: &[&str],
+    head: &[&str],
+    cells: impl Fn(&LlcStats, &CharReport) -> Vec<Cell>,
+) -> Table {
+    let mut table = Table::new(title, "policy", keys).headings(head);
+    for policy in policies {
+        let (stats, chars) = merged(r, policy);
+        table.row(policy, cells(&stats, &chars));
+    }
+    table
+}
+
+/// Figures 5–9: hit rates, inter-stream reuse and epoch behaviour under
+/// OPT, DRRIP and NRU.
+fn characterization(tier: &Tier, r: &WorkloadResults) -> Vec<Artifact> {
+    let fig05 = per_policy(
+        r,
+        "Figure 5: TEX / RT / Z hit rates",
+        &FIG05_POLICIES,
+        &["tex_hit_rate", "rt_hit_rate", "z_hit_rate"],
+        &["policy", "TEX hit", "RT hit", "Z hit"],
+        |stats, _| {
+            vec![
+                Fixed(stats.class_hit_rate(PolicyClass::Tex), 4),
+                Fixed(stats.hit_rate(StreamId::RenderTarget), 4),
+                Fixed(stats.hit_rate(StreamId::Z), 4),
+            ]
+        },
+    );
+    let fig06 = per_policy(
+        r,
+        "Figure 6: texture reuse classification and RT->TEX consumption",
+        &FIG05_POLICIES,
+        &["tex_inter_hits", "tex_intra_hits", "tex_inter_fraction", "rt_consumption"],
+        &["policy", "inter hits", "intra hits", "inter frac", "RT consumed"],
+        |_, chars| {
+            vec![
+                Count(chars.tex_inter_hits),
+                Count(chars.tex_intra_hits),
+                Fixed(chars.tex_inter_fraction(), 4),
+                Fixed(chars.rt_consumption_rate(), 4),
+            ]
+        },
+    );
+
+    const EPOCHS: [&str; 4] = ["E0", "E1", "E2", "E>=3"];
+    let (_, opt) = merged(r, "OPT");
+    let mut fig07 = Table::new(
+        "Figure 7: texture epochs under Belady's OPT",
+        "epoch",
+        &["entries", "hits", "hit_share", "death_ratio"],
+    );
+    let share = opt.tex_epoch_hit_distribution();
+    for (k, epoch) in EPOCHS.iter().enumerate() {
+        // Death ratios are tracked for E0..E2 only.
+        let death = if k < 3 { Fixed(opt.tex_death_ratio(k), 4) } else { Text("-".into()) };
+        fig07.row(
+            epoch,
+            vec![
+                Count(opt.tex_epoch_entries[k]),
+                Count(opt.tex_hits_from_epoch[k]),
+                Fixed(share[k], 4),
+                death,
+            ],
+        );
     }
 
-    let mut doc = Json::obj();
-    doc.set("title", "Figure 12: LLC misses normalized to two-bit DRRIP")
-        .set("baseline", BASELINE)
-        .set("llc_mb", 8u64)
-        .set("scale", grserve::spec::scale_name(tier.scale))
-        .set("frames", u64::from(tier.frames))
-        .set("rows", Json::Arr(rows_json));
-    let mut head = vec!["policy"];
-    head.extend(apps.iter().map(|a| a.abbrev));
-    head.push("ALL");
-    let markdown =
-        markdown_table("Figure 12: LLC misses normalized to two-bit DRRIP", &head, &rows_md);
-    Ok(Artifact { name: "fig12".into(), doc, markdown })
+    let (drrip, _) = merged(r, "DRRIP");
+    let mut fig08 = Table::new(
+        "Figure 8: fills at the distant RRPV under two-bit DRRIP",
+        "class",
+        &["fills", "distant_fills", "distant_fraction"],
+    );
+    for class in [PolicyClass::Rt, PolicyClass::Tex] {
+        fig08.row(
+            class.label(),
+            vec![
+                Count(drrip.fills(class)),
+                Count(drrip.distant_fills(class)),
+                Fixed(drrip.distant_fill_fraction(class), 4),
+            ],
+        );
+    }
+
+    let mut fig09 = Table::new(
+        "Figure 9: Z-stream epoch death ratios under Belady's OPT",
+        "epoch",
+        &["entries", "death_ratio"],
+    );
+    for (k, epoch) in EPOCHS[..3].iter().enumerate() {
+        fig09.row(epoch, vec![Count(opt.z_epoch_entries[k]), Fixed(opt.z_death_ratio(k), 4)]);
+    }
+
+    [("fig05", fig05), ("fig06", fig06), ("fig07", fig07), ("fig08", fig08), ("fig09", fig09)]
+        .into_iter()
+        .map(|(name, table)| table.into_artifact(name, tier.workload(Json::obj())))
+        .collect()
+}
+
+/// Figure 13: the hit-rate analysis of DRRIP and the proposals.
+fn fig13(tier: &Tier, r: &WorkloadResults) -> Artifact {
+    per_policy(
+        r,
+        "Figure 13: hit-rate analysis",
+        &FIG13_POLICIES,
+        &["tex_hit_rate", "rt_consumption", "rt_hit_rate", "z_hit_rate"],
+        &["policy", "TEX hit", "RT->TEX cons", "RT hit", "Z hit"],
+        |stats, chars| {
+            vec![
+                Fixed(stats.class_hit_rate(PolicyClass::Tex), 4),
+                Fixed(chars.rt_consumption_rate(), 4),
+                Fixed(stats.hit_rate(StreamId::RenderTarget), 4),
+                Fixed(stats.hit_rate(StreamId::Z), 4),
+            ]
+        },
+    )
+    .into_artifact("fig13", tier.workload(Json::obj()))
 }
 
 /// One Figure 15–17 panel: count-driven FPS per app, normalized to the
@@ -236,7 +502,8 @@ fn fig12(tier: &Tier, source: &JobSource) -> Result<Artifact, String> {
 fn figure_panel(tier: &Tier, source: &JobSource, panel: &PerfConfig) -> Result<Artifact, String> {
     let apps = AppProfile::all();
 
-    // One job per panel policy; cells per (policy, app).
+    // One job per panel policy; cells per (policy, app), then the
+    // workload-wide merge of every app's counts in the last slot.
     let mut cells: Vec<Vec<CountedCell>> = Vec::new();
     for policy in figures::PERF_POLICIES {
         let payload = run_job(source, &job_body(policy, tier.frames, panel.llc_mb, tier.scale))?;
@@ -244,110 +511,161 @@ fn figure_panel(tier: &Tier, source: &JobSource, panel: &PerfConfig) -> Result<A
         for app in &apps {
             per_app.push(counted_cell(result_entry(&payload, policy, app.abbrev)?)?);
         }
+        let mut overall = CountedCell::default();
+        per_app.iter().for_each(|cell| overall.merge(cell));
+        per_app.push(overall);
         cells.push(per_app);
     }
-    let policy_slot =
-        |name: &str| figures::PERF_POLICIES.iter().position(|p| *p == name).expect("panel member");
-    let baseline_slot = policy_slot(figures::PERF_BASELINE);
-    let contenders: Vec<&str> = figures::perf_contenders().collect();
-
-    let mut rows_json = Vec::new();
-    let mut rows_md = Vec::new();
-    for (app_index, app) in apps.iter().enumerate() {
-        let base = figures::fps_from_counts(panel, &cells[baseline_slot][app_index]);
-        let mut normalized = Json::obj();
-        let mut md_row = vec![app.abbrev.to_string()];
-        for contender in &contenders {
-            let fps = figures::fps_from_counts(panel, &cells[policy_slot(contender)][app_index]);
-            let ratio = fixed(fps / base, 4);
-            normalized.set(*contender, ratio.clone());
-            md_row.push(ratio);
-        }
-        let mut row = Json::obj();
-        row.set("app", app.abbrev).set("normalized_fps", normalized);
-        rows_json.push(row);
-        rows_md.push(md_row);
-    }
-
-    // Workload-wide: merge every app's counts per policy.
-    let overall_cell = |slot: usize| {
-        let mut merged = CountedCell::default();
-        for cell in &cells[slot] {
-            merged.merge(cell);
-        }
-        merged
+    let fps = |policy: &str, slot: usize| {
+        let index = figures::PERF_POLICIES.iter().position(|p| *p == policy).expect("panel member");
+        figures::fps_from_counts(panel, &cells[index][slot])
     };
-    let overall_base = figures::fps_from_counts(panel, &overall_cell(baseline_slot));
-    let mut normalized = Json::obj();
-    let mut md_row = vec!["ALL".to_string()];
-    for contender in &contenders {
-        let fps = figures::fps_from_counts(panel, &overall_cell(policy_slot(contender)));
-        let ratio = fixed(fps / overall_base, 4);
-        normalized.set(*contender, ratio.clone());
-        md_row.push(ratio);
+
+    let contenders: Vec<&str> = figures::perf_contenders().collect();
+    let mut table = Table::new(panel.title, "app", &contenders).grouped("normalized_fps");
+    let labels = apps.iter().map(|a| a.abbrev).chain(["ALL"]);
+    for (slot, label) in labels.enumerate() {
+        let base = fps(figures::PERF_BASELINE, slot);
+        table.row(label, contenders.iter().map(|c| Fixed(fps(c, slot) / base, 4)).collect());
     }
-    let mut row = Json::obj();
-    row.set("app", "ALL").set("normalized_fps", normalized);
-    rows_json.push(row);
-    rows_md.push(md_row);
+    let gspc_fps = fps("GSPC+UCD", apps.len());
+    table.footer(vec!["avg FPS (GSPC+UCD)".into(), fixed(gspc_fps, 1), "-".into(), "-".into()]);
 
-    let gspc_fps = figures::fps_from_counts(panel, &overall_cell(policy_slot("GSPC+UCD")));
+    let mut fields = Json::obj();
+    fields.set("baseline", figures::PERF_BASELINE).set("llc_mb", panel.llc_mb);
+    let mut artifact = table.into_artifact(panel.key, tier.workload(fields));
+    artifact.doc.set("gspc_fps", fixed(gspc_fps, 1));
+    Ok(artifact)
+}
 
-    let mut doc = Json::obj();
-    doc.set("title", panel.title)
-        .set("baseline", figures::PERF_BASELINE)
-        .set("llc_mb", panel.llc_mb)
+/// Table 6: the evaluated policies, from the registry.
+fn table6() -> Artifact {
+    let mut table = Table::new("Table 6: evaluated policies", "policy", &["description"]);
+    for entry in registry::ALL_POLICIES {
+        table.row(entry.name, vec![Text(entry.description.into())]);
+    }
+    table.into_artifact("table6", Json::obj())
+}
+
+/// Section 4: GSPC's storage overhead beyond two-bit DRRIP, on the
+/// paper's native 8 MB LLC whatever the tier's scale.
+fn overhead_report() -> Artifact {
+    let llc = LlcConfig::mb(8);
+    let o = overhead::measure(&Gspc::new(&llc), &llc, overhead::gspc_counter_bits(&llc));
+    let mut table =
+        Table::new("Section 4: hardware overhead on the native 8 MB LLC", "metric", &["value"]);
+    table.row("extra_state_bits_per_block", vec![Count(o.extra_state_bits_per_block.into())]);
+    table.row("extra_block_bits", vec![Count(o.extra_block_bits)]);
+    table.row("counter_bits", vec![Count(o.counter_bits)]);
+    table.row("fraction_of_data_array", vec![Fixed(o.fraction_of_data_array, 6)]);
+    let mut fields = Json::obj();
+    fields.set("policy", o.policy).set("llc_mb", 8u64);
+    table.into_artifact("overhead", fields)
+}
+
+/// Frames per sequence in the inter-frame ablation. A one-frame
+/// sequence has no inter-frame reuse to measure, so this length does
+/// not follow the tier's frame count.
+const SEQUENCE_FRAMES: u32 = 3;
+
+/// Ablation: misses over a frame sequence replayed through one
+/// persistent LLC (warm) against a fresh LLC per frame (cold, the
+/// paper's methodology), on the first four apps.
+fn interframe(tier: &Tier) -> Artifact {
+    let cfg = tier.config();
+    let misses = |policy: &str, app: &AppProfile, frames: std::ops::Range<u32>| {
+        run_frame_sequence(policy, app, frames, 8, &cfg).last().map_or(0, LlcStats::total_misses)
+    };
+    let mut table = Table::new(
+        "Ablation: inter-frame reuse (one LLC across a frame sequence)",
+        "policy",
+        &["app", "frames", "cold_misses", "warm_misses", "saved"],
+    );
+    let mut row = |policy: &str, app: &str, frames: u32, cold: u64, warm: u64| {
+        let cells = vec![
+            Text(app.into()),
+            Count(frames.into()),
+            Count(cold),
+            Count(warm),
+            Fixed(1.0 - ratio(warm, cold), 4),
+        ];
+        table.row(policy, cells);
+    };
+    for policy in ["DRRIP", "GSPC+UCD"] {
+        let (mut frames_total, mut cold_total, mut warm_total) = (0, 0, 0);
+        for app in AppProfile::all().iter().take(4) {
+            let frames = app.frames.min(SEQUENCE_FRAMES);
+            let warm = misses(policy, app, 0..frames);
+            // A fresh one-frame sequence is exactly the cold-LLC methodology.
+            let cold = (0..frames).map(|f| misses(policy, app, f..f + 1)).sum();
+            row(policy, app.abbrev, frames, cold, warm);
+            (frames_total, cold_total, warm_total) =
+                (frames_total + frames, cold_total + cold, warm_total + warm);
+        }
+        row(policy, "ALL", frames_total, cold_total, warm_total);
+    }
+    let mut fields = Json::obj();
+    fields.set("llc_mb", 8u64).set("scale", grserve::spec::scale_name(tier.scale));
+    table.into_artifact("ablation-interframe", fields)
+}
+
+/// Ablation: GSPC's misses over two-bit DRRIP's as the density of
+/// GSPC's sample sets varies, on the first frame of every app.
+fn sample_density(tier: &Tier) -> Artifact {
+    fn replay_misses<P: grcache::Policy>(mut llc: Llc<P>, trace: &grtrace::Trace) -> u64 {
+        llc.run_source(&mut trace.source()).expect("in-memory replay");
+        llc.stats().total_misses()
+    }
+    let cfg = tier.config();
+    let mut table = Table::new(
+        "Ablation: GSPC sample-set density (sample sets per 1024)",
+        "density",
+        &["sample_period", "gspc_misses", "drrip_misses", "normalized"],
+    );
+    for period in [128usize, 64, 32] {
+        let llc = LlcConfig { sample_period: period, ..cfg.llc(8) };
+        let (mut gspc, mut drrip) = (0, 0);
+        for app in AppProfile::all() {
+            let trace = &framecache::frame_data(&app, 0, cfg.scale).trace;
+            gspc += replay_misses(Llc::new(llc, Gspc::new(&llc)), trace);
+            drrip += replay_misses(Llc::new(llc, Drrip::new(2)), trace);
+        }
+        let cells =
+            vec![Count(period as u64), Count(gspc), Count(drrip), Fixed(ratio(gspc, drrip), 4)];
+        table.row(&format!("{}/1024", 1024 / period), cells);
+    }
+    let mut fields = Json::obj();
+    fields
+        .set("llc_mb", 8u64)
         .set("scale", grserve::spec::scale_name(tier.scale))
-        .set("frames", u64::from(tier.frames))
-        .set("rows", Json::Arr(rows_json))
-        .set("gspc_fps", fixed(gspc_fps, 1));
-    let mut head = vec!["app"];
-    head.extend(contenders.iter().copied());
-    rows_md.push(vec!["avg FPS (GSPC+UCD)".into(), fixed(gspc_fps, 1), "-".into(), "-".into()]);
-    let markdown = markdown_table(panel.title, &head, &rows_md);
-    Ok(Artifact { name: panel.key.into(), doc, markdown })
+        .set("frames", 1u64);
+    table.into_artifact("ablation-sample-density", fields)
 }
 
 /// Frame-graph profiles: DRRIP vs GSPC hit rates per built-in profile.
 fn profiles(tier: &Tier, source: &JobSource) -> Result<Artifact, String> {
     const POLICIES: [&str; 2] = ["DRRIP", "GSPC"];
-    let mut rows_json = Vec::new();
-    let mut rows_md = Vec::new();
+    let keys = POLICIES.map(|policy| format!("{policy}_hit_rate"));
+    let mut table = Table::new("Frame-graph profiles: overall hit rates", "profile", &keys)
+        .headings(&["profile", "DRRIP", "GSPC"]);
     for profile in GRAPH_PROFILES {
         let body = profile_body(profile.name, &POLICIES, tier.frames, tier.scale);
         let payload = run_job(source, &body)?;
-        let mut row = Json::obj();
-        row.set("profile", profile.name);
-        let mut md_row = vec![profile.name.to_string()];
+        let mut cells = Vec::new();
         for policy in POLICIES {
             let entry = result_entry(&payload, policy, profile.name)?;
-            let hits = entry_u64(entry, "hits")?;
-            let accesses = entry_u64(entry, "accesses")?;
-            let rate = fixed(hits as f64 / accesses.max(1) as f64, 4);
-            row.set(format!("{policy}_hit_rate"), rate.clone());
-            md_row.push(rate);
+            cells.push(Fixed(ratio(entry_u64(entry, "hits")?, entry_u64(entry, "accesses")?), 4));
         }
-        rows_json.push(row);
-        rows_md.push(md_row);
+        table.row(profile.name, cells);
     }
-    let mut doc = Json::obj();
-    doc.set("title", "Frame-graph profiles: overall hit rates")
-        .set("scale", grserve::spec::scale_name(tier.scale))
-        .set("frames", u64::from(tier.frames))
-        .set("rows", Json::Arr(rows_json));
-    let markdown = markdown_table(
-        "Frame-graph profiles: overall hit rates",
-        &["profile", "DRRIP", "GSPC"],
-        &rows_md,
-    );
-    Ok(Artifact { name: "profiles".into(), doc, markdown })
+    Ok(table.into_artifact("profiles", tier.workload(Json::obj())))
 }
 
 /// The conformance panel, profile goldens, and the pinned Figure 15
 /// ordering, rendered as one artifact. Sections run at their pinned
 /// configurations (tiny scale), regardless of the tier's replay scale.
 fn conformance(tier: &Tier) -> (Artifact, bool) {
-    let cfg = grbench::ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) };
+    let cfg = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) };
     let sections = [
         ("panel", conform::run(&cfg, tier.conform_apps, 8)),
         ("profiles", conform::run_profiles(8)),

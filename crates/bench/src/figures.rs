@@ -1,31 +1,23 @@
-//! The shared performance-study machinery behind Figures 15–17.
+//! The performance-study specs behind Figures 15–17 and their FPS path.
 //!
 //! Each figure is one [`PerfConfig`] — a GPU machine, a DDR3 memory
 //! system, and an LLC capacity — swept over the same +UCD policy panel
 //! (Section 5.2 of the paper evaluates the performance studies with
-//! uncached displayable color everywhere). The `fig15`/`fig16`/`fig17`
-//! binaries, `grbench::experiments`, and the `grart` artifact pipeline
-//! all consume these specs, so the figure geometry is written down
-//! exactly once.
+//! uncached displayable color everywhere). The `grart` artifact pipeline
+//! and the conformance figure-ordering check both consume these specs,
+//! so the figure geometry is written down exactly once.
 //!
-//! Two FPS paths share each spec:
-//!
-//! * [`sweep`] — the offline exact path: a timing replay that feeds the
-//!   per-frame [`grcache::MemoryLog`] through the DDR3 model (this is
-//!   what the figure binaries print);
-//! * [`fps_from_counts`] — the count-driven path: per-frame *average*
-//!   miss/writeback/work counts (e.g. from a `grserved` payload, which
-//!   carries no memory log) are expanded into a deterministic synthetic
-//!   DRAM request stream and timed through the same interval model.
-//!   This is what the artifact pipeline and the conformance
-//!   figure-ordering check use — a pure function of the counts, so
-//!   served and offline runs agree byte for byte.
+//! FPS comes from [`fps_from_counts`], the count-driven path: per-frame
+//! *average* miss/writeback/work counts (e.g. from a `grserved` payload,
+//! which carries no memory log) are expanded into a deterministic
+//! synthetic DRAM request stream and timed through the GPU interval
+//! model — a pure function of the counts, so served and offline runs
+//! agree byte for byte. The runner's exact timing replay
+//! ([`crate::RunOptions::timing`]) remains for callers that time
+//! per-frame memory logs.
 
 use grdram::TimingParams;
 use grgpu::{GpuConfig, Workload};
-
-use crate::table::{print, ratio};
-use crate::{run_workload, ExperimentConfig, RunOptions, WorkloadResults};
 
 /// One performance-study panel: the machine, the memory system, and the
 /// LLC capacity a figure sweeps the policy panel against.
@@ -105,55 +97,6 @@ pub const PERF_FPS_ORDER: [&str; 4] = ["NRU+UCD", "DRRIP+UCD", "GS-DRRIP+UCD", "
 /// The non-baseline panel members, in presentation order.
 pub fn perf_contenders() -> impl Iterator<Item = &'static str> {
     PERF_POLICIES.iter().copied().filter(|p| *p != PERF_BASELINE)
-}
-
-/// The offline exact path: a full timing replay of the panel's policy set
-/// (per-frame memory logs through the DDR3 model).
-pub fn sweep(cfg: &ExperimentConfig, panel: &PerfConfig) -> WorkloadResults {
-    let opts = RunOptions {
-        timing: Some((panel.gpu, panel.dram)),
-        llc_paper_mb: panel.llc_mb,
-        ..RunOptions::misses(&PERF_POLICIES)
-    };
-    run_workload(&opts, cfg)
-}
-
-/// Runs [`sweep`] and prints the figure's table — one normalized-FPS row
-/// per app, the workload-wide row, and GSPC's absolute FPS — exactly as
-/// the `fig15`/`fig16`/`fig17` binaries always have.
-pub fn print_panel(cfg: &ExperimentConfig, panel: &PerfConfig) {
-    println!();
-    println!("=== {} ===", panel.title);
-    let r = sweep(cfg, panel);
-    let contenders: Vec<&str> = perf_contenders().collect();
-    let mut rows = Vec::new();
-    for app in &r.apps {
-        let base = r.fps(PERF_BASELINE, app);
-        let mut row = vec![app.clone()];
-        row.extend(contenders.iter().map(|p| ratio(r.fps(p, app) / base)));
-        rows.push(row);
-    }
-    let base = r.overall_fps(PERF_BASELINE);
-    let mut overall = vec!["ALL".to_string()];
-    overall.extend(contenders.iter().map(|p| ratio(r.overall_fps(p) / base)));
-    rows.push(overall);
-    rows.push(vec![
-        "avg FPS (GSPC)".into(),
-        "-".into(),
-        "-".into(),
-        format!("{:.1}", r.overall_fps("GSPC+UCD")),
-    ]);
-    let mut head = vec!["app"];
-    head.extend(contenders.iter().map(|p| p.trim_end_matches("+UCD")));
-    print(&head, &rows);
-    println!();
-    crate::table::bar_chart(
-        &contenders
-            .iter()
-            .map(|p| (p.trim_end_matches("+UCD"), r.overall_fps(p) / base))
-            .collect::<Vec<_>>(),
-        "workload-average speedup vs DRRIP",
-    );
 }
 
 /// Aggregate replay counts for one (policy, workload) pair — the fields a

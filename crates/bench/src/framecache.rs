@@ -1,7 +1,7 @@
 //! Process-wide frame-trace cache.
 //!
-//! Every figure/table runner replays the same 52 synthesized frames, and
-//! `all_experiments` chains a dozen of those runners, so the seed harness
+//! Every figure and table replays the same 52 synthesized frames, and a
+//! `grart` tier chains a dozen runs over them, so the seed harness
 //! re-rendered each frame ~10–15 times. This module synthesizes each
 //! `(app, frame, scale)` exactly once per process and shares the result —
 //! including the Belady next-use annotation, which every OPT replay needs —
@@ -12,7 +12,7 @@
 //! [`grtrace::io`] binary format — plus a small `.work` sidecar carrying the
 //! frame's [`FrameWork`] counters and a `.nu` sidecar carrying the Belady
 //! next-use annotation — so repeated *processes* — e.g. `grsim` invocations
-//! or reruns of `all_experiments` — skip both synthesis and the offline
+//! or reruns of `grart` — skip both synthesis and the offline
 //! `annotate_next_use` pass entirely.
 //!
 //! The disk tier is also a *streaming* tier: [`ensure_on_disk`] synthesizes

@@ -1,13 +1,19 @@
-//! Experiment harness regenerating every figure and table of the paper.
+//! The experiment runner behind the paper's tables and figures.
 //!
-//! Each binary in `src/bin/` reproduces one figure or table; run e.g.
+//! This crate replays synthesized frames through the LLC, DRAM and GPU
+//! models: [`run_workload`] sweeps the (app, frame, policy) grid,
+//! [`simulate_cell`] replays one cell for the `grserve` daemon, the
+//! [`framecache`] synthesizes each frame once, and [`figures`] holds the
+//! Figure 15–17 machine specs. The `grart` pipeline turns its results
+//! into the paper's artifacts:
 //!
 //! ```text
-//! cargo run -p grbench --release --bin fig12
+//! cargo run -p grart --release -- kick-tires   # every figure, tiny scale
+//! cargo run -p grart --release -- full         # the complete study
 //! ```
 //!
-//! or `--bin all_experiments` to regenerate everything (this is what
-//! `EXPERIMENTS.md` records).
+//! The `grsim` and `tracegen` binaries are interactive tools for
+//! exploring single apps, policies and traces.
 //!
 //! # Scaling
 //!
@@ -24,14 +30,13 @@
 //!
 //! [`run_workload`] fans the (app, frame, policy) grid across `GR_THREADS`
 //! workers (default: all cores) and merges results in a canonical order,
-//! so figure output is byte-identical for any thread count. Frames are
+//! so results are byte-identical for any thread count. Frames are
 //! synthesized once per process in the shared [`framecache`];
 //! `GR_TRACE_CACHE=<dir>` adds an on-disk tier that survives across
 //! processes.
 
 pub mod cli;
 pub mod config;
-pub mod experiments;
 pub mod figures;
 pub mod framecache;
 pub mod runner;

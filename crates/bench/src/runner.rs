@@ -166,17 +166,6 @@ pub struct AppAgg {
     pub frames: u32,
 }
 
-impl AppAgg {
-    /// Average frames per second across the aggregated frames.
-    pub fn fps(&self) -> f64 {
-        if self.frame_ns_total == 0.0 {
-            0.0
-        } else {
-            f64::from(self.frames) * 1e9 / self.frame_ns_total
-        }
-    }
-}
-
 /// Throughput accounting for one `run_workload` call.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunPerf {
@@ -196,28 +185,6 @@ pub struct RunPerf {
     pub merge_seconds: f64,
     /// Worker threads used.
     pub threads: usize,
-}
-
-impl RunPerf {
-    /// Simulated LLC accesses per wall-clock second (whole run, including
-    /// synthesis and merge).
-    pub fn accesses_per_sec(&self) -> f64 {
-        ratio(self.llc_accesses, self.wall_seconds)
-    }
-
-    /// Simulated LLC accesses per CPU-second of pure replay — unpolluted
-    /// by first-run trace synthesis or the merge phase.
-    pub fn replay_accesses_per_sec(&self) -> f64 {
-        ratio(self.llc_accesses, self.replay_seconds)
-    }
-}
-
-fn ratio(accesses: u64, seconds: f64) -> f64 {
-    if seconds > 0.0 {
-        accesses as f64 / seconds
-    } else {
-        0.0
-    }
 }
 
 /// Results of a workload run, indexed by policy then application.
@@ -301,27 +268,6 @@ impl WorkloadResults {
     pub fn overall_normalized_misses(&self, policy: &str, baseline: &str) -> f64 {
         let total = |p: &str| -> u64 { self.apps.iter().map(|a| self.misses(p, a)).sum() };
         total(policy) as f64 / total(baseline).max(1) as f64
-    }
-
-    /// Average FPS of `policy` on `app` (timing runs only).
-    pub fn fps(&self, policy: &str, app: &str) -> f64 {
-        self.get(policy, app).fps()
-    }
-
-    /// Workload-average FPS of `policy` (harmonic aggregation via total
-    /// frame time, as the paper's "averaged over all frames").
-    pub fn overall_fps(&self, policy: &str) -> f64 {
-        let (mut ns, mut frames) = (0.0, 0u32);
-        for a in &self.apps {
-            let agg = self.get(policy, a);
-            ns += agg.frame_ns_total;
-            frames += agg.frames;
-        }
-        if ns == 0.0 {
-            0.0
-        } else {
-            f64::from(frames) * 1e9 / ns
-        }
     }
 }
 
@@ -856,7 +802,9 @@ mod tests {
             ..RunOptions::misses(&["DRRIP"])
         };
         let r = run_workload(&opts, &tiny_cfg());
-        assert!(r.overall_fps("DRRIP") > 0.0);
+        for app in &r.apps {
+            assert!(r.get("DRRIP", app).frame_ns_total > 0.0, "no frame time for {app}");
+        }
     }
 
     #[test]
@@ -874,7 +822,6 @@ mod tests {
         assert!(r.perf.llc_accesses > 0);
         assert!(r.perf.wall_seconds > 0.0);
         assert!(r.perf.threads >= 1);
-        assert!(r.perf.accesses_per_sec() > 0.0);
         assert!(r.perf.replay_seconds > 0.0);
         assert!(r.perf.merge_seconds >= 0.0);
         // Replay is a strict subset of the run: synthesis and merge are
@@ -884,7 +831,6 @@ mod tests {
         assert!(r.perf.replay_seconds <= r.perf.wall_seconds * r.perf.threads as f64);
         if r.perf.threads == 1 {
             assert!(r.perf.replay_seconds <= r.perf.wall_seconds);
-            assert!(r.perf.replay_accesses_per_sec() >= r.perf.accesses_per_sec());
         }
     }
 

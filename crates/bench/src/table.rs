@@ -1,4 +1,4 @@
-//! Plain-text table formatting for experiment reports.
+//! Plain-text table formatting for `grsim` reports.
 
 /// Prints a table: a header row, then one row per entry, with the first
 /// column left-aligned and the rest right-aligned to a fixed width.
@@ -52,47 +52,11 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Renders a horizontal ASCII bar chart of values around a baseline of
-/// 1.0 — the shape the paper's normalized-miss and speedup figures take.
-///
-/// # Example
-///
-/// ```
-/// grbench::table::bar_chart(&[("NRU", 1.06), ("OPT", 0.63)], "misses vs DRRIP");
-/// ```
-pub fn bar_chart(entries: &[(&str, f64)], caption: &str) {
-    if entries.is_empty() {
-        return;
-    }
-    let label_w = entries.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    let max_dev = entries.iter().map(|&(_, v)| (v - 1.0).abs()).fold(0.0_f64, f64::max).max(1e-9);
-    const HALF: usize = 28;
-    println!("{caption} (| marks the baseline 1.0)");
-    for &(label, value) in entries {
-        let dev = value - 1.0;
-        let len = ((dev.abs() / max_dev) * HALF as f64).round() as usize;
-        let (left, right) = if dev < 0.0 {
-            (format!("{:>HALF$}", "#".repeat(len)), " ".repeat(HALF))
-        } else {
-            (" ".repeat(HALF), format!("{:<HALF$}", "#".repeat(len)))
-        };
-        println!("{label:>label_w$}  {left}|{right} {value:.3}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(super::ratio(0.12345), "0.123");
         assert_eq!(super::pct(0.5), "50.0%");
-    }
-
-    #[test]
-    fn bar_chart_handles_edge_cases() {
-        // Must not panic on empty input, all-baseline values, or extremes.
-        super::bar_chart(&[], "empty");
-        super::bar_chart(&[("A", 1.0)], "flat");
-        super::bar_chart(&[("A", 0.5), ("BBB", 2.0)], "wide");
     }
 }

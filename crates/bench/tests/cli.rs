@@ -3,7 +3,6 @@
 //! `GR_SCALE=tiny GR_FRAMES=1` against the crate's own frame cache, so a
 //! whole invocation is a few hundred milliseconds.
 
-use grjson::Json;
 use std::process::Command;
 
 fn grsim() -> Command {
@@ -157,26 +156,4 @@ fn grsim_replays_dumped_profile_trace() {
     let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
     assert!(stdout.contains("postfx"), "missing app echo:\n{stdout}");
     assert!(stdout.contains("GSPC") && stdout.contains("DRRIP"), "missing rows:\n{stdout}");
-}
-
-/// `export_json` emits a parseable document whose `interframe` section has
-/// the warm-vs-cold miss counts the persistent-LLC mode promises.
-#[test]
-fn export_json_interframe_section_parses() {
-    let out = Command::new(env!("CARGO_BIN_EXE_export_json"))
-        .env("GR_SCALE", "tiny")
-        .env("GR_FRAMES", "1")
-        .output()
-        .expect("spawn export_json");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let doc = Json::parse(&String::from_utf8(out.stdout).expect("utf8 stdout"))
-        .expect("export_json output parses");
-
-    let interframe = doc.get("interframe").expect("interframe section");
-    let drrip = interframe.get("DRRIP").expect("DRRIP interframe entry");
-    let (_, first_app) = &drrip.entries().expect("per-app object")[0];
-    let warm = first_app.get("warm_misses").and_then(Json::as_f64).expect("warm_misses");
-    let cold = first_app.get("cold_misses").and_then(Json::as_f64).expect("cold_misses");
-    assert!(warm > 0.0 && cold > 0.0);
-    assert!(warm <= cold, "a persistent LLC cannot miss more than cold starts");
 }

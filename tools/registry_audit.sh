@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Registry audit (CI gate): policy knowledge must live in the policy
 # registry (crates/core/src/registry.rs) plus the grcheck oracle
-# constructor table — every downstream layer (bench, serve, check)
+# constructor table — every downstream layer (art, bench, serve, check)
 # iterates the registry instead of spelling policy names.
 #
 # This script greps those crates for quoted policy-name string literals
@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 
 NAMES='DRRIP|DRRIP-2|DRRIP-4|SRRIP|SRRIP-2|NRU|LRU|SHiP-mem|GS-DRRIP|GS-DRRIP-2|GS-DRRIP-4|GSPZTC|GSPZTC\+TSE|GSPC|GSPC\+UCD|GSPC\+BYP|DRRIP\+UCD|NRU\+UCD|GS-DRRIP\+UCD|OPT|GOPT|DIP|LIP|BIP|Random|WayPart|UCP-lite|SLRU|GSPZTC\(t=[0-9]+\)'
 PATTERN="\"(${NAMES})\""
-SCOPE="crates/bench crates/serve crates/check"
+SCOPE="crates/art crates/bench crates/serve crates/check"
 ALLOWLIST=tools/registry_audit_allowlist.txt
 
 fail=0
