@@ -19,7 +19,7 @@
 
 use grbench::{cli, framecache, run_workload, table, ExperimentConfig, RunOptions};
 use grcache::Llc;
-use grsynth::{AppProfile, FrameGraph, GRAPH_PROFILES};
+use grsynth::{AppProfile, FrameGraph, Frames, GRAPH_PROFILES};
 use grtrace::StreamId;
 use gspc::registry;
 
@@ -175,14 +175,30 @@ fn sequence_profile(cfg: &ExperimentConfig, rest: &[String]) {
     require_policy(cfg, policy);
     let name = profile_name.expect("--profile present by dispatch");
     let graph = require_graph(&name, coherence);
-    let warm = grbench::run_graph_sequence(policy, &graph, 0..nframes, 8, cfg);
-    let opts = RunOptions { policies: vec![policy.clone()], ..RunOptions::misses(&[]) };
+    let title = format!(
+        "{policy} on profile {} (coherence {:.2}) — persistent LLC across {nframes} frames",
+        graph.name(),
+        graph.frame_coherence(),
+    );
+    sequence_table(cfg, policy, Frames::from(&graph), nframes, &title);
+}
+
+/// Prints per-frame cold (fresh LLC) against warm (one persistent LLC)
+/// misses for frames `0..nframes` of `frames`, under `title`.
+fn sequence_table(
+    cfg: &ExperimentConfig,
+    policy: &str,
+    frames: Frames<'_>,
+    nframes: u32,
+    title: &str,
+) {
+    let warm = grbench::run_frame_sequence(policy, frames, 0..nframes, 8, cfg);
+    let opts = RunOptions::misses(&[]);
     let mut rows = Vec::new();
     let mut prev = 0u64;
     let mut cold_total = 0u64;
     for frame in 0..nframes {
-        let cold =
-            grbench::simulate_graph_cell(policy, &graph, frame, &opts, cfg).stats.total_misses();
+        let cold = grbench::simulate_cell(policy, frames, frame, &opts, cfg).stats.total_misses();
         cold_total += cold;
         let cum = warm[frame as usize].total_misses();
         let delta = cum - prev;
@@ -201,11 +217,7 @@ fn sequence_profile(cfg: &ExperimentConfig, rest: &[String]) {
         format!("{warm_total}"),
         table::pct(1.0 - warm_total as f64 / cold_total.max(1) as f64),
     ]);
-    println!(
-        "{policy} on profile {} (coherence {:.2}) — persistent LLC across {nframes} frames",
-        graph.name(),
-        graph.frame_coherence(),
-    );
+    println!("{title}");
     table::print(&["frame", "cold misses", "warm misses", "saved"], &rows);
 }
 
@@ -241,34 +253,8 @@ fn sequence(cfg: &ExperimentConfig, policy: &str, app_name: &str, nframes: u32) 
     require_policy(cfg, policy);
     let app = require_app(app_name);
     let nframes = nframes.min(app.frames);
-    let warm = grbench::run_frame_sequence(policy, &app, 0..nframes, 8, cfg);
-    let mut rows = Vec::new();
-    let mut prev = 0u64;
-    let mut cold_total = 0u64;
-    for frame in 0..nframes {
-        let cold = grbench::run_frame_sequence(policy, &app, frame..frame + 1, 8, cfg)
-            .last()
-            .map_or(0, |s| s.total_misses());
-        cold_total += cold;
-        let cum = warm[frame as usize].total_misses();
-        let delta = cum - prev;
-        prev = cum;
-        rows.push(vec![
-            format!("{frame}"),
-            format!("{cold}"),
-            format!("{delta}"),
-            table::pct(1.0 - delta as f64 / cold.max(1) as f64),
-        ]);
-    }
-    let warm_total = prev;
-    rows.push(vec![
-        "ALL".into(),
-        format!("{cold_total}"),
-        format!("{warm_total}"),
-        table::pct(1.0 - warm_total as f64 / cold_total.max(1) as f64),
-    ]);
-    println!("{policy} on {} — persistent LLC across {nframes} frames", app.name);
-    table::print(&["frame", "cold misses", "warm misses", "saved"], &rows);
+    let title = format!("{policy} on {} — persistent LLC across {nframes} frames", app.name);
+    sequence_table(cfg, policy, Frames::from(&app), nframes, &title);
 }
 
 /// Section-2-style reuse characterization of one application.

@@ -7,18 +7,18 @@
 //! cargo run -p grbench --release --bin tracegen -- info /tmp/ac0.grtr
 //! ```
 //!
-//! `dump-profile` streams the frame band by band straight to the file —
-//! the trace is never materialized — and `replay`/`info` go through the
-//! validating [`grtrace::import`] reader, so they give typed, actionable
-//! errors on malformed files instead of a panic.
+//! `dump` and `dump-profile` stream the frame band by band straight to
+//! the file — the trace is never materialized — and `replay`/`info` go
+//! through the validating [`grtrace::import`] reader, so they give typed,
+//! actionable errors on malformed files instead of a panic.
 
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::BufWriter;
 
 use grcache::{annotate_next_use, Llc, LlcConfig};
-use grsynth::{AppProfile, GraphStream, Scale};
+use grsynth::{AppProfile, FrameStream, Frames, Scale};
 use grtrace::io as trace_io;
-use grtrace::{AccessSource, Trace};
+use grtrace::Trace;
 use gspc::registry;
 
 fn usage() -> ! {
@@ -41,6 +41,15 @@ fn import_or_die(path: &str) -> Trace {
     })
 }
 
+/// Streams frame `frame` of `frames` band by band into `path`.
+fn dump(frames: Frames<'_>, frame: u32, scale: Scale, path: &str) {
+    let file = File::create(path).expect("create output file");
+    let mut stream = FrameStream::new(frames, frame, scale);
+    let count = trace_io::write_source(BufWriter::new(file), &mut stream, frames.name(), frame)
+        .expect("write trace");
+    println!("wrote {count} accesses to {path}");
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -52,10 +61,7 @@ fn main() {
             });
             let frame: u32 = frame.parse().unwrap_or_else(|_| usage());
             let scale = Scale::from_name(scale).unwrap_or_else(|| usage());
-            let trace = grsynth::generate_frame(&app, frame, scale);
-            let file = File::create(path).expect("create output file");
-            trace_io::write(BufWriter::new(file), &trace).expect("write trace");
-            println!("wrote {} accesses to {path}", trace.len());
+            dump(Frames::from(&app), frame, scale, path);
         }
         Some("dump-profile") => {
             let [_, name, frame, scale, coherence, path] = &args[..] else { usage() };
@@ -71,19 +77,7 @@ fn main() {
                 eprintln!("invalid graph: {e}");
                 std::process::exit(1);
             }
-            let mut stream = GraphStream::new(&graph, frame, scale);
-            let file = File::create(path).expect("create output file");
-            let mut writer = trace_io::TraceWriter::new(BufWriter::new(file), graph.name(), frame)
-                .expect("write trace header");
-            let mut count = 0u64;
-            while stream.advance().expect("graph synthesis cannot fail") {
-                for a in stream.chunk().accesses {
-                    writer.push(a).expect("write trace record");
-                    count += 1;
-                }
-            }
-            writer.finish().expect("finalize trace").flush().expect("flush trace");
-            println!("wrote {count} accesses to {path}");
+            dump(Frames::from(&graph), frame, scale, path);
         }
         Some("replay") => {
             if args.len() < 3 {

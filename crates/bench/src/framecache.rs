@@ -8,6 +8,10 @@
 //! behind `Arc`s, so the parallel runner's workers and successive runners
 //! all read the same immutable trace.
 //!
+//! Frames come from a [`Frames`] source — a Table 1 application or a frame
+//! graph — and one set of functions serves both, keyed by
+//! [`Frames::cache_key`].
+//!
 //! An optional on-disk tier (`GR_TRACE_CACHE=<dir>`) persists traces in the
 //! [`grtrace::io`] binary format — plus a small `.work` sidecar carrying the
 //! frame's [`FrameWork`] counters and a `.nu` sidecar carrying the Belady
@@ -22,6 +26,11 @@
 //! few megabytes of working set. `GR_STREAM_CHUNK` tunes the chunk size
 //! (accesses per read; default 65536).
 //!
+//! The tier heals itself: a `.grtr` is reused only if its header names the
+//! frame and its length matches the record count the header declares, and
+//! a `.work` only if it parses; a `.nu` only if its length matches the
+//! trace. Any other file is regenerated.
+//!
 //! Every disk-tier file is written through `write_atomic`: workers and
 //! processes sharing one cache directory may write the same frame at once,
 //! and a reader must never see a half-written file.
@@ -34,12 +43,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use grcache::annotate_next_use;
-use grsynth::{
-    AppProfile, FrameGraph, FrameRenderer, FrameStream, FrameWork, GraphRenderer, GraphStream,
-    Scale,
-};
-use grtrace::io::{ChunkedReader, TraceWriter};
-use grtrace::{AccessSource, Trace};
+use grsynth::{FrameStream, FrameWork, Frames, Scale};
+use grtrace::io::ChunkedReader;
+use grtrace::Trace;
 
 /// One synthesized frame: the LLC trace, the computational work counters,
 /// and the lazily computed Belady next-use annotation.
@@ -78,20 +84,20 @@ impl FrameData {
 
 /// Full structural validation of a `.nu` sidecar: header parses, the
 /// declared count matches the trace, and the file actually holds that many
-/// entries (16-byte header + 8 bytes each), so a truncated body is caught
-/// before the streaming replay consumes garbage.
+/// entries, so a truncated body is caught before the streaming replay
+/// consumes garbage.
 fn nu_sidecar_valid(path: &Path, expected: u64) -> bool {
     let check = || -> Option<()> {
-        let file = std::fs::File::open(path).ok()?;
+        let file = File::open(path).ok()?;
         let len = file.metadata().ok()?.len();
         let count = grtrace::io::read_nu_header(&mut io::BufReader::new(file)).ok()?;
-        (count == expected && len == 16 + 8 * count).then_some(())
+        (count == expected && grtrace::io::nu_file_len(count) == Some(len)).then_some(())
     };
     check().is_some()
 }
 
 fn load_next_use(path: &Path, expected: u64) -> Option<Vec<u64>> {
-    let file = std::fs::File::open(path).ok()?;
+    let file = File::open(path).ok()?;
     let nu = grtrace::io::read_next_use(io::BufReader::new(file)).ok()?;
     (nu.len() as u64 == expected).then_some(nu)
 }
@@ -127,8 +133,7 @@ fn write_atomic(
     written
 }
 
-/// Cache key: workload identity (app abbreviation or frame-graph cache
-/// key), frame, scale.
+/// Cache key: workload identity ([`Frames::cache_key`]), frame, scale.
 type Key = (String, u32, Scale);
 type Slot = Arc<OnceLock<Arc<FrameData>>>;
 
@@ -147,32 +152,53 @@ fn disk_dir() -> Option<&'static PathBuf> {
     .as_ref()
 }
 
-/// The synthesized data for `(app, frame, scale)`, rendered at most once
-/// per process (and per disk cache, when `GR_TRACE_CACHE` is set).
+/// The synthesized data for `(frames, frame, scale)`, rendered at most
+/// once per process (and per disk cache, when `GR_TRACE_CACHE` is set).
 ///
-/// Concurrent callers asking for the same frame block on one render instead
-/// of duplicating it; callers asking for different frames proceed
-/// independently.
-pub fn frame_data(app: &AppProfile, frame: u32, scale: Scale) -> Arc<FrameData> {
-    let key: Key = (app.abbrev.to_string(), frame, scale);
+/// The cache key is [`Frames::cache_key`], so two frame graphs sharing a
+/// name but differing in any knob (coherence, passes, resolution, seed)
+/// occupy distinct slots, in memory and on disk. Concurrent callers asking
+/// for the same frame block on one render instead of duplicating it;
+/// callers asking for different frames proceed independently.
+///
+/// With the disk tier active a frame whose files are whole (see
+/// [`ensure_on_disk`]) is read back from them; any other frame is rendered
+/// whole and then persisted, trace and `.work` sidecar.
+pub fn frame_data<'a>(frames: impl Into<Frames<'a>>, frame: u32, scale: Scale) -> Arc<FrameData> {
+    let frames = frames.into();
+    let key: Key = (frames.cache_key(), frame, scale);
     let slot = {
         let mut map = cache().lock().expect("frame cache poisoned");
         Arc::clone(map.entry(key).or_default())
     };
     Arc::clone(slot.get_or_init(|| {
-        if let Some(data) = load_from_disk(app, frame, scale) {
-            return Arc::new(data);
-        }
-        let (trace, work) = FrameRenderer::new(app, frame, scale).render_with_work();
-        let data = FrameData {
-            trace: Arc::new(trace),
-            work,
-            next_use: OnceLock::new(),
-            nu_path: nu_path(app, frame, scale),
-        };
-        store_to_disk(app, frame, scale, &data);
-        Arc::new(data)
+        let path = trace_path(frames, frame, scale);
+        let loaded = path.as_deref().and_then(|p| load_frame(p, frames, frame));
+        let (trace, work) = loaded.unwrap_or_else(|| {
+            let (trace, work) = frames.render(frame, scale);
+            if let Some(path) = &path {
+                store_frame(path, &trace, &work);
+            }
+            (trace, work)
+        });
+        let nu_path = path.map(|p| p.with_extension("nu"));
+        Arc::new(FrameData { trace: Arc::new(trace), work, next_use: OnceLock::new(), nu_path })
     }))
+}
+
+/// Reads a disk-tier frame back whole, when its files are.
+fn load_frame(trace_path: &Path, frames: Frames<'_>, frame: u32) -> Option<(Trace, FrameWork)> {
+    let work = reusable(trace_path, &trace_path.with_extension("work"), frames.name(), frame)?;
+    let trace = grtrace::io::read(io::BufReader::new(File::open(trace_path).ok()?)).ok()?;
+    Some((trace, work))
+}
+
+/// Persists a rendered frame as its `.grtr` trace plus `.work` sidecar. A
+/// write failure is never fatal — the in-memory tier still holds the
+/// frame — so errors are dropped.
+fn store_frame(trace_path: &Path, trace: &Trace, work: &FrameWork) {
+    let _ = write_atomic(trace_path, |w| grtrace::io::write(w, trace));
+    let _ = write_atomic(&trace_path.with_extension("work"), |w| w.write_all(&write_work(work)));
 }
 
 /// Chunk capacity (accesses per read) for streaming replay, from
@@ -186,163 +212,101 @@ pub fn stream_chunk() -> usize {
         .unwrap_or(grtrace::io::DEFAULT_CHUNK)
 }
 
-/// Ensures frame `(app, frame, scale)` exists in the on-disk tier,
+/// Ensures frame `(frames, frame, scale)` exists in the on-disk tier,
 /// synthesizing it *band by band* straight to the `.grtr` file (the frame
 /// is never materialized in memory). Returns the trace path, or `None`
 /// when `GR_TRACE_CACHE` is unset.
-pub fn ensure_on_disk(app: &AppProfile, frame: u32, scale: Scale) -> io::Result<Option<PathBuf>> {
-    let Some(dir) = disk_dir() else { return Ok(None) };
-    let stem = file_stem(app, frame, scale);
-    let trace_path = dir.join(format!("{stem}.grtr"));
-    let work_path = dir.join(format!("{stem}.work"));
-    let valid = std::fs::File::open(&trace_path)
-        .ok()
-        .and_then(|f| ChunkedReader::new(io::BufReader::new(f), 1).ok())
-        .is_some_and(|r| r.app() == app.name && r.frame() == frame);
-    if valid && work_path.exists() {
-        return Ok(Some(trace_path));
-    }
-    let mut stream = FrameStream::new(app, frame, scale);
-    write_atomic(&trace_path, |w| stream_to(w, &mut stream, app.name, frame))?;
-    write_atomic(&work_path, |w| w.write_all(&write_work(&stream.work())))?;
+///
+/// Files already on disk are reused only when they are whole: the `.grtr`
+/// header names this frame, the file holds exactly the records the header
+/// declares, and the `.work` sidecar parses. Anything else — a foreign,
+/// truncated or missing trace, a missing or corrupt sidecar — is
+/// regenerated.
+pub fn ensure_on_disk<'a>(
+    frames: impl Into<Frames<'a>>,
+    frame: u32,
+    scale: Scale,
+) -> io::Result<Option<PathBuf>> {
+    let frames = frames.into();
+    let Some(trace_path) = trace_path(frames, frame, scale) else { return Ok(None) };
+    ensure_at(&trace_path, frames, frame, scale)?;
     Ok(Some(trace_path))
 }
 
+/// Reuses the disk-tier files at `trace_path` when they are whole, else
+/// streams the frame into them; returns the frame's work counters.
+fn ensure_at(
+    trace_path: &Path,
+    frames: Frames<'_>,
+    frame: u32,
+    scale: Scale,
+) -> io::Result<FrameWork> {
+    let work_path = trace_path.with_extension("work");
+    if let Some(work) = reusable(trace_path, &work_path, frames.name(), frame) {
+        return Ok(work);
+    }
+    let mut stream = FrameStream::new(frames, frame, scale);
+    write_atomic(trace_path, |w| {
+        grtrace::io::write_source(w, &mut stream, frames.name(), frame).map(drop)
+    })?;
+    let work = stream.work();
+    write_atomic(&work_path, |w| w.write_all(&write_work(&work)))?;
+    Ok(work)
+}
+
+/// The work counters of a disk-tier frame whose files are whole (see
+/// [`ensure_on_disk`]), or `None` when they must be regenerated.
+fn reusable(trace_path: &Path, work_path: &Path, name: &str, frame: u32) -> Option<FrameWork> {
+    let file = File::open(trace_path).ok()?;
+    let len = file.metadata().ok()?.len();
+    let header = ChunkedReader::new(io::BufReader::new(file), 1).ok()?;
+    let whole = header.app() == name
+        && header.frame() == frame
+        && grtrace::io::trace_file_len(name, header.remaining()) == Some(len);
+    if !whole {
+        return None;
+    }
+    read_work(&std::fs::read(work_path).ok()?)
+}
+
 /// A frame opened from the streaming disk tier: a bounded-memory
-/// [`AccessSource`] over the `.grtr` file plus the frame's work counters.
+/// [`grtrace::AccessSource`] over the `.grtr` file plus the frame's work
+/// counters.
 #[derive(Debug)]
 pub struct DiskSource {
     /// Chunked reader over the on-disk trace ([`stream_chunk`] accesses at
     /// a time).
-    pub reader: ChunkedReader<io::BufReader<std::fs::File>>,
+    pub reader: ChunkedReader<io::BufReader<File>>,
     /// Computational work of the frame (for the GPU timing model).
     pub work: FrameWork,
 }
 
-/// Opens frame `(app, frame, scale)` as a streaming [`AccessSource`] from
-/// the disk tier, synthesizing it first if absent (see [`ensure_on_disk`]).
-/// With `with_next_use` the `.nu` Belady sidecar is attached — computed and
-/// persisted on first use. Returns `None` when `GR_TRACE_CACHE` is unset.
-pub fn disk_source(
-    app: &AppProfile,
+/// Opens frame `(frames, frame, scale)` as a streaming
+/// [`grtrace::AccessSource`] from the disk tier, synthesizing it first if
+/// absent or damaged (see [`ensure_on_disk`]). With `with_next_use` the
+/// `.nu` Belady sidecar is attached — computed and persisted on first use.
+/// Returns `None` when `GR_TRACE_CACHE` is unset.
+pub fn disk_source<'a>(
+    frames: impl Into<Frames<'a>>,
     frame: u32,
     scale: Scale,
     with_next_use: bool,
 ) -> io::Result<Option<DiskSource>> {
-    let Some(trace_path) = ensure_on_disk(app, frame, scale)? else { return Ok(None) };
-    let work_path = trace_path.with_extension("work");
-    let work = read_work(&std::fs::read(&work_path)?)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "corrupt .work sidecar"))?;
-    let file = std::fs::File::open(&trace_path)?;
+    let frames = frames.into();
+    let Some(trace_path) = trace_path(frames, frame, scale) else { return Ok(None) };
+    let work = ensure_at(&trace_path, frames, frame, scale)?;
+    let file = File::open(&trace_path)?;
     let mut reader = ChunkedReader::new(io::BufReader::new(file), stream_chunk())?;
     if with_next_use {
         let nu = trace_path.with_extension("nu");
-        let valid = nu_sidecar_valid(&nu, reader.remaining());
-        if !valid {
+        if !nu_sidecar_valid(&nu, reader.remaining()) {
             // Missing, truncated, or stale sidecar: recompute from the
             // whole trace and rewrite it explicitly — the in-memory
             // annotation may already exist, in which case `next_use()`
             // alone would not re-persist it.
-            let data = frame_data(app, frame, scale);
-            store_next_use(&nu, data.next_use());
+            store_next_use(&nu, frame_data(frames, frame, scale).next_use());
         }
-        reader = reader.with_next_use(io::BufReader::new(std::fs::File::open(&nu)?))?;
-    }
-    Ok(Some(DiskSource { reader, work }))
-}
-
-/// The synthesized data for `(graph, frame, scale)` — the frame-graph
-/// analogue of [`frame_data`]. The cache key includes the graph's
-/// [`FrameGraph::cache_key`] fingerprint, so two graphs sharing a name but
-/// differing in any knob (coherence, passes, resolution, seed) occupy
-/// distinct slots, in memory and on disk.
-pub fn graph_frame_data(graph: &FrameGraph, frame: u32, scale: Scale) -> Arc<FrameData> {
-    let key: Key = (graph.cache_key(), frame, scale);
-    let slot = {
-        let mut map = cache().lock().expect("frame cache poisoned");
-        Arc::clone(map.entry(key).or_default())
-    };
-    Arc::clone(slot.get_or_init(|| {
-        if let Some(data) = graph_load_from_disk(graph, frame, scale) {
-            return Arc::new(data);
-        }
-        let (trace, work) = GraphRenderer::new(graph, frame, scale).render_with_work();
-        let data = FrameData {
-            trace: Arc::new(trace),
-            work,
-            next_use: OnceLock::new(),
-            nu_path: graph_nu_path(graph, frame, scale),
-        };
-        graph_store_to_disk(graph, frame, scale, &data);
-        Arc::new(data)
-    }))
-}
-
-/// Ensures frame `(graph, frame, scale)` exists in the on-disk tier,
-/// streamed band by band like [`ensure_on_disk`]. Returns the trace path,
-/// or `None` when `GR_TRACE_CACHE` is unset.
-pub fn graph_ensure_on_disk(
-    graph: &FrameGraph,
-    frame: u32,
-    scale: Scale,
-) -> io::Result<Option<PathBuf>> {
-    let Some(dir) = disk_dir() else { return Ok(None) };
-    let stem = graph_file_stem(graph, frame, scale);
-    let trace_path = dir.join(format!("{stem}.grtr"));
-    let work_path = dir.join(format!("{stem}.work"));
-    let valid = std::fs::File::open(&trace_path)
-        .ok()
-        .and_then(|f| ChunkedReader::new(io::BufReader::new(f), 1).ok())
-        .is_some_and(|r| r.app() == graph.name() && r.frame() == frame);
-    if valid && work_path.exists() {
-        return Ok(Some(trace_path));
-    }
-    let mut stream = GraphStream::new(graph, frame, scale);
-    write_atomic(&trace_path, |w| stream_to(w, &mut stream, graph.name(), frame))?;
-    write_atomic(&work_path, |w| w.write_all(&write_work(&stream.work())))?;
-    Ok(Some(trace_path))
-}
-
-/// Drains `stream` into `.grtr` format band by band.
-fn stream_to<S: AccessSource>(
-    out: &mut BufWriter<File>,
-    stream: &mut S,
-    app: &str,
-    frame: u32,
-) -> io::Result<()> {
-    let mut writer = TraceWriter::new(out, app, frame)?;
-    while stream.advance()? {
-        for a in stream.chunk().accesses {
-            writer.push(a)?;
-        }
-    }
-    writer.finish()?;
-    Ok(())
-}
-
-/// Opens frame `(graph, frame, scale)` as a streaming [`AccessSource`] from
-/// the disk tier — the frame-graph analogue of [`disk_source`]. Returns
-/// `None` when `GR_TRACE_CACHE` is unset.
-pub fn graph_disk_source(
-    graph: &FrameGraph,
-    frame: u32,
-    scale: Scale,
-    with_next_use: bool,
-) -> io::Result<Option<DiskSource>> {
-    let Some(trace_path) = graph_ensure_on_disk(graph, frame, scale)? else { return Ok(None) };
-    let work_path = trace_path.with_extension("work");
-    let work = read_work(&std::fs::read(&work_path)?)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "corrupt .work sidecar"))?;
-    let file = std::fs::File::open(&trace_path)?;
-    let mut reader = ChunkedReader::new(io::BufReader::new(file), stream_chunk())?;
-    if with_next_use {
-        let nu = trace_path.with_extension("nu");
-        let valid = nu_sidecar_valid(&nu, reader.remaining());
-        if !valid {
-            let data = graph_frame_data(graph, frame, scale);
-            store_next_use(&nu, data.next_use());
-        }
-        reader = reader.with_next_use(io::BufReader::new(std::fs::File::open(&nu)?))?;
+        reader = reader.with_next_use(io::BufReader::new(File::open(&nu)?))?;
     }
     Ok(Some(DiskSource { reader, work }))
 }
@@ -352,81 +316,19 @@ pub fn clear() {
     cache().lock().expect("frame cache poisoned").clear();
 }
 
-fn file_stem(app: &AppProfile, frame: u32, scale: Scale) -> String {
-    format!("{}_f{}_s{}", app.abbrev, frame, scale.divisor())
+/// The file stem every disk-tier file of a frame shares:
+/// `{cache_key}_f{frame}_s{divisor}`.
+fn file_stem(frames: Frames<'_>, frame: u32, scale: Scale) -> String {
+    format!("{}_f{}_s{}", frames.cache_key(), frame, scale.divisor())
 }
 
-fn graph_file_stem(graph: &FrameGraph, frame: u32, scale: Scale) -> String {
-    format!("{}_f{}_s{}", graph.cache_key(), frame, scale.divisor())
+/// The `.grtr` path of a frame, when the disk tier is active; the `.work`
+/// and `.nu` sidecars sit next to it.
+fn trace_path(frames: Frames<'_>, frame: u32, scale: Scale) -> Option<PathBuf> {
+    Some(disk_dir()?.join(format!("{}.grtr", file_stem(frames, frame, scale))))
 }
 
 const WORK_MAGIC: &[u8; 4] = b"GRWK";
-
-/// The `.nu` sidecar path for a frame-graph frame, when the disk tier is
-/// active.
-fn graph_nu_path(graph: &FrameGraph, frame: u32, scale: Scale) -> Option<PathBuf> {
-    let dir = disk_dir()?;
-    Some(dir.join(format!("{}.nu", graph_file_stem(graph, frame, scale))))
-}
-
-fn graph_load_from_disk(graph: &FrameGraph, frame: u32, scale: Scale) -> Option<FrameData> {
-    let dir = disk_dir()?;
-    let stem = graph_file_stem(graph, frame, scale);
-    let trace_file = std::fs::File::open(dir.join(format!("{stem}.grtr"))).ok()?;
-    let trace = grtrace::io::read(io::BufReader::new(trace_file)).ok()?;
-    if trace.app() != graph.name() || trace.frame() != frame {
-        return None;
-    }
-    let work = read_work(&std::fs::read(dir.join(format!("{stem}.work"))).ok()?)?;
-    Some(FrameData {
-        trace: Arc::new(trace),
-        work,
-        next_use: OnceLock::new(),
-        nu_path: graph_nu_path(graph, frame, scale),
-    })
-}
-
-fn graph_store_to_disk(graph: &FrameGraph, frame: u32, scale: Scale, data: &FrameData) {
-    let Some(dir) = disk_dir() else { return };
-    store_frame(dir, &graph_file_stem(graph, frame, scale), data);
-}
-
-/// The `.nu` sidecar path for a frame, when the disk tier is active.
-fn nu_path(app: &AppProfile, frame: u32, scale: Scale) -> Option<PathBuf> {
-    let dir = disk_dir()?;
-    Some(dir.join(format!("{}.nu", file_stem(app, frame, scale))))
-}
-
-fn load_from_disk(app: &AppProfile, frame: u32, scale: Scale) -> Option<FrameData> {
-    let dir = disk_dir()?;
-    let stem = file_stem(app, frame, scale);
-    let trace_file = std::fs::File::open(dir.join(format!("{stem}.grtr"))).ok()?;
-    let trace = grtrace::io::read(io::BufReader::new(trace_file)).ok()?;
-    if trace.app() != app.name || trace.frame() != frame {
-        return None;
-    }
-    let work = read_work(&std::fs::read(dir.join(format!("{stem}.work"))).ok()?)?;
-    Some(FrameData {
-        trace: Arc::new(trace),
-        work,
-        next_use: OnceLock::new(),
-        nu_path: nu_path(app, frame, scale),
-    })
-}
-
-fn store_to_disk(app: &AppProfile, frame: u32, scale: Scale, data: &FrameData) {
-    let Some(dir) = disk_dir() else { return };
-    store_frame(dir, &file_stem(app, frame, scale), data);
-}
-
-/// Persists a materialized frame as `<stem>.grtr` plus `<stem>.work`. A
-/// cache write failure is never fatal — the in-memory tier still holds the
-/// frame — so errors are dropped.
-fn store_frame(dir: &Path, stem: &str, data: &FrameData) {
-    let trace = dir.join(format!("{stem}.grtr"));
-    let _ = write_atomic(&trace, |w| grtrace::io::write(w, &data.trace));
-    let _ = write_atomic(&trace.with_extension("work"), |w| w.write_all(&write_work(&data.work)));
-}
 
 fn write_work(w: &FrameWork) -> Vec<u8> {
     let mut buf = Vec::with_capacity(36);
@@ -461,6 +363,8 @@ fn read_work(bytes: &[u8]) -> Option<FrameWork> {
 mod tests {
     use super::*;
 
+    use grsynth::AppProfile;
+
     #[test]
     fn same_key_returns_shared_trace() {
         let app = AppProfile::by_abbrev("BioShock").unwrap();
@@ -489,15 +393,14 @@ mod tests {
     fn graph_cache_is_keyed_by_fingerprint() {
         let profile = grsynth::graph_profile("postfx").unwrap();
         let base = profile.graph();
-        let a = graph_frame_data(&base, 0, Scale::Tiny);
-        let b = graph_frame_data(&base, 0, Scale::Tiny);
+        let a = frame_data(&base, 0, Scale::Tiny);
+        let b = frame_data(&base, 0, Scale::Tiny);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
-        let (direct, work) = GraphRenderer::new(&base, 0, Scale::Tiny).render_with_work();
-        assert_eq!(*a.trace, direct);
-        assert_eq!(a.work, work);
+        let (direct, work) = Frames::from(&base).render(0, Scale::Tiny);
+        assert_eq!((&*a.trace, a.work), (&direct, work));
         // Same name, different coherence: must occupy a distinct slot.
         let tweaked = profile.graph_with_coherence(0.1);
-        let c = graph_frame_data(&tweaked, 0, Scale::Tiny);
+        let c = frame_data(&tweaked, 0, Scale::Tiny);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_ne!(*a.trace, *c.trace);
     }
@@ -509,5 +412,37 @@ mod tests {
         assert_eq!(read_work(&write_work(&w)), Some(w));
         assert_eq!(read_work(b"XXXX"), None);
         assert_eq!(read_work(&write_work(&w)[..20]), None);
+    }
+
+    /// Existing cache directories stay valid: stems are
+    /// `{abbrev}_f{frame}_s{divisor}` for applications and
+    /// `{cache_key}_f{frame}_s{divisor}` for frame graphs, and headers
+    /// carry `app.name` / `graph.name()`. The whole-frame writer and the
+    /// streamed writer produce the same files, and both are reused.
+    #[test]
+    fn disk_tier_names_are_stable() {
+        let dir = std::env::temp_dir().join(format!("grfc-names-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let app = AppProfile::by_abbrev("AssnCreed").unwrap();
+        let graph = grsynth::graph_profile("postfx").unwrap().graph();
+        let cases = [
+            (Frames::from(&app), "AssnCreed_f1_s8".to_string(), "Assassin's Creed"),
+            (Frames::from(&graph), format!("{}_f1_s8", graph.cache_key()), graph.name()),
+        ];
+        for (frames, stem, name) in cases {
+            assert_eq!(file_stem(frames, 1, Scale::Tiny), stem);
+            let path = dir.join(format!("{stem}.grtr"));
+            let work = ensure_at(&path, frames, 1, Scale::Tiny).expect("disk write");
+            let streamed = std::fs::read(&path).unwrap();
+            let written = grtrace::io::read(&streamed[..]).unwrap();
+            let (rendered, rendered_work) = frames.render(1, Scale::Tiny);
+            assert_eq!((written.app(), written.frame()), (name, 1));
+            assert_eq!((&written, work), (&rendered, rendered_work));
+
+            store_frame(&path, &rendered, &rendered_work);
+            assert_eq!(std::fs::read(&path).unwrap(), streamed, "writers agree");
+            assert_eq!(load_frame(&path, frames, 1), Some((rendered, rendered_work)));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,7 +4,9 @@
 //! models: [`run_workload`] sweeps the (app, frame, policy) grid,
 //! [`simulate_cell`] replays one cell for the `grserve` daemon, the
 //! [`framecache`] synthesizes each frame once, and [`figures`] holds the
-//! Figure 15–17 machine specs. The `grart` pipeline turns its results
+//! Figure 15–17 machine specs. Frames come from a [`grsynth::Frames`]
+//! source — an application profile or a frame graph — and every entry
+//! point takes either kind through the same code. The `grart` pipeline turns its results
 //! into the paper's artifacts:
 //!
 //! ```text
@@ -33,7 +35,7 @@
 //! so results are byte-identical for any thread count. Frames are
 //! synthesized once per process in the shared [`framecache`];
 //! `GR_TRACE_CACHE=<dir>` adds an on-disk tier that survives across
-//! processes.
+//! processes and regenerates any file it finds damaged.
 
 pub mod cli;
 pub mod config;
@@ -44,6 +46,6 @@ pub mod table;
 
 pub use config::ExperimentConfig;
 pub use runner::{
-    run_frame_sequence, run_graph_sequence, run_workload, simulate_cell, simulate_graph_cell,
-    simulate_trace_cell, AppAgg, CellResult, RunOptions, RunPerf, WorkloadResults,
+    run_frame_sequence, run_workload, simulate_cell, simulate_graph_cell, simulate_trace_cell,
+    AppAgg, CellResult, RunOptions, RunPerf, WorkloadResults,
 };

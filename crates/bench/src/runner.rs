@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use grcache::{
@@ -29,12 +29,12 @@ use grcache::{
 };
 use grdram::TimingParams;
 use grgpu::{GpuConfig, Workload};
-use grsynth::{AppProfile, FrameGraph, FrameWork, Scale};
+use grsynth::{AppProfile, FrameGraph, FrameWork, Frames, Scale};
 use grtrace::Trace;
 use gspc::registry;
 use gspc::registry::PolicyVisitor;
 
-use crate::framecache::{self, DiskSource, FrameData};
+use crate::framecache;
 use crate::ExperimentConfig;
 
 /// What to run and what to collect.
@@ -305,40 +305,35 @@ pub struct CellResult {
     pub replay_seconds: f64,
 }
 
-/// Replays one `(policy, app, frame)` cell through the same monomorphized
-/// path as [`run_workload`] — [`gspc::registry::with_policy`] dispatch,
-/// shared [`crate::framecache`] traces, streamed or in-memory per
-/// `opts.streamed` — and returns the raw cell result.
+/// Replays one `(policy, frames, frame)` cell — a Table 1 application or
+/// a frame graph — through the same monomorphized path as
+/// [`run_workload`]: [`gspc::registry::with_policy`] dispatch, shared
+/// [`crate::framecache`] traces, streamed or in-memory per
+/// `opts.streamed`. Returns the raw cell result.
 ///
 /// This is the daemon-callable entry point: a long-lived server that wants
-/// slices of the (app, frame, policy) grid calls this per cell and
-/// aggregates in its own canonical order, instead of paying for the full
-/// 12-app sweep `run_workload` runs.
+/// slices of the grid calls this per cell and aggregates in its own
+/// canonical order, instead of paying for the full 12-app sweep
+/// `run_workload` runs.
 ///
 /// # Panics
 ///
 /// Panics when `policy_name` is not in the registry — validate with
-/// [`gspc::registry::create`] first.
-pub fn simulate_cell(
+/// [`gspc::registry::create`] first — or a frame graph fails
+/// [`FrameGraph::validate`].
+pub fn simulate_cell<'a>(
     policy_name: &str,
-    app: &AppProfile,
+    frames: impl Into<Frames<'a>>,
     frame: u32,
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
-    run_cell(Frames::App(app), frame, policy_name, cfg.llc(opts.llc_paper_mb), opts, cfg)
+    run_cell(frames.into(), frame, policy_name, cfg.llc(opts.llc_paper_mb), opts, cfg)
 }
 
-/// Replays one `(policy, graph, frame)` cell — the frame-graph analogue of
-/// [`simulate_cell`]. Frames come from the same process-wide
-/// [`crate::framecache`] (keyed by the graph's fingerprint) and replay
-/// through the identical monomorphized/boxed, streamed/in-memory paths, so
-/// every determinism guarantee of the app grid carries over.
-///
-/// # Panics
-///
-/// Panics when `policy_name` is not in the registry or `graph` fails
-/// [`FrameGraph::validate`].
+/// [`simulate_cell`] on a frame graph. It exists only so the benchmark's
+/// sources, which call it by name, keep compiling; it goes when the
+/// benchmark may be edited.
 pub fn simulate_graph_cell(
     policy_name: &str,
     graph: &FrameGraph,
@@ -346,7 +341,7 @@ pub fn simulate_graph_cell(
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
-    run_cell(Frames::Graph(graph), frame, policy_name, cfg.llc(opts.llc_paper_mb), opts, cfg)
+    simulate_cell(policy_name, graph, frame, opts, cfg)
 }
 
 /// Replays an externally supplied trace — e.g. one imported from a
@@ -411,36 +406,6 @@ fn dispatch<V: PolicyVisitor>(
         registry::with_policy(name, llc_cfg, visitor)
     };
     out.unwrap_or_else(|| panic!("unknown policy {name}"))
-}
-
-/// Where a cell's frames come from: a Table 1 application or a frame
-/// graph. Both are served by the process-wide [`crate::framecache`].
-#[derive(Clone, Copy)]
-enum Frames<'a> {
-    App(&'a AppProfile),
-    Graph(&'a FrameGraph),
-}
-
-impl Frames<'_> {
-    /// The in-memory trace of `frame`, synthesized at most once.
-    fn data(self, frame: u32, scale: Scale) -> Arc<FrameData> {
-        match self {
-            Frames::App(app) => framecache::frame_data(app, frame, scale),
-            Frames::Graph(graph) => framecache::graph_frame_data(graph, frame, scale),
-        }
-    }
-
-    /// The streaming disk tier of `frame`; `None` when `GR_TRACE_CACHE`
-    /// is unset.
-    fn disk(self, frame: u32, scale: Scale, with_next_use: bool) -> Option<DiskSource> {
-        match self {
-            Frames::App(app) => framecache::disk_source(app, frame, scale, with_next_use),
-            Frames::Graph(graph) => {
-                framecache::graph_disk_source(graph, frame, scale, with_next_use)
-            }
-        }
-        .expect("streaming disk tier failed")
-    }
 }
 
 fn resolve_threads(explicit: Option<usize>) -> usize {
@@ -565,13 +530,15 @@ fn run_cell(
             let (llc_cfg, opts, scale) = (self.llc_cfg, self.opts, self.cfg.scale);
             let needs_nu = registry::needs_next_use(self.policy_name);
             if opts.streamed {
-                if let Some(mut src) = self.frames.disk(self.frame, scale, needs_nu) {
+                let disk = framecache::disk_source(self.frames, self.frame, scale, needs_nu)
+                    .expect("streaming disk tier failed");
+                if let Some(mut src) = disk {
                     return replay(llc_cfg, policy, &mut src.reader, &src.work, opts);
                 }
                 // `GR_TRACE_CACHE` unset: fall back to the in-memory trace
                 // (the results are identical either way).
             }
-            let data = self.frames.data(self.frame, scale);
+            let data = framecache::frame_data(self.frames, self.frame, scale);
             if needs_nu {
                 let ann = data.next_use().clone();
                 replay(llc_cfg, policy, &mut data.trace.source_annotated(&ann), &data.work, opts)
@@ -679,51 +646,29 @@ fn finish_cell<P: Policy, O: LlcObserver>(
     out
 }
 
-/// Replays the consecutive frames `frames` of `app` through **one
+/// Replays the consecutive frames `range` of `frames` through **one
 /// persistent LLC** — no inter-frame flush — returning the cumulative
 /// [`LlcStats`] snapshot after each frame. This is the pipeline's
 /// first-class inter-frame mode: consecutive frames share static textures
 /// and persistent surfaces, so a warm LLC saves misses relative to the
-/// paper's per-frame cold-start methodology.
+/// paper's per-frame cold-start methodology. For a frame graph with its
+/// coherence knob below 1.0 the per-frame working set drifts, so the
+/// savings decay with (1 − coherence).
 ///
 /// Belady-annotated policies receive per-frame annotations: the horizon of
 /// each "next use" ends at its frame boundary, a conservative model of
 /// cross-frame OPT.
-pub fn run_frame_sequence(
+pub fn run_frame_sequence<'a>(
     policy_name: &str,
-    app: &AppProfile,
-    frames: Range<u32>,
-    llc_paper_mb: u64,
-    cfg: &ExperimentConfig,
-) -> Vec<LlcStats> {
-    run_sequence(policy_name, Frames::App(app), frames, llc_paper_mb, cfg)
-}
-
-/// Replays consecutive frames of a [`FrameGraph`] through one persistent
-/// LLC — the frame-graph analogue of [`run_frame_sequence`]. With the
-/// graph's coherence knob below 1.0 the per-frame working set drifts, so
-/// the warm-LLC savings this measures decay with (1 − coherence).
-pub fn run_graph_sequence(
-    policy_name: &str,
-    graph: &FrameGraph,
-    frames: Range<u32>,
-    llc_paper_mb: u64,
-    cfg: &ExperimentConfig,
-) -> Vec<LlcStats> {
-    run_sequence(policy_name, Frames::Graph(graph), frames, llc_paper_mb, cfg)
-}
-
-fn run_sequence(
-    policy_name: &str,
-    source: Frames<'_>,
-    frames: Range<u32>,
+    frames: impl Into<Frames<'a>>,
+    range: Range<u32>,
     llc_paper_mb: u64,
     cfg: &ExperimentConfig,
 ) -> Vec<LlcStats> {
     struct Visit<'a> {
         policy_name: &'a str,
-        source: Frames<'a>,
-        frames: Range<u32>,
+        frames: Frames<'a>,
+        range: Range<u32>,
         llc_cfg: LlcConfig,
         scale: Scale,
     }
@@ -743,9 +688,9 @@ fn run_sequence(
     impl Visit<'_> {
         fn run<P: Policy, O: LlcObserver>(self, mut llc: Llc<P, O>) -> Vec<LlcStats> {
             let needs_nu = registry::needs_next_use(self.policy_name);
-            let mut snapshots = Vec::with_capacity(self.frames.len());
-            for frame in self.frames {
-                let data = self.source.data(frame, self.scale);
+            let mut snapshots = Vec::with_capacity(self.range.len());
+            for frame in self.range {
+                let data = framecache::frame_data(self.frames, frame, self.scale);
                 let served = if needs_nu {
                     let ann = data.next_use().clone();
                     llc.run_source(&mut data.trace.source_annotated(&ann))
@@ -759,7 +704,7 @@ fn run_sequence(
         }
     }
     let llc_cfg = cfg.llc(llc_paper_mb);
-    let visit = Visit { policy_name, source, frames, llc_cfg, scale: cfg.scale };
+    let visit = Visit { policy_name, frames: frames.into(), range, llc_cfg, scale: cfg.scale };
     dispatch(policy_name, &llc_cfg, false, visit)
 }
 
@@ -920,16 +865,11 @@ mod tests {
         let graph = grsynth::graph_profile("postfx").expect("builtin profile").graph();
         for policy in ["DRRIP", "GSPC+UCD", "OPT"] {
             let opts = RunOptions::misses(&[policy]);
-            let mono = simulate_graph_cell(policy, &graph, 0, &opts, &cfg);
-            let boxed = simulate_graph_cell(
-                policy,
-                &graph,
-                0,
-                &RunOptions { boxed: true, ..opts.clone() },
-                &cfg,
-            );
+            let mono = simulate_cell(policy, &graph, 0, &opts, &cfg);
+            let boxed =
+                simulate_cell(policy, &graph, 0, &RunOptions { boxed: true, ..opts.clone() }, &cfg);
             assert_eq!(mono.stats, boxed.stats, "boxed graph cell diverged for {policy}");
-            let data = framecache::graph_frame_data(&graph, 0, cfg.scale);
+            let data = framecache::frame_data(&graph, 0, cfg.scale);
             let via_trace = simulate_trace_cell(policy, &data.trace, &opts, &cfg);
             assert_eq!(mono.stats, via_trace.stats, "trace cell diverged for {policy}");
         }
@@ -941,12 +881,12 @@ mod tests {
     fn graph_sequence_warm_llc_saves_misses() {
         let cfg = tiny_cfg();
         let graph = grsynth::graph_profile("postfx").expect("builtin profile").graph();
-        let seq = run_graph_sequence("DRRIP", &graph, 0..2, 8, &cfg);
+        let seq = run_frame_sequence("DRRIP", &graph, 0..2, 8, &cfg);
         assert_eq!(seq.len(), 2);
         assert!(seq[1].total_misses() > seq[0].total_misses(), "snapshots are cumulative");
         let cold: u64 = (0..2)
             .map(|f| {
-                simulate_graph_cell("DRRIP", &graph, f, &RunOptions::misses(&["DRRIP"]), &cfg)
+                simulate_cell("DRRIP", &graph, f, &RunOptions::misses(&["DRRIP"]), &cfg)
                     .stats
                     .total_misses()
             })

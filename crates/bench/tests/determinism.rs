@@ -1,8 +1,8 @@
 //! The parallel runner's headline guarantee: results are identical for any
 //! worker count.
 
-use grbench::{run_workload, ExperimentConfig, RunOptions};
-use grsynth::Scale;
+use grbench::{run_workload, simulate_cell, ExperimentConfig, RunOptions};
+use grsynth::{Scale, GRAPH_PROFILES};
 
 #[test]
 fn thread_count_does_not_change_results() {
@@ -45,7 +45,8 @@ fn thread_count_does_not_change_results() {
 /// through the `GR_TRACE_CACHE` disk tier) is bit-identical to the
 /// materialized in-memory run. Without `GR_TRACE_CACHE` the streamed run
 /// falls back to the in-memory path, so the assertion holds everywhere; CI
-/// exports the cache directory to exercise the disk tier for real.
+/// exports the cache directory to exercise the disk tier for real. Frame
+/// graphs ride the same tier, OPT through its `.nu` sidecar.
 #[test]
 fn streamed_run_is_bit_identical() {
     let cfg = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(2) };
@@ -59,6 +60,21 @@ fn streamed_run_is_bit_identical() {
                 base.get(policy, app).stats,
                 streamed.get(policy, app).stats,
                 "streamed stats diverged for ({policy}, {app})"
+            );
+        }
+    }
+    for profile in GRAPH_PROFILES {
+        let graph = profile.graph();
+        for policy in policies {
+            let cell = |streamed| {
+                let opts = RunOptions { streamed, ..RunOptions::misses(&[policy]) };
+                simulate_cell(policy, &graph, 0, &opts, &cfg).stats
+            };
+            assert_eq!(
+                cell(false),
+                cell(true),
+                "streamed stats diverged for ({policy}, profile {})",
+                profile.name
             );
         }
     }

@@ -1,26 +1,34 @@
-//! The `.nu` Belady sidecar must be self-healing: a corrupt, stale, or
-//! truncated sidecar is detected and regenerated, never silently replayed
-//! into wrong OPT numbers.
+//! The streamed disk tier must be self-healing: a corrupt, stale, or
+//! truncated `.nu` Belady sidecar, `.work` sidecar or `.grtr` trace is
+//! detected and regenerated, never replayed into wrong OPT numbers or a
+//! panic.
 //!
 //! A single `#[test]` covers every scenario because the disk tier's
 //! directory (`GR_TRACE_CACHE`) is latched process-wide on first use.
 
 use grbench::framecache;
-use grcache::Llc;
-use grsynth::{AppProfile, Scale};
+use grcache::{annotate_next_use, Llc};
+use grsynth::{AppProfile, Frames, Scale};
+use grtrace::AccessSource;
 use gspc::registry;
 use std::path::Path;
 
-/// OPT misses replayed through the streaming disk tier.
-fn streamed_opt_misses(app: &AppProfile) -> u64 {
-    let mut source = framecache::disk_source(app, 0, Scale::Tiny, true)
-        .expect("disk tier usable")
-        .expect("GR_TRACE_CACHE is set")
-        .reader;
+/// OPT misses replayed from `source`.
+fn opt_misses(mut source: impl AccessSource) -> u64 {
     let cfg = grcache::LlcConfig { size_bytes: 64 * 1024, ways: 16, banks: 4, sample_period: 64 };
     let mut llc = Llc::new(cfg, registry::create("OPT", &cfg).unwrap());
-    llc.run_source(&mut source).expect("streamed replay");
+    llc.run_source(&mut source).expect("replay");
     llc.stats().total_misses()
+}
+
+/// OPT misses replayed through the streaming disk tier.
+fn streamed_opt_misses(app: &AppProfile) -> u64 {
+    opt_misses(
+        framecache::disk_source(app, 0, Scale::Tiny, true)
+            .expect("disk tier usable")
+            .expect("GR_TRACE_CACHE is set")
+            .reader,
+    )
 }
 
 fn nu_file(dir: &Path) -> std::path::PathBuf {
@@ -45,12 +53,9 @@ fn corrupt_or_truncated_sidecars_are_regenerated_not_trusted() {
 
     let app = AppProfile::by_abbrev("BioShock").expect("profile exists");
 
-    // Baseline: in-memory replay, no disk tier involved in the numbers.
-    let data = framecache::frame_data(&app, 0, Scale::Tiny);
-    let cfg = grcache::LlcConfig { size_bytes: 64 * 1024, ways: 16, banks: 4, sample_period: 64 };
-    let mut llc = Llc::new(cfg, registry::create("OPT", &cfg).unwrap());
-    llc.run_source(&mut data.trace.source_annotated(data.next_use())).expect("replay");
-    let expected = llc.stats().total_misses();
+    // Baseline: a whole render replayed in memory, outside every cache.
+    let (trace, _) = Frames::from(&app).render(0, Scale::Tiny);
+    let expected = opt_misses(trace.source_annotated(&annotate_next_use(trace.accesses())));
 
     // First streamed replay writes the trace and sidecar to disk.
     assert_eq!(streamed_opt_misses(&app), expected, "pristine sidecar");
@@ -81,6 +86,37 @@ fn corrupt_or_truncated_sidecars_are_regenerated_not_trusted() {
     std::fs::remove_file(&nu).unwrap();
     assert_eq!(streamed_opt_misses(&app), expected, "missing sidecar must heal");
     assert_eq!(std::fs::read(&nu).unwrap(), good);
+
+    // The trace and its `.work` sidecar heal the same way. A check that
+    // only parses the trace header and sees that `.work` exists would
+    // replay each damage below into a panic, on every retry.
+    let (grtr, work) = (nu.with_extension("grtr"), nu.with_extension("work"));
+    let good_trace = std::fs::read(&grtr).expect("read trace");
+    let good_work = std::fs::read(&work).expect("read .work");
+
+    // Scenario 5: garbage `.work`.
+    std::fs::write(&work, vec![0xAB; good_work.len()]).unwrap();
+    assert_eq!(streamed_opt_misses(&app), expected, "garbage .work must heal");
+    assert_eq!(std::fs::read(&work).unwrap(), good_work);
+
+    // Scenario 6: truncated `.work`.
+    std::fs::write(&work, &good_work[..good_work.len() / 2]).unwrap();
+    assert_eq!(streamed_opt_misses(&app), expected, "truncated .work must heal");
+    assert_eq!(std::fs::read(&work).unwrap(), good_work);
+
+    // Scenario 7: `.grtr` cut mid-body, header intact.
+    std::fs::write(&grtr, &good_trace[..good_trace.len() / 2]).unwrap();
+    assert_eq!(streamed_opt_misses(&app), expected, "truncated trace must heal");
+    assert_eq!(std::fs::read(&grtr).unwrap(), good_trace);
+
+    // Scenario 8: `.grtr` header declaring `u64::MAX` records, a count no
+    // file can hold; the expected length must not overflow.
+    let count_at = grtrace::io::trace_file_len(app.name, 0).expect("header length") as usize - 8;
+    let mut bad = good_trace.clone();
+    bad[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    std::fs::write(&grtr, &bad).unwrap();
+    assert_eq!(streamed_opt_misses(&app), expected, "damaged count must heal");
+    assert_eq!(std::fs::read(&grtr).unwrap(), good_trace);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,8 +8,8 @@ use std::io::Cursor;
 use std::sync::Once;
 
 use grbench::{framecache, run_workload, ExperimentConfig, RunOptions};
-use grcache::{Llc, LlcStats};
-use grsynth::{AppProfile, Scale};
+use grcache::{annotate_next_use, Llc, LlcStats};
+use grsynth::{AppProfile, Frames, Scale};
 use grtrace::io::ChunkedReader;
 use grtrace::{AccessSource, Trace};
 use gspc::registry;
@@ -28,12 +28,18 @@ fn init_disk_cache() {
     });
 }
 
+/// The reference frame: rendered whole, outside every cache, so the disk
+/// tier and the synthesis stream are compared against the materialized
+/// render rather than against themselves. Frame 2 lies outside the
+/// two-frame workload below, so only the streamed writer ever puts it on
+/// disk.
+const FRAME: u32 = 2;
+
 fn test_frame() -> (AppProfile, Trace, Vec<u64>) {
     init_disk_cache();
     let app = AppProfile::by_abbrev("BioShock").expect("profile");
-    let data = framecache::frame_data(&app, 0, Scale::Tiny);
-    let trace = (*data.trace).clone();
-    let nu = data.next_use().as_ref().clone();
+    let (trace, _) = Frames::from(&app).render(FRAME, Scale::Tiny);
+    let nu = annotate_next_use(trace.accesses());
     (app, trace, nu)
 }
 
@@ -87,13 +93,13 @@ fn every_policy_is_bit_identical_across_sources() {
 fn disk_tier_streams_bit_identically() {
     let (app, trace, nu) = test_frame();
 
-    let path = framecache::ensure_on_disk(&app, 0, Scale::Tiny)
+    let path = framecache::ensure_on_disk(&app, FRAME, Scale::Tiny)
         .expect("disk tier I/O")
         .expect("GR_TRACE_CACHE is set by init_disk_cache");
     assert!(path.exists());
 
     // OPT through the disk tier: the .nu sidecar must be created and used.
-    let src = framecache::disk_source(&app, 0, Scale::Tiny, true)
+    let src = framecache::disk_source(&app, FRAME, Scale::Tiny, true)
         .expect("disk tier I/O")
         .expect("GR_TRACE_CACHE is set");
     assert!(path.with_extension("nu").exists(), ".nu sidecar must be persisted");
@@ -103,7 +109,7 @@ fn disk_tier_streams_bit_identically() {
     assert_eq!(base_log, disk_log);
 
     // A policy that needs no annotation streams from disk too.
-    let src = framecache::disk_source(&app, 0, Scale::Tiny, false)
+    let src = framecache::disk_source(&app, FRAME, Scale::Tiny, false)
         .expect("disk tier I/O")
         .expect("GR_TRACE_CACHE is set");
     assert_eq!(src.reader.remaining(), trace.len() as u64);
@@ -121,7 +127,7 @@ fn synthesis_stream_feeds_llc_identically() {
     direct.run_source(&mut trace.source()).expect("slice replay");
 
     let mut streamed = Llc::new(cfg, registry::create("GSPC", &cfg).expect("policy"));
-    let mut stream = grsynth::FrameStream::new(&app, 0, Scale::Tiny);
+    let mut stream = grsynth::FrameStream::new(&app, FRAME, Scale::Tiny);
     let served = streamed.run_source(&mut stream).expect("synthesis stream");
 
     assert_eq!(served, trace.len() as u64);

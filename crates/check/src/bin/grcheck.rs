@@ -200,41 +200,31 @@ fn run_invariants() {
 /// export must import back bit-identically, and frame-0 replay stats must
 /// agree across mono/boxed dispatch.
 fn run_profile_invariants(cfg: &ExperimentConfig, policies: &[String]) {
-    use grbench::simulate_graph_cell;
-    use grsynth::{GraphRenderer, GraphStream, GRAPH_PROFILES};
-    use grtrace::AccessSource;
+    use grbench::simulate_cell;
+    use grsynth::{FrameStream, GraphRenderer, GRAPH_PROFILES};
 
     for profile in GRAPH_PROFILES {
         let graph = profile.graph();
         let trace = GraphRenderer::new(&graph, 0, cfg.scale).render();
 
-        let mut streamed = Vec::with_capacity(trace.len());
-        let mut source = GraphStream::new(&graph, 0, cfg.scale);
-        while source.advance().expect("synthesized source cannot fail") {
-            streamed.extend_from_slice(source.chunk().accesses);
-        }
-        assert_eq!(
-            streamed,
-            trace.accesses(),
-            "{}: streamed generator diverged from materialized render",
-            profile.name
-        );
-
-        let mut bytes = Vec::new();
-        grtrace::io::write(&mut bytes, &trace).expect("in-memory export cannot fail");
-        let imported = grtrace::import(&bytes[..])
+        // Export the streamed generator and import it back through the
+        // validating reader: one comparison covers both guarantees.
+        let mut bytes = std::io::Cursor::new(Vec::new());
+        let mut source = FrameStream::new(&graph, 0, cfg.scale);
+        grtrace::io::write_source(&mut bytes, &mut source, graph.name(), 0)
+            .expect("in-memory export cannot fail");
+        let imported = grtrace::import(&bytes.get_ref()[..])
             .unwrap_or_else(|e| panic!("{}: exported trace failed validation: {e}", profile.name));
         assert_eq!(
-            imported.accesses(),
-            trace.accesses(),
-            "{}: .gtrace round trip changed the accesses",
+            imported, trace,
+            "{}: streamed .gtrace export diverged from the materialized render",
             profile.name
         );
 
         let opts = |boxed: bool| RunOptions { boxed, streamed: false, ..RunOptions::misses(&[]) };
         for name in policies {
-            let mono = simulate_graph_cell(name, &graph, 0, &opts(false), cfg);
-            let boxed = simulate_graph_cell(name, &graph, 0, &opts(true), cfg);
+            let mono = simulate_cell(name, &graph, 0, &opts(false), cfg);
+            let boxed = simulate_cell(name, &graph, 0, &opts(true), cfg);
             assert_eq!(
                 mono.stats, boxed.stats,
                 "{}/{name}: boxed diverged from mono",

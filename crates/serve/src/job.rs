@@ -8,10 +8,10 @@
 //! fields** — every byte is a pure function of the spec, which is what
 //! makes content-addressed caching sound.
 
-use grbench::{simulate_cell, simulate_graph_cell, simulate_trace_cell, CellResult, RunOptions};
+use grbench::{simulate_cell, simulate_trace_cell, RunOptions};
 use grcache::{CharReport, LlcStats};
 use grjson::Json;
-use grsynth::{AppProfile, FrameWork};
+use grsynth::{AppProfile, FrameWork, Frames};
 use grtrace::{PolicyClass, StreamId};
 
 use crate::spec::JobSpec;
@@ -73,57 +73,46 @@ pub fn execute(spec: &JobSpec, base: &RunOptions) -> JobOutput {
             workload_obj.set(trace_ref.app.clone(), entry);
             per_policy.set(policy.clone(), workload_obj);
         }
-    } else if let Some(name) = &spec.profile {
-        // Frame-graph profile workload: same per-frame aggregation shape
-        // as the app grid, keyed by the profile name.
-        let profile = grsynth::graph_profile(name).expect("spec profile was validated");
-        let coherence = spec.coherence_milli.unwrap_or(1000) as f64 / 1000.0;
-        let graph = profile.graph_with_coherence(coherence);
-        for policy in &spec.policies {
-            let mut stats = LlcStats::new();
-            let mut chars = CharReport::default();
-            let mut work = FrameWork::default();
-            let mut frames = 0u64;
-            for frame in 0..cfg.frames_for(profile.frames) {
-                let cell: CellResult = simulate_graph_cell(policy, &graph, frame, &opts, &cfg);
-                stats.merge(&cell.stats);
-                if let Some(c) = &cell.chars {
-                    chars.merge(c);
-                }
-                merge_work(&mut work, &cell.work);
-                frames += 1;
-                accesses += cell.accesses;
-                replay_seconds += cell.replay_seconds;
-            }
-            let mut workload_obj = Json::obj();
-            let entry = stats_entry(&stats, &chars, frames, &work, spec.characterize);
-            workload_obj.set(name.clone(), entry);
-            per_policy.set(policy.clone(), workload_obj);
-        }
     } else {
+        // Application grid or frame-graph profile: one per-frame
+        // aggregation over (label, frames, frame count), keyed by the app
+        // abbreviation or the profile name.
+        let apps: Vec<AppProfile> = spec
+            .apps
+            .iter()
+            .map(|a| AppProfile::by_abbrev(a).expect("spec apps were validated"))
+            .collect();
+        let graph = spec.profile.as_deref().map(|name| {
+            let profile = grsynth::graph_profile(name).expect("spec profile was validated");
+            let coherence = spec.coherence_milli.unwrap_or(1000) as f64 / 1000.0;
+            (name, profile.graph_with_coherence(coherence), profile.frames)
+        });
+        let workloads: Vec<(&str, Frames<'_>, u32)> = match &graph {
+            Some((name, graph, nframes)) => vec![(*name, graph.into(), *nframes)],
+            None => apps.iter().map(|app| (app.abbrev, app.into(), app.frames)).collect(),
+        };
         for policy in &spec.policies {
-            let mut apps_obj = Json::obj();
-            for abbrev in &spec.apps {
-                let app = AppProfile::by_abbrev(abbrev).expect("spec apps were validated");
+            let mut workload_obj = Json::obj();
+            for &(label, frames, nframes) in &workloads {
                 let mut stats = LlcStats::new();
                 let mut chars = CharReport::default();
                 let mut work = FrameWork::default();
-                let mut frames = 0u64;
-                for frame in 0..cfg.frames_for(app.frames) {
-                    let cell = simulate_cell(policy, &app, frame, &opts, &cfg);
+                let mut count = 0u64;
+                for frame in 0..cfg.frames_for(nframes) {
+                    let cell = simulate_cell(policy, frames, frame, &opts, &cfg);
                     stats.merge(&cell.stats);
                     if let Some(c) = &cell.chars {
                         chars.merge(c);
                     }
                     merge_work(&mut work, &cell.work);
-                    frames += 1;
+                    count += 1;
                     accesses += cell.accesses;
                     replay_seconds += cell.replay_seconds;
                 }
-                let entry = stats_entry(&stats, &chars, frames, &work, spec.characterize);
-                apps_obj.set(abbrev.clone(), entry);
+                let entry = stats_entry(&stats, &chars, count, &work, spec.characterize);
+                workload_obj.set(label, entry);
             }
-            per_policy.set(policy.clone(), apps_obj);
+            per_policy.set(policy.clone(), workload_obj);
         }
     }
 
@@ -226,7 +215,7 @@ mod tests {
     }
 
     /// A profile job's payload must agree cell for cell with the direct
-    /// `simulate_graph_cell` replay of the same graph.
+    /// `simulate_cell` replay of the same graph.
     #[test]
     fn profile_payload_matches_direct_graph_replay() {
         let s = spec(r#"{"policies": ["DRRIP"], "profile": "postfx", "frames": 2}"#);
@@ -236,7 +225,7 @@ mod tests {
         let opts = RunOptions::from_env(&[]);
         let mut stats = LlcStats::new();
         for frame in 0..2 {
-            stats.merge(&simulate_graph_cell("DRRIP", &graph, frame, &opts, &s.config()).stats);
+            stats.merge(&simulate_cell("DRRIP", &graph, frame, &opts, &s.config()).stats);
         }
 
         let doc = Json::parse(&out.payload).unwrap();

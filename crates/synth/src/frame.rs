@@ -42,16 +42,17 @@ pub struct FrameWork {
     pub raw_accesses: u64,
 }
 
-/// Renders one synthetic frame for an application profile.
+/// Renders one synthetic frame for an application profile. The trace
+/// carries the application's full Table 1 name.
 ///
 /// # Example
 ///
 /// ```
 /// use grsynth::{AppProfile, FrameRenderer, Scale};
 ///
-/// let app = AppProfile::by_abbrev("BioShock").unwrap();
+/// let app = AppProfile::by_abbrev("DMC").unwrap();
 /// let trace = FrameRenderer::new(&app, 0, Scale::Tiny).render();
-/// assert_eq!(trace.app(), "BioShock");
+/// assert_eq!(trace.app(), "Devil May Cry 4");
 /// ```
 #[derive(Debug)]
 pub struct FrameRenderer<'a> {
@@ -136,7 +137,7 @@ impl<'a> FrameRenderer<'a> {
             scale,
             rng: frame_rng(profile.seed, frame_idx),
             caches: RenderCaches::new(),
-            trace: Trace::with_capacity(profile.abbrev, frame_idx, 1 << 20),
+            trace: Trace::with_capacity(profile.name, frame_idx, 1 << 20),
             width,
             height,
             back,
@@ -241,11 +242,6 @@ impl<'a> FrameRenderer<'a> {
     /// The work counters accumulated so far (complete once every stage ran).
     pub(crate) fn work(&self) -> FrameWork {
         self.work
-    }
-
-    /// The trace being accumulated (for stream-side stats access).
-    pub(crate) fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     #[inline]
@@ -711,6 +707,21 @@ impl<'a> FrameRenderer<'a> {
     pub fn scale(&self) -> Scale {
         self.scale
     }
+}
+
+/// Synthesizes the LLC access trace for one frame.
+///
+/// # Example
+///
+/// ```
+/// use grsynth::{generate_frame, AppProfile, Scale};
+///
+/// let app = AppProfile::by_abbrev("HAWX").unwrap();
+/// let trace = generate_frame(&app, 0, Scale::Tiny);
+/// assert_eq!(trace.frame(), 0);
+/// ```
+pub fn generate_frame(app: &AppProfile, frame: u32, scale: Scale) -> Trace {
+    FrameRenderer::new(app, frame, scale).render()
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! indirect draw bursts, and stream-free compute kernels. A graph compiles
 //! down to the same staged machinery as [`FrameRenderer`]: accesses are
 //! filtered through [`grcache::RenderCaches`], emitted band by band over
-//! the same number of stages, and hand out through the [`AccessSource`]
-//! chunk protocol via [`GraphStream`] — bit-identical streamed or
-//! materialized.
+//! the same number of stages, and handed out through the
+//! [`AccessSource`] chunk protocol by the same [`FrameStream`] —
+//! bit-identical streamed or materialized.
 //!
 //! The **coherence knob** (0..=1) controls how much of the per-frame
 //! working set recurs frame to frame: at 1.0 consecutive frames touch the
@@ -19,11 +19,11 @@
 //! knob.
 //!
 //! [`FrameRenderer`]: crate::FrameRenderer
-
-use std::io;
+//! [`FrameStream`]: crate::FrameStream
+//! [`AccessSource`]: grtrace::AccessSource
 
 use grcache::RenderCaches;
-use grtrace::{Access, AccessSource, Chunk, StreamId, StreamStats, Trace};
+use grtrace::{Access, StreamId, Trace};
 
 use crate::frame::FrameWork;
 use crate::rng::{frame_rng, zipf_rank, FrameRng};
@@ -537,11 +537,6 @@ impl<'a> GraphRenderer<'a> {
         self.work
     }
 
-    /// The trace being accumulated.
-    pub(crate) fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     #[inline]
     fn emit(&mut self, addr: u64, stream: StreamId, write: bool) {
         let access = if write { Access::store(addr, stream) } else { Access::load(addr, stream) };
@@ -945,91 +940,6 @@ impl<'a> GraphRenderer<'a> {
     }
 }
 
-/// A pull-based [`AccessSource`] that synthesizes one frame-graph frame
-/// band by band — the graph analogue of [`FrameStream`].
-///
-/// [`FrameStream`]: crate::FrameStream
-pub struct GraphStream<'a> {
-    renderer: GraphRenderer<'a>,
-    next_stage: u32,
-    buf: Vec<Access>,
-    emitted: u64,
-}
-
-impl<'a> GraphStream<'a> {
-    /// Prepares frame `frame_idx` of `graph` for streaming synthesis.
-    pub fn new(graph: &'a FrameGraph, frame_idx: u32, scale: Scale) -> Self {
-        GraphStream {
-            renderer: GraphRenderer::new(graph, frame_idx, scale),
-            next_stage: 0,
-            buf: Vec::new(),
-            emitted: 0,
-        }
-    }
-
-    /// Work counters accumulated so far (complete once exhausted).
-    pub fn work(&self) -> FrameWork {
-        self.renderer.work()
-    }
-
-    /// Per-stream stats accumulated so far (complete once exhausted).
-    pub fn stats(&self) -> &StreamStats {
-        self.renderer.trace().stats()
-    }
-
-    /// Accesses handed out through [`AccessSource::chunk`] so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-}
-
-impl AccessSource for GraphStream<'_> {
-    fn advance(&mut self) -> io::Result<bool> {
-        loop {
-            if self.next_stage >= GraphRenderer::STAGES {
-                self.buf.clear();
-                return Ok(false);
-            }
-            self.renderer.run_stage(self.next_stage);
-            self.next_stage += 1;
-            self.buf = self.renderer.take_emitted();
-            if !self.buf.is_empty() {
-                self.emitted += self.buf.len() as u64;
-                return Ok(true);
-            }
-        }
-    }
-
-    fn chunk(&self) -> Chunk<'_> {
-        Chunk { accesses: &self.buf, next_uses: None }
-    }
-}
-
-impl std::fmt::Debug for GraphStream<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GraphStream")
-            .field("next_stage", &self.next_stage)
-            .field("buffered", &self.buf.len())
-            .field("emitted", &self.emitted)
-            .finish()
-    }
-}
-
-/// Collects a streamed graph frame back into a [`Trace`] (test / tooling
-/// helper, mirroring [`collect_stream`]).
-///
-/// [`collect_stream`]: crate::collect_stream
-pub fn collect_graph_stream(mut stream: GraphStream<'_>) -> (Trace, FrameWork) {
-    let mut trace = Trace::new(stream.renderer.graph.name(), stream.renderer.frame_idx);
-    while stream.advance().expect("graph synthesis cannot fail") {
-        for a in stream.chunk().accesses {
-            trace.push(*a);
-        }
-    }
-    let work = stream.work();
-    (trace, work)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1109,16 +1019,6 @@ mod tests {
         for a in t.accesses() {
             assert_eq!(a.stream, StreamId::Other, "compute graphs emit only Other");
         }
-    }
-
-    #[test]
-    fn stream_matches_materialized_graph() {
-        let g = deferred(0.6);
-        let (trace, work) = GraphRenderer::new(&g, 1, Scale::Tiny).render_with_work();
-        let (streamed, swork) = collect_graph_stream(GraphStream::new(&g, 1, Scale::Tiny));
-        assert_eq!(work, swork);
-        assert_eq!(trace.accesses(), streamed.accesses());
-        assert_eq!(trace.stats(), streamed.stats());
     }
 
     /// Fraction of frame-1 texture blocks already touched by frame 0.

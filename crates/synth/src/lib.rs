@@ -18,6 +18,12 @@
 //! dynamic-texturing inter-stream reuse of Figure 6, and the epoch death
 //! ratios of Figures 7 and 9.
 //!
+//! Two generators produce frames: [`FrameRenderer`] for the application
+//! profiles and [`GraphRenderer`] for composable [`FrameGraph`] workloads.
+//! [`Frames`] names either one, and it is what every layer below synthesis
+//! takes: it carries the cache key and the name its traces carry, and renders
+//! a frame whole or, through [`FrameStream`], band by band.
+//!
 //! # Example
 //!
 //! ```
@@ -33,7 +39,6 @@
 //! ```
 
 mod frame;
-mod generator;
 mod graph;
 mod profile;
 mod profiles;
@@ -41,12 +46,11 @@ pub mod rng;
 mod stream;
 mod surface;
 
-pub use frame::{FrameRenderer, FrameWork};
-pub use generator::{generate_frame, workload_frames, FrameJob};
-pub use graph::{collect_graph_stream, FrameGraph, GraphRenderer, GraphStream, PassKind};
+pub use frame::{generate_frame, FrameRenderer, FrameWork};
+pub use graph::{FrameGraph, GraphRenderer, PassKind};
 pub use profile::{AppProfile, Scale};
 pub use profiles::{graph_profile, GraphProfile, GRAPH_PROFILES};
-pub use stream::{collect_stream, FrameStream};
+pub use stream::{FrameStream, Frames, GraphStream};
 pub use surface::{Surface, SurfaceAllocator, SurfaceKind};
 
 pub use grtrace::Trace;

@@ -1,23 +1,127 @@
-//! Band-by-band streaming frame synthesis.
+//! The one frame source and its band-by-band stream.
 //!
-//! [`FrameStream`] drives a [`FrameRenderer`] one pipeline stage at a time
+//! [`Frames`] names where a keyed sequence of synthesized frames comes
+//! from — a Table 1 application or a frame graph — and owns the only facts
+//! that differ between the two: the cache key, the name every trace of it
+//! carries, and which generator renders a frame. Every layer below synthesis takes a
+//! `Frames` instead of keeping one copy per workload kind.
+//!
+//! [`FrameStream`] drives either generator one pipeline stage at a time
 //! and hands each stage's accesses out through the [`AccessSource`] chunk
 //! protocol, so a frame is never materialized as one giant `Vec`. Peak
 //! memory is bounded by the largest single stage's emission (roughly one
 //! render band) instead of the whole frame.
 //!
-//! The access sequence is bit-identical to [`generate_frame`]: the renderer
-//! runs the same stages in the same order; the stream merely drains the
-//! trace buffer between stages.
-//!
-//! [`generate_frame`]: crate::generate_frame
+//! The access sequence is bit-identical to the materialized render: the
+//! renderer runs the same stages in the same order; the stream merely
+//! drains the trace buffer between stages.
 
 use std::io;
 
-use grtrace::{Access, AccessSource, Chunk, StreamStats, Trace};
+use grtrace::{Access, AccessSource, Chunk, Trace};
 
 use crate::frame::{FrameRenderer, FrameWork};
-use crate::{AppProfile, Scale};
+use crate::{AppProfile, FrameGraph, GraphRenderer, Scale};
+
+/// Where a sequence of synthesized frames comes from.
+///
+/// # Example
+///
+/// ```
+/// use grsynth::{AppProfile, Frames, Scale};
+///
+/// let app = AppProfile::by_abbrev("AssnCreed").unwrap();
+/// let frames = Frames::from(&app);
+/// assert_eq!(frames.cache_key(), "AssnCreed");
+/// assert_eq!(frames.name(), "Assassin's Creed");
+/// let (trace, work) = frames.render(0, Scale::Tiny);
+/// assert_eq!(trace.app(), frames.name());
+/// assert!(!trace.is_empty() && work.shaded_pixels > 0);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub enum Frames<'a> {
+    /// A Table 1 application profile.
+    App(&'a AppProfile),
+    /// A frame-graph workload.
+    Graph(&'a FrameGraph),
+}
+
+impl<'a> Frames<'a> {
+    /// The identity frame caches key on: the application abbreviation, or
+    /// the graph's [`FrameGraph::cache_key`] fingerprint (so two graphs
+    /// sharing a name but differing in any knob never share a frame).
+    pub fn cache_key(self) -> String {
+        match self {
+            Frames::App(app) => app.abbrev.to_string(),
+            Frames::Graph(graph) => graph.cache_key(),
+        }
+    }
+
+    /// The workload name: every trace rendered or streamed from this
+    /// source carries it, in memory and in serialized headers.
+    pub fn name(self) -> &'a str {
+        match self {
+            Frames::App(app) => app.name,
+            Frames::Graph(graph) => graph.name(),
+        }
+    }
+
+    /// Renders frame `frame` whole, returning the LLC trace (named
+    /// [`Frames::name`]) and the work counters; [`FrameStream::new`]
+    /// renders it band by band instead.
+    pub fn render(self, frame: u32, scale: Scale) -> (Trace, FrameWork) {
+        match self {
+            Frames::App(app) => FrameRenderer::new(app, frame, scale).render_with_work(),
+            Frames::Graph(graph) => GraphRenderer::new(graph, frame, scale).render_with_work(),
+        }
+    }
+}
+
+impl<'a> From<&'a AppProfile> for Frames<'a> {
+    fn from(app: &'a AppProfile) -> Self {
+        Frames::App(app)
+    }
+}
+
+impl<'a> From<&'a FrameGraph> for Frames<'a> {
+    fn from(graph: &'a FrameGraph) -> Self {
+        Frames::Graph(graph)
+    }
+}
+
+/// The stage count both generators share: eight render bands plus the
+/// tail (final lighting or deferred resolve, present, cache flush).
+const STAGES: u32 = FrameRenderer::STAGES;
+const _: () = assert!(FrameRenderer::STAGES == GraphRenderer::STAGES);
+
+/// The generator behind a [`FrameStream`].
+enum Renderer<'a> {
+    App(FrameRenderer<'a>),
+    Graph(GraphRenderer<'a>),
+}
+
+impl Renderer<'_> {
+    fn run_stage(&mut self, s: u32) {
+        match self {
+            Renderer::App(r) => r.run_stage(s),
+            Renderer::Graph(r) => r.run_stage(s),
+        }
+    }
+
+    fn take_emitted(&mut self) -> Vec<Access> {
+        match self {
+            Renderer::App(r) => r.take_emitted(),
+            Renderer::Graph(r) => r.take_emitted(),
+        }
+    }
+
+    fn work(&self) -> FrameWork {
+        match self {
+            Renderer::App(r) => r.work(),
+            Renderer::Graph(r) => r.work(),
+        }
+    }
+}
 
 /// A pull-based [`AccessSource`] that synthesizes one frame band by band.
 ///
@@ -38,36 +142,35 @@ use crate::{AppProfile, Scale};
 /// assert!(work.shaded_pixels > 0);
 /// ```
 pub struct FrameStream<'a> {
-    renderer: FrameRenderer<'a>,
+    renderer: Renderer<'a>,
     next_stage: u32,
     buf: Vec<Access>,
     emitted: u64,
 }
 
+/// The frame-graph spelling of [`FrameStream`], kept because the
+/// benchmark's sources name it; it goes when the benchmark may be edited.
+pub type GraphStream<'a> = FrameStream<'a>;
+
 impl<'a> FrameStream<'a> {
-    /// Prepares frame `frame_idx` of `profile` for streaming synthesis.
-    pub fn new(profile: &'a AppProfile, frame_idx: u32, scale: Scale) -> Self {
-        FrameStream {
-            renderer: FrameRenderer::new(profile, frame_idx, scale),
-            next_stage: 0,
-            buf: Vec::new(),
-            emitted: 0,
-        }
+    /// Prepares frame `frame_idx` of `frames` for streaming synthesis.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a frame graph fails [`FrameGraph::validate`].
+    pub fn new(frames: impl Into<Frames<'a>>, frame_idx: u32, scale: Scale) -> Self {
+        let renderer = match frames.into() {
+            Frames::App(app) => Renderer::App(FrameRenderer::new(app, frame_idx, scale)),
+            Frames::Graph(graph) => Renderer::Graph(GraphRenderer::new(graph, frame_idx, scale)),
+        };
+        FrameStream { renderer, next_stage: 0, buf: Vec::new(), emitted: 0 }
     }
 
     /// The shader / sampler / geometry work counters accumulated so far.
-    /// Complete (equal to [`generate_frame`]'s) once the stream is
+    /// Complete (equal to the materialized render's) once the stream is
     /// exhausted.
-    ///
-    /// [`generate_frame`]: crate::generate_frame
     pub fn work(&self) -> FrameWork {
         self.renderer.work()
-    }
-
-    /// Per-stream access statistics accumulated so far. Complete once the
-    /// stream is exhausted.
-    pub fn stats(&self) -> &StreamStats {
-        self.renderer.trace().stats()
     }
 
     /// Accesses handed out through [`AccessSource::chunk`] so far.
@@ -79,7 +182,7 @@ impl<'a> FrameStream<'a> {
 impl AccessSource for FrameStream<'_> {
     fn advance(&mut self) -> io::Result<bool> {
         loop {
-            if self.next_stage >= FrameRenderer::STAGES {
+            if self.next_stage >= STAGES {
                 self.buf.clear();
                 return Ok(false);
             }
@@ -108,33 +211,9 @@ impl std::fmt::Debug for FrameStream<'_> {
     }
 }
 
-/// Collects a streamed frame back into a [`Trace`] (test / tooling helper;
-/// production paths should consume the stream chunk by chunk).
-pub fn collect_stream(mut stream: FrameStream<'_>, app: &str, frame: u32) -> (Trace, FrameWork) {
-    let mut trace = Trace::new(app, frame);
-    while stream.advance().expect("frame synthesis cannot fail") {
-        for a in stream.chunk().accesses {
-            trace.push(*a);
-        }
-    }
-    let work = stream.work();
-    (trace, work)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stream_matches_materialized_frame() {
-        let profile = AppProfile::by_abbrev("BioShock").expect("profile");
-        let (trace, work) = FrameRenderer::new(&profile, 3, Scale::Tiny).render_with_work();
-        let stream = FrameStream::new(&profile, 3, Scale::Tiny);
-        let (streamed, swork) = collect_stream(stream, trace.app(), 3);
-        assert_eq!(work, swork);
-        assert_eq!(trace.accesses(), streamed.accesses());
-        assert_eq!(trace.stats(), streamed.stats());
-    }
 
     #[test]
     fn stream_is_chunked_not_monolithic() {
@@ -156,14 +235,25 @@ mod tests {
         assert!(stream.chunk().accesses.is_empty());
     }
 
+    /// Every application and frame-graph profile streams exactly the
+    /// trace and work counters of its whole render.
     #[test]
-    fn every_profile_streams_identically() {
-        for profile in AppProfile::all() {
-            let (trace, work) = FrameRenderer::new(&profile, 1, Scale::Tiny).render_with_work();
-            let stream = FrameStream::new(&profile, 1, Scale::Tiny);
-            let (streamed, swork) = collect_stream(stream, trace.app(), 1);
-            assert_eq!(trace.accesses(), streamed.accesses(), "app {}", profile.name);
-            assert_eq!(work, swork, "app {}", profile.name);
+    fn every_source_streams_identically() {
+        let apps = AppProfile::all();
+        let graphs: Vec<FrameGraph> =
+            crate::GRAPH_PROFILES.iter().map(|p| p.graph_with_coherence(0.6)).collect();
+        for frames in apps.iter().map(Frames::from).chain(graphs.iter().map(Frames::from)) {
+            let mut stream = FrameStream::new(frames, 1, Scale::Tiny);
+            let mut streamed = Trace::new(frames.name(), 1);
+            while stream.advance().unwrap() {
+                stream.chunk().accesses.iter().for_each(|&a| streamed.push(a));
+            }
+            assert_eq!(
+                frames.render(1, Scale::Tiny),
+                (streamed, stream.work()),
+                "{}",
+                frames.name()
+            );
         }
     }
 }

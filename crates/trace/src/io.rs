@@ -230,6 +230,46 @@ impl<W: Write + Seek> TraceWriter<W> {
     }
 }
 
+/// Drains `source` into `writer` in the binary format through a
+/// [`TraceWriter`], returning the number of accesses written. The source
+/// is never materialized.
+///
+/// # Errors
+///
+/// Returns any error from the source or the underlying writer.
+pub fn write_source<W: Write + Seek, S: AccessSource>(
+    writer: W,
+    source: &mut S,
+    app: &str,
+    frame: u32,
+) -> io::Result<u64> {
+    let mut out = TraceWriter::new(writer, app, frame)?;
+    while source.advance()? {
+        for a in source.chunk().accesses {
+            out.push(a)?;
+        }
+    }
+    let count = out.count();
+    out.finish()?;
+    Ok(count)
+}
+
+/// The exact byte length of a well-formed trace file whose header names
+/// `app` and declares `count` accesses — what a cache compares a file's
+/// length with to catch a truncated body. `None` when `count` is too large
+/// for any file to hold, as in a damaged header.
+pub fn trace_file_len(app: &str, count: u64) -> Option<u64> {
+    // magic, version, name length, name, frame, count, then the records.
+    let header = (4 + 4 + 4 + app.len() + 4 + 8) as u64;
+    (RECORD_BYTES as u64).checked_mul(count)?.checked_add(header)
+}
+
+/// The exact byte length of a well-formed next-use sidecar declaring
+/// `count` entries; `None` when no file could hold that many.
+pub fn nu_file_len(count: u64) -> Option<u64> {
+    8u64.checked_mul(count)?.checked_add(16)
+}
+
 /// Writes a next-use sidecar (`GRNU` format): the Belady annotation for a
 /// trace, one `u64` per access, `u64::MAX` = never reused.
 ///
@@ -474,6 +514,25 @@ mod tests {
         let mut buf = Vec::new();
         write(&mut buf, &t).unwrap();
         assert_eq!(read(&buf[..]).unwrap(), t);
+    }
+
+    /// The streamed writer emits the whole-trace format byte for byte, and
+    /// the expected-length helpers agree with what the writers produce.
+    #[test]
+    fn streamed_write_matches_whole_write() {
+        let t = sample();
+        let mut whole = Vec::new();
+        write(&mut whole, &t).unwrap();
+        let mut streamed = io::Cursor::new(Vec::new());
+        let n = write_source(&mut streamed, &mut t.source(), t.app(), t.frame()).unwrap();
+        assert_eq!(n, t.len() as u64);
+        assert_eq!(streamed.into_inner(), whole);
+        assert_eq!(trace_file_len(t.app(), n), Some(whole.len() as u64));
+        assert_eq!(trace_file_len(t.app(), u64::MAX), None);
+        let mut nu = Vec::new();
+        write_next_use(&mut nu, &[1, 2, u64::MAX]).unwrap();
+        assert_eq!(nu_file_len(3), Some(nu.len() as u64));
+        assert_eq!(nu_file_len(u64::MAX), None);
     }
 
     #[test]
