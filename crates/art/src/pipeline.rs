@@ -20,8 +20,8 @@
 //! writeback, and work counters, and the GPU interval model turns them
 //! into FPS deterministically. Payload bytes are a pure function of
 //! the spec and the in-process figures merge in canonical order, so
-//! artifacts are byte-identical whether the jobs ran in-process, in a
-//! spawned daemon, or across a fleet, and at any `GR_THREADS`.
+//! artifacts are byte-identical whether the jobs ran in-process or in a
+//! spawned daemon, and at any `GR_THREADS`.
 
 use grbench::figures::{self, CountedCell, PerfConfig};
 use grbench::{

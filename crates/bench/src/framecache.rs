@@ -31,20 +31,19 @@
 //! a `.work` only if it parses; a `.nu` only if its length matches the
 //! trace. Any other file is regenerated.
 //!
-//! Every disk-tier file is written through `write_atomic`: workers and
+//! Every disk-tier file is written through [`write_atomic`]: workers and
 //! processes sharing one cache directory may write the same frame at once,
 //! and a reader must never see a half-written file.
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use grcache::annotate_next_use;
 use grsynth::{FrameStream, FrameWork, Frames, Scale};
-use grtrace::io::ChunkedReader;
+use grtrace::io::{write_atomic, ChunkedReader};
 use grtrace::Trace;
 
 /// One synthesized frame: the LLC trace, the computational work counters,
@@ -106,31 +105,6 @@ fn store_next_use(path: &Path, nu: &[u64]) {
     // Sidecar write failures are never fatal — the in-memory annotation is
     // already computed — so errors are dropped.
     let _ = write_atomic(path, |w| grtrace::io::write_next_use(w, nu));
-}
-
-/// Writes `path` without ever exposing a partial file: `fill` writes a
-/// temp file in the same directory whose name is unique to this process
-/// and call, which is flushed and then renamed over `path`. A concurrent
-/// reader sees either the previous file or the complete new one. Temp
-/// names end in `.tmp`, never in a cache extension such as `.grtr`.
-fn write_atomic(
-    path: &Path,
-    fill: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
-) -> io::Result<()> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let mut name = path.file_name().expect("cache paths name a file").to_os_string();
-    name.push(format!(".{}-{}.tmp", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed)));
-    let tmp = path.with_file_name(name);
-    let written = (|| {
-        let mut writer = BufWriter::new(File::create(&tmp)?);
-        fill(&mut writer)?;
-        writer.flush()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if written.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    written
 }
 
 /// Cache key: workload identity ([`Frames::cache_key`]), frame, scale.

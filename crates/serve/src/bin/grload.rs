@@ -1,8 +1,8 @@
 //! `grload` — load generator and end-to-end smoke test for `grserved`.
 //!
 //! ```text
-//! grload smoke (--spawn PATH | --url HOST:PORT) [--fleet N] [--metrics-out FILE]
-//! grload bench (--spawn PATH [--fleet N] | --url HOST:PORT)
+//! grload smoke (--spawn PATH | --url HOST:PORT) [--metrics-out FILE]
+//! grload bench (--spawn PATH | --url HOST:PORT)
 //!              [--connections N] [--rates R1,R2,...] [--duration-ms N]
 //!              [--label NAME] [--out FILE] [--baseline FILE] [--tolerance F]
 //! ```
@@ -20,14 +20,6 @@
 //! 5. SIGTERM the daemon mid-flight and verify the drain: accepted jobs
 //!    complete, new submissions get 503, the process exits 0 — and a
 //!    final `/metrics` snapshot is written for CI artifacts.
-//!
-//! With `--fleet N`, `smoke` instead spawns N backend daemons (peered
-//! with each other) plus a sharding front tier, finds a spec owned by
-//! **every** backend the ring can route to, and asserts that the bytes
-//! served through the front == the owning backend's own bytes == an
-//! offline [`grserve::execute`] run — the bit-identity property through
-//! sharding — then exercises cache peering (a result computed on one
-//! backend is adopted, not recomputed, by another) and the fleet drain.
 //!
 //! `bench` is an **open-loop** sustained load generator: it establishes
 //! `--connections` keep-alive connections (one epoll client thread, the
@@ -48,17 +40,16 @@ use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use grbench::{cli, RunOptions};
 use grjson::Json;
 use grserve::poll::{self, Epoll, EPOLLIN, EPOLLOUT};
-use grserve::{JobSpec, Ring};
+use grserve::JobSpec;
 use grsynth::Scale;
 
-const USAGE: &str = "grload smoke (--spawn PATH | --url HOST:PORT) [--fleet N] [--metrics-out FILE]\n\
-       grload bench (--spawn PATH [--fleet N] | --url HOST:PORT) [--connections N] \
+const USAGE: &str = "grload smoke (--spawn PATH | --url HOST:PORT) [--metrics-out FILE]\n\
+       grload bench (--spawn PATH | --url HOST:PORT) [--connections N] \
 [--rates R1,R2,...] [--duration-ms N] [--label NAME] [--out FILE] [--baseline FILE] [--tolerance F]";
 
 fn main() {
@@ -124,13 +115,10 @@ struct Daemon {
     addr: String,
 }
 
-/// Spawns one `grserved` with the given extra args, waiting for its port
+/// Spawns `grserved` with the given extra args, waiting for its port
 /// file.
 fn spawn_daemon(binary: &str, extra: &[String]) -> Daemon {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    let port_file =
-        std::env::temp_dir().join(format!("grload-port-{}-{n}.txt", std::process::id()));
+    let port_file = std::env::temp_dir().join(format!("grload-port-{}.txt", std::process::id()));
     let _ = std::fs::remove_file(&port_file);
     let child = Command::new(binary)
         .args(extra)
@@ -161,58 +149,6 @@ fn spawn_daemon(binary: &str, extra: &[String]) -> Daemon {
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
-}
-
-/// Reserves `n` distinct loopback ports by binding and dropping
-/// ephemeral listeners. Tiny race against other processes, fine for CI.
-fn reserve_ports(n: usize) -> Vec<u16> {
-    let listeners: Vec<std::net::TcpListener> =
-        (0..n).map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("reserve port")).collect();
-    listeners.iter().map(|l| l.local_addr().expect("local addr").port()).collect()
-}
-
-/// Spawns `n` mutually peered backends and one sharding front tier.
-/// Backends need pre-agreed ports (each lists the others as `--peer`), so
-/// ports are reserved up front.
-fn spawn_fleet(binary: &str, n: usize) -> (Vec<Daemon>, Daemon) {
-    let ports = reserve_ports(n);
-    let addrs: Vec<String> = ports.iter().map(|p| format!("127.0.0.1:{p}")).collect();
-    let backends: Vec<Daemon> = (0..n)
-        .map(|i| {
-            let mut a = args(&[
-                "--addr",
-                &addrs[i],
-                "--workers",
-                "1",
-                "--queue-cap",
-                "64",
-                "--linger-ms",
-                "4000",
-                "--allow-http-shutdown",
-            ]);
-            for (j, peer) in addrs.iter().enumerate() {
-                if j != i {
-                    a.push("--peer".into());
-                    a.push(peer.clone());
-                }
-            }
-            spawn_daemon(binary, &a)
-        })
-        .collect();
-    let front = spawn_daemon(
-        binary,
-        &args(&[
-            "front",
-            "--backends",
-            &addrs.join(","),
-            "--addr",
-            "127.0.0.1:0",
-            "--linger-ms",
-            "4000",
-            "--allow-http-shutdown",
-        ]),
-    );
-    (backends, front)
 }
 
 fn check(cond: bool, what: &str) {
@@ -269,7 +205,6 @@ fn smoke(argv_tail: &[String]) {
     let mut spawn_path: Option<String> = None;
     let mut url: Option<String> = None;
     let mut metrics_out: Option<PathBuf> = None;
-    let mut fleet: usize = 0;
     let mut argv = argv_tail.iter();
     while let Some(arg) = argv.next() {
         let mut value = || match argv.next() {
@@ -280,22 +215,10 @@ fn smoke(argv_tail: &[String]) {
             "--spawn" => spawn_path = Some(value()),
             "--url" => url = Some(value()),
             "--metrics-out" => metrics_out = Some(PathBuf::from(value())),
-            "--fleet" => fleet = value().parse().unwrap_or_else(|_| cli::usage_error(USAGE)),
             _ => cli::usage_error(USAGE),
         }
     }
 
-    if fleet > 0 {
-        let Some(binary) = spawn_path else {
-            cli::user_error("--fleet requires --spawn PATH (the fleet is spawned locally)");
-        };
-        fleet_smoke(&binary, fleet, metrics_out);
-        return;
-    }
-    single_smoke(spawn_path, url, metrics_out);
-}
-
-fn single_smoke(spawn_path: Option<String>, url: Option<String>, metrics_out: Option<PathBuf>) {
     let daemon = match (&spawn_path, &url) {
         (Some(path), None) => Some(spawn_daemon(
             path,
@@ -488,120 +411,6 @@ fn terminate(daemon: &Daemon) {
     }
 }
 
-// ----------------------------------------------------------------- fleet smoke
-
-/// Finds one job spec routed to each backend by varying `llc_mb`, then
-/// asserts bit-identity through the front tier, direct backend access,
-/// and offline execution; exercises peering; drains the whole fleet.
-fn fleet_smoke(binary: &str, n: usize, metrics_out: Option<PathBuf>) {
-    let (mut backends, mut front) = spawn_fleet(binary, n);
-    let backend_addrs: Vec<String> = backends.iter().map(|d| d.addr.clone()).collect();
-    println!("grload: fleet smoke — front http://{} over {} backends", front.addr, backends.len());
-
-    // The ring is a pure function of (id, backend set); grload uses the
-    // same implementation the front does to predict ownership.
-    let ring = Ring::new(backend_addrs.clone());
-    let mut owned_spec: Vec<Option<(String, String)>> = vec![None; n]; // (body, id)
-    for llc_mb in 1u64..=64 {
-        let body = format!(
-            r#"{{"policies": ["NRU"], "apps": ["HAWX"], "llc_mb": {llc_mb}, "scale": "tiny"}}"#
-        );
-        let id = JobSpec::parse(&body, Scale::Tiny).expect("spec parses").id();
-        let owner = ring.route_index(&id);
-        if owned_spec[owner].is_none() {
-            owned_spec[owner] = Some((body, id));
-        }
-        if owned_spec.iter().all(Option::is_some) {
-            break;
-        }
-    }
-    check(
-        owned_spec.iter().all(Option::is_some),
-        "found a spec hashing to every backend in the ring",
-    );
-
-    // Bit-identity through sharding: for each backend's spec, bytes via
-    // the front == bytes straight from the owning backend == offline.
-    let run = RunOptions::from_env(&[]);
-    for (owner, spec) in owned_spec.iter().enumerate() {
-        let (body, id) = spec.as_ref().expect("checked above");
-        let (status, doc, _) = submit(&front.addr, body);
-        check(status == 202, "fresh job accepted through the front with 202");
-        check(
-            doc.get("id").and_then(Json::as_str) == Some(id),
-            "front-returned id matches the locally computed digest",
-        );
-        await_done(&front.addr, id);
-        let (status, _, via_front) =
-            http(&front.addr, "GET", &format!("/v1/jobs/{id}/result"), None).expect("front result");
-        check(status == 200, "raw result via the front returns 200");
-        let (status, _, via_backend) =
-            http(&backend_addrs[owner], "GET", &format!("/v1/jobs/{id}/result"), None)
-                .expect("backend result");
-        check(status == 200, "owning backend served the job it owns (sharding routed correctly)");
-        let offline = grserve::execute(&JobSpec::parse(body, Scale::Tiny).expect("spec"), &run);
-        check(via_front == via_backend, "front bytes == owning backend bytes");
-        check(via_front == offline.payload, "front bytes == offline execution bytes");
-    }
-
-    // Every backend took at least one routed forward.
-    let front_metrics = scrape(&front.addr);
-    for addr in &backend_addrs {
-        check(
-            metric(&front_metrics, &format!("grserve_front_routed_total{{backend=\"{addr}\"}}"))
-                >= 1,
-            "front routed at least one request to each backend",
-        );
-    }
-
-    // Peering: submit a spec owned by backend 0 *directly* to backend 1.
-    // Its worker must adopt the result from its peer instead of
-    // recomputing, and the adopted bytes must still be offline-identical.
-    let (body, id) = owned_spec[0].as_ref().expect("backend 0 spec");
-    let other = &backend_addrs[1 % n];
-    let exec_before = metric(&scrape(other), "grserve_executions_total");
-    let (status, _, _) = submit(other, body);
-    check(status == 202 || status == 200, "non-owner accepted the duplicate spec");
-    await_done(other, id);
-    let peered = scrape(other);
-    check(
-        metric(&peered, "grserve_peer_cache_total{outcome=\"hit\"}") >= 1,
-        "non-owner adopted the result from its peer (peer hit counted)",
-    );
-    check(
-        metric(&peered, "grserve_executions_total") == exec_before,
-        "peer adoption started no new execution",
-    );
-    let (_, _, via_other) =
-        http(other, "GET", &format!("/v1/jobs/{id}/result"), None).expect("peered result");
-    let offline = grserve::execute(&JobSpec::parse(body, Scale::Tiny).expect("spec"), &run);
-    check(via_other == offline.payload, "peer-adopted bytes == offline execution bytes");
-
-    if let Some(path) = &metrics_out {
-        std::fs::write(path, &front_metrics)
-            .unwrap_or_else(|e| cli::user_error(&format!("write {}: {e}", path.display())));
-        println!("grload: front metrics snapshot written to {}", path.display());
-    }
-
-    // Drain the fleet: front first (stops accepting forwards), then the
-    // backends; every process must exit 0.
-    let (status, _, _) =
-        http(&front.addr, "POST", "/v1/shutdown", Some("")).expect("front shutdown");
-    check(status == 200, "front accepted http shutdown");
-    for backend in &backends {
-        let (status, _, _) =
-            http(&backend.addr, "POST", "/v1/shutdown", Some("")).expect("backend shutdown");
-        check(status == 200, "backend accepted http shutdown");
-    }
-    let status = front.child.wait().expect("front exit");
-    check(status.success(), "front exited 0 after the drain");
-    for backend in &mut backends {
-        let status = backend.child.wait().expect("backend exit");
-        check(status.success(), "backend exited 0 after the drain");
-    }
-    println!("grload: fleet smoke passed");
-}
-
 // ------------------------------------------------------------------ benchmark
 
 fn percentile(sorted: &[Duration], q: f64) -> Duration {
@@ -659,7 +468,6 @@ struct BenchPoint {
 fn bench(argv_tail: &[String]) {
     let mut url: Option<String> = None;
     let mut spawn_path: Option<String> = None;
-    let mut fleet: usize = 0;
     let mut connections = 256usize;
     let mut rates: Vec<f64> = vec![250.0, 500.0, 1000.0, 2000.0, 4000.0];
     let mut duration = Duration::from_millis(2000);
@@ -677,7 +485,6 @@ fn bench(argv_tail: &[String]) {
         match arg.as_str() {
             "--url" => url = Some(value()),
             "--spawn" => spawn_path = Some(value()),
-            "--fleet" => fleet = value().parse().unwrap_or_else(|_| cli::usage_error(USAGE)),
             "--connections" => {
                 connections = value().parse().unwrap_or_else(|_| cli::usage_error(USAGE));
             }
@@ -705,39 +512,26 @@ fn bench(argv_tail: &[String]) {
         cli::user_error("--connections and --rates must be positive");
     }
 
-    // Spawn the target if asked: a fleet (front + backends) or a single
-    // event-loop daemon.
-    let mut spawned: Vec<Daemon> = Vec::new();
-    let addr = match (&spawn_path, &url) {
-        (Some(binary), None) if fleet > 0 => {
-            let (backends, front) = spawn_fleet(binary, fleet);
-            let addr = front.addr.clone();
-            spawned.extend(backends);
-            spawned.push(front);
-            addr
-        }
-        (Some(binary), None) => {
-            let daemon = spawn_daemon(
-                binary,
-                &args(&[
-                    "--addr",
-                    "127.0.0.1:0",
-                    "--workers",
-                    "2",
-                    "--queue-cap",
-                    "64",
-                    "--linger-ms",
-                    "4000",
-                    "--allow-http-shutdown",
-                ]),
-            );
-            let addr = daemon.addr.clone();
-            spawned.push(daemon);
-            addr
-        }
-        (None, Some(url)) => url.clone(),
+    // Spawn the target daemon if asked.
+    let mut spawned = match (&spawn_path, &url) {
+        (Some(binary), None) => Some(spawn_daemon(
+            binary,
+            &args(&[
+                "--addr",
+                "127.0.0.1:0",
+                "--workers",
+                "2",
+                "--queue-cap",
+                "64",
+                "--linger-ms",
+                "4000",
+                "--allow-http-shutdown",
+            ]),
+        )),
+        (None, Some(_)) => None,
         _ => cli::usage_error(USAGE),
     };
+    let addr = spawned.as_ref().map_or_else(|| url.clone().expect("url"), |d| d.addr.clone());
 
     // Warm the result cache once so the loop measures the serving path,
     // not replay throughput.
@@ -753,7 +547,7 @@ fn bench(argv_tail: &[String]) {
     )
     .into_bytes();
 
-    // Establish the keep-alive connection fleet. Batched so the accept
+    // Establish the keep-alive connections. Batched so the accept
     // backlog never overflows; each batch gives the event loop a beat to
     // drain it.
     poll::raise_nofile_limit(connections as u64 + 256);
@@ -810,12 +604,10 @@ fn bench(argv_tail: &[String]) {
         println!("grload bench: curve '{label}' written to {}", path.display());
     }
 
-    // Shut the spawned fleet down before gating, so a gate failure still
-    // leaves no stray daemons behind.
-    for daemon in spawned.iter().rev() {
+    // Shut the spawned daemon down before gating, so a gate failure still
+    // leaves no stray daemon behind.
+    if let Some(daemon) = &mut spawned {
         let _ = http(&daemon.addr, "POST", "/v1/shutdown", Some(""));
-    }
-    for daemon in &mut spawned {
         let status = daemon.child.wait().expect("daemon exit");
         check(status.success(), "spawned daemon exited 0 after the drain");
     }

@@ -2,26 +2,20 @@
 //! nonblocking accept/read/write, and a per-connection state machine that
 //! speaks HTTP/1.1 keep-alive with pipelining.
 //!
-//! This replaces PR 5's thread-per-connection front end. Simulation work
-//! still runs on the Condvar worker pool — the split is strict:
-//!
 //! ```text
-//!               ┌───────────────────────────── event-loop thread ──┐
-//! accept ──► Conn { parser ─► slots ─► ready (BTreeMap) ─► out buf }
-//!               └───────▲───────────────────────────┬──────────────┘
-//!                       │ Pending::respond          │ Handler::handle
-//!               ┌───────┴──────────┐        ┌───────▼──────────┐
-//!               │ Completions queue│◄───────│ worker / forwarder│
-//!               └──────────────────┘  defer └──────────────────┘
+//!               ┌──────────────────────────── event-loop thread ──┐
+//! accept ──► Conn { parser ─► Handler::handle ─► out buf } ─► socket
+//!               └─────────────────────────────────────────────────┘
 //! ```
 //!
-//! A [`Handler`] either answers a request inline (`Some(response)`) or
-//! keeps the [`Pending`] ticket and returns `None`; a worker thread later
-//! calls [`Pending::respond`], which enqueues the completion and pokes the
-//! loop through a socketpair waker. Responses are serialized strictly in
-//! request order per connection (pipelining), tracked by monotonic slot
-//! numbers: out-of-order completions park in `ready` until every earlier
-//! slot has been emitted.
+//! A [`Handler`] answers every request inline, on the loop thread, so it
+//! must never block: the daemon's handler only enqueues jobs and reads
+//! state, while simulation runs on its Condvar worker pool and clients
+//! poll for the outcome. Each response — including the 500 for a
+//! panicking handler and the error response that ends a connection after
+//! a parse failure — is serialized into the connection's output buffer as
+//! soon as its request is parsed, so pipelined responses leave in request
+//! order by construction.
 //!
 //! Abuse containment lives here because only the loop owns time: a
 //! connection with a half-received request older than `read_deadline`
@@ -31,14 +25,13 @@
 //! exceeds [`OUT_BUF_CAP`] stops being read (backpressure) until the
 //! client drains it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -47,11 +40,9 @@ use crate::poll::{Epoll, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 /// Epoll token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
-/// Epoll token of the completion waker (read half of the socketpair).
-const TOKEN_WAKER: u64 = 1;
 /// First connection token; tokens are monotonic and never reused, so a
-/// stale completion can never be delivered to a recycled connection.
-const TOKEN_FIRST_CONN: u64 = 2;
+/// stale event can never be delivered to a recycled connection.
+const TOKEN_FIRST_CONN: u64 = 1;
 
 /// Backpressure threshold: stop reading a connection whose unflushed
 /// output exceeds this many bytes.
@@ -60,69 +51,25 @@ const OUT_BUF_CAP: usize = 4 * 1024 * 1024;
 /// Deadline/idle sweep and gauge refresh period.
 const TICK: Duration = Duration::from_millis(100);
 
-/// Routes one parsed request. Implemented by the backend daemon and the
-/// fleet front tier; the loop itself knows nothing about endpoints.
+/// Routes one parsed request. Implemented by the daemon and by test
+/// fakes; the loop itself knows nothing about endpoints.
 pub trait Handler: Send + Sync {
-    /// Returns `Some(response)` to answer inline, or `None` after moving
-    /// `pending` somewhere that will call [`Pending::respond`] later.
-    /// (Dropping the ticket unanswered yields a 500, never a hung slot.)
-    fn handle(&self, request: Request, pending: Pending) -> Option<Response>;
-}
-
-/// Completion mailbox shared between the loop and deferring threads.
-struct Completions {
-    queue: Mutex<Vec<(u64, u64, Response)>>,
-    /// Write half of the waker socketpair; one byte per post, nonblocking
-    /// (a full pipe means the loop is already scheduled to wake).
-    waker: UnixStream,
-}
-
-impl Completions {
-    fn post(&self, conn: u64, slot: u64, response: Response) {
-        self.queue.lock().expect("completions lock").push((conn, slot, response));
-        let _ = (&self.waker).write(&[1]);
-    }
-}
-
-/// A deferred-response ticket for one request slot. Consuming it with
-/// [`Pending::respond`] delivers the response; dropping it unanswered
-/// delivers a 500 so the connection can make progress either way.
-pub struct Pending {
-    inner: Option<(Arc<Completions>, u64, u64)>,
-}
-
-impl Pending {
-    /// Delivers the response for this slot and wakes the event loop.
-    pub fn respond(mut self, response: Response) {
-        if let Some((completions, conn, slot)) = self.inner.take() {
-            completions.post(conn, slot, response);
-        }
-    }
-}
-
-impl Drop for Pending {
-    fn drop(&mut self) {
-        if let Some((completions, conn, slot)) = self.inner.take() {
-            completions.post(
-                conn,
-                slot,
-                Response::new(500).with_json("{\"error\": \"request dropped unanswered\"}"),
-            );
-        }
-    }
+    /// Answers `request` inline. Runs on the loop thread, so it must not
+    /// block; a panic becomes a 500 for this request only.
+    fn handle(&self, request: Request) -> Response;
 }
 
 /// Connection-state gauges, refreshed every [`TICK`] by the loop and read
 /// by the `/metrics` renderer. A connection counts as *writing* if it has
-/// unflushed or undelivered responses, else *reading* if a request is
-/// half-received, else *idle*.
+/// unflushed responses, else *reading* if a request is half-received,
+/// else *idle*.
 #[derive(Default)]
 pub struct ConnGauges {
     /// Open connections.
     pub open: AtomicU64,
     /// Connections with a partially received request.
     pub reading: AtomicU64,
-    /// Connections with responses pending or unflushed output.
+    /// Connections with unflushed output.
     pub writing: AtomicU64,
     /// Connections with no request or response in flight.
     pub idle: AtomicU64,
@@ -156,18 +103,12 @@ pub struct LoopConfig {
 pub fn spawn(cfg: LoopConfig) -> io::Result<JoinHandle<()>> {
     cfg.listener.set_nonblocking(true)?;
     let epoll = Epoll::new()?;
-    let (waker_tx, waker_rx) = UnixStream::pair()?;
-    waker_tx.set_nonblocking(true)?;
-    waker_rx.set_nonblocking(true)?;
     epoll.add(cfg.listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)?;
-    epoll.add(waker_rx.as_raw_fd(), TOKEN_WAKER, EPOLLIN)?;
 
     let mut el = EventLoop {
         epoll,
         listener: cfg.listener,
         handler: cfg.handler,
-        completions: Arc::new(Completions { queue: Mutex::new(Vec::new()), waker: waker_tx }),
-        waker_rx,
         conns: HashMap::new(),
         next_token: TOKEN_FIRST_CONN,
         read_deadline: cfg.read_deadline,
@@ -189,19 +130,10 @@ struct Conn {
     out: Vec<u8>,
     /// Flushed prefix of `out`.
     out_pos: usize,
-    /// Next request slot to assign.
-    next_slot: u64,
-    /// Next slot to serialize into `out` (slots emit strictly in order).
-    emit_slot: u64,
-    /// Completed responses waiting for their emission turn, with their
-    /// per-request close flag.
-    ready: BTreeMap<u64, (Response, bool)>,
-    /// Outstanding deferred slots → close flag.
-    deferred: HashMap<u64, bool>,
     /// Last byte of progress in either direction.
     last_activity: Instant,
     /// No further reads/parses (close requested, parse error, EOF, 408).
-    /// The connection closes once `ready`, `deferred`, and `out` drain.
+    /// The connection closes once `out` drains.
     stop_reading: bool,
     /// Interest set currently registered with epoll.
     registered: u32,
@@ -220,20 +152,15 @@ impl Conn {
     }
 
     fn should_close(&self) -> bool {
-        self.stop_reading
-            && self.ready.is_empty()
-            && self.deferred.is_empty()
-            && self.out_pos == self.out.len()
+        self.stop_reading && self.out_pos == self.out.len()
     }
 
-    /// Serializes every contiguously completed slot into `out`.
-    fn emit_ready(&mut self) {
-        while let Some((response, close)) = self.ready.remove(&self.emit_slot) {
-            response.write_into(&mut self.out, !close);
-            self.emit_slot += 1;
-            if close {
-                self.stop_reading = true;
-            }
+    /// Queues `response` behind every earlier one; `close` makes it the
+    /// connection's last.
+    fn respond(&mut self, response: &Response, close: bool) {
+        response.write_into(&mut self.out, !close);
+        if close {
+            self.stop_reading = true;
         }
     }
 
@@ -263,8 +190,6 @@ struct EventLoop {
     epoll: Epoll,
     listener: TcpListener,
     handler: Arc<dyn Handler>,
-    completions: Arc<Completions>,
-    waker_rx: UnixStream,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     read_deadline: Duration,
@@ -290,7 +215,6 @@ impl EventLoop {
             for &(token, ev) in events.iter() {
                 match token {
                     TOKEN_LISTENER => self.accept_all(),
-                    TOKEN_WAKER => self.drain_completions(),
                     token => self.conn_event(token, ev),
                 }
             }
@@ -335,10 +259,6 @@ impl EventLoop {
                             parser: RequestParser::new(),
                             out: Vec::new(),
                             out_pos: 0,
-                            next_slot: 0,
-                            emit_slot: 0,
-                            ready: BTreeMap::new(),
-                            deferred: HashMap::new(),
                             last_activity: Instant::now(),
                             stop_reading: false,
                             registered,
@@ -349,28 +269,6 @@ impl EventLoop {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(_) => break,
             }
-        }
-    }
-
-    fn drain_completions(&mut self) {
-        let mut sink = [0u8; 256];
-        while matches!((&self.waker_rx).read(&mut sink), Ok(n) if n > 0) {}
-        let batch = std::mem::take(&mut *self.completions.queue.lock().expect("completions lock"));
-        let mut touched = Vec::new();
-        for (token, slot, response) in batch {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                if let Some(close) = conn.deferred.remove(&slot) {
-                    conn.ready.insert(slot, (response, close));
-                    if !touched.contains(&token) {
-                        touched.push(token);
-                    }
-                }
-                // Slots not in `deferred` were answered inline; the
-                // ticket's drop-500 for them is intentionally ignored.
-            }
-        }
-        for token in touched {
-            self.service_conn(token);
         }
     }
 
@@ -389,7 +287,6 @@ impl EventLoop {
     /// connection was dropped.
     fn do_read(&mut self, token: u64) -> bool {
         let handler = Arc::clone(&self.handler);
-        let completions = Arc::clone(&self.completions);
         let mut buf = [0u8; 16 * 1024];
         let Some(conn) = self.conns.get_mut(&token) else { return false };
 
@@ -419,49 +316,22 @@ impl EventLoop {
             match conn.parser.pop() {
                 Ok(Some(request)) => {
                     let close = request.close;
-                    let slot = conn.next_slot;
-                    conn.next_slot += 1;
-                    if close {
-                        conn.stop_reading = true;
-                    }
-                    let pending = Pending { inner: Some((Arc::clone(&completions), token, slot)) };
-                    let outcome =
-                        catch_unwind(AssertUnwindSafe(|| handler.handle(request, pending)));
-                    match outcome {
-                        Ok(Some(response)) => {
-                            conn.ready.insert(slot, (response, close));
-                        }
-                        Ok(None) => {
-                            conn.deferred.insert(slot, close);
-                        }
-                        Err(_) => {
-                            conn.ready.insert(
-                                slot,
-                                (
-                                    Response::new(500)
-                                        .with_json("{\"error\": \"handler panicked\"}"),
-                                    close,
-                                ),
-                            );
-                        }
-                    }
+                    let response = catch_unwind(AssertUnwindSafe(|| handler.handle(request)))
+                        .unwrap_or_else(|_| {
+                            Response::new(500).with_json("{\"error\": \"handler panicked\"}")
+                        });
+                    conn.respond(&response, close);
                 }
                 Ok(None) => break,
-                Err(err) => {
-                    let slot = conn.next_slot;
-                    conn.next_slot += 1;
-                    conn.ready.insert(slot, (error_response(&err), true));
-                    conn.stop_reading = true;
-                }
+                Err(err) => conn.respond(&error_response(&err), true),
             }
         }
         true
     }
 
-    /// Emits ready responses, flushes, then closes or re-arms interest.
+    /// Flushes, then closes or re-arms interest.
     fn service_conn(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else { return };
-        conn.emit_ready();
         if conn.flush().is_err() {
             self.drop_conn(token);
             return;
@@ -494,10 +364,7 @@ impl EventLoop {
         let mut idle_out = Vec::new();
         let (mut reading, mut writing, mut idle) = (0u64, 0u64, 0u64);
         for (&token, conn) in &self.conns {
-            let has_output = conn.out_pos < conn.out.len()
-                || !conn.ready.is_empty()
-                || !conn.deferred.is_empty();
-            if has_output {
+            if conn.out_pos < conn.out.len() {
                 writing += 1;
             } else if conn.parser.has_partial() {
                 reading += 1;
@@ -519,13 +386,10 @@ impl EventLoop {
 
         for token in timed_out {
             if let Some(conn) = self.conns.get_mut(&token) {
-                let slot = conn.next_slot;
-                conn.next_slot += 1;
-                conn.ready.insert(
-                    slot,
-                    (Response::new(408).with_json("{\"error\": \"read deadline exceeded\"}"), true),
+                conn.respond(
+                    &Response::new(408).with_json("{\"error\": \"read deadline exceeded\"}"),
+                    true,
                 );
-                conn.stop_reading = true;
                 self.service_conn(token);
             }
         }
@@ -573,30 +437,12 @@ mod tests {
         (status, headers, body)
     }
 
+    /// Echoes the request path; panics on `/panic`.
     struct EchoHandler;
     impl Handler for EchoHandler {
-        fn handle(&self, request: Request, _pending: Pending) -> Option<Response> {
-            if request.path == "/defer" {
-                return None; // keeps nothing: the dropped ticket must 500
-            }
-            Some(Response::json(format!("{{\"path\": \"{}\"}}", request.path)))
-        }
-    }
-
-    /// Defers `/slow/*` requests onto a thread; echoes everything else.
-    struct DeferHandler;
-    impl Handler for DeferHandler {
-        fn handle(&self, request: Request, pending: Pending) -> Option<Response> {
-            if let Some(ms) = request.path.strip_prefix("/slow/") {
-                let delay = Duration::from_millis(ms.parse().expect("delay"));
-                let path = request.path.clone();
-                thread::spawn(move || {
-                    thread::sleep(delay);
-                    pending.respond(Response::json(format!("{{\"path\": \"{path}\"}}")));
-                });
-                return None;
-            }
-            Some(Response::json(format!("{{\"path\": \"{}\"}}", request.path)))
+        fn handle(&self, request: Request) -> Response {
+            assert_ne!(request.path, "/panic", "handler asked to panic");
+            Response::json(format!("{{\"path\": \"{}\"}}", request.path))
         }
     }
 
@@ -629,7 +475,7 @@ mod tests {
 
     #[test]
     fn keep_alive_serves_sequential_requests_on_one_connection() {
-        let (addr, done, join) = start_loop(Arc::new(DeferHandler), Duration::from_secs(5));
+        let (addr, done, join) = start_loop(Arc::new(EchoHandler), Duration::from_secs(5));
         let mut stream = TcpStream::connect(addr).expect("connect");
         for path in ["/a", "/b", "/c"] {
             stream.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes()).expect("send");
@@ -644,13 +490,13 @@ mod tests {
 
     #[test]
     fn pipelined_responses_come_back_in_request_order() {
-        let (addr, done, join) = start_loop(Arc::new(DeferHandler), Duration::from_secs(5));
+        let (addr, done, join) = start_loop(Arc::new(EchoHandler), Duration::from_secs(5));
         let mut stream = TcpStream::connect(addr).expect("connect");
-        // First request is slow (deferred 80ms); the next two are inline.
-        // Responses must still arrive in request order.
+        // Three requests in one write: responses must come back in
+        // request order, and the last one's close must be honored.
         stream
             .write_all(
-                b"GET /slow/80 HTTP/1.1\r\n\r\nGET /x HTTP/1.1\r\n\r\n\
+                b"GET /w HTTP/1.1\r\n\r\nGET /x HTTP/1.1\r\n\r\n\
                   GET /y HTTP/1.1\r\nConnection: close\r\n\r\n",
             )
             .expect("send");
@@ -661,7 +507,7 @@ mod tests {
                 String::from_utf8(body).expect("UTF-8")
             })
             .collect();
-        assert_eq!(paths, ["{\"path\": \"/slow/80\"}", "{\"path\": \"/x\"}", "{\"path\": \"/y\"}"]);
+        assert_eq!(paths, ["{\"path\": \"/w\"}", "{\"path\": \"/x\"}", "{\"path\": \"/y\"}"]);
         // Connection: close honored — EOF follows the last response.
         let mut rest = Vec::new();
         stream.read_to_end(&mut rest).expect("EOF");
@@ -670,13 +516,23 @@ mod tests {
     }
 
     #[test]
-    fn dropped_pending_ticket_becomes_a_500() {
+    fn handler_panic_becomes_a_500_and_the_connection_survives() {
         let (addr, done, join) = start_loop(Arc::new(EchoHandler), Duration::from_secs(5));
         let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.write_all(b"GET /defer HTTP/1.1\r\n\r\n").expect("send");
-        let (status, _, body) = read_response(&mut stream);
+        stream.write_all(b"GET /panic HTTP/1.1\r\n\r\nGET /after HTTP/1.1\r\n\r\n").expect("send");
+        let (status, headers, body) = read_response(&mut stream);
         assert_eq!(status, 500);
-        assert!(String::from_utf8_lossy(&body).contains("unanswered"));
+        assert!(String::from_utf8_lossy(&body).contains("handler panicked"));
+        let conn = headers.iter().find(|(k, _)| k == "connection").expect("Connection");
+        assert_eq!(conn.1, "keep-alive", "a panic must not end the connection");
+        let (status, _, body) = read_response(&mut stream);
+        assert_eq!(status, 200);
+        assert_eq!(body, b"{\"path\": \"/after\"}");
+        // The connection keeps serving new requests after the panic.
+        stream.write_all(b"GET /later HTTP/1.1\r\n\r\n").expect("send");
+        let (status, _, body) = read_response(&mut stream);
+        assert_eq!(status, 200);
+        assert_eq!(body, b"{\"path\": \"/later\"}");
         finish(&done, join);
     }
 

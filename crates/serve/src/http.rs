@@ -214,14 +214,6 @@ impl Response {
         self
     }
 
-    /// Sets a raw byte body with an explicit content type — the fleet
-    /// front tier uses this to pass backend payloads through untouched.
-    pub fn with_raw(mut self, body: Vec<u8>, content_type: &str) -> Response {
-        self.body = body;
-        self.headers.push(("Content-Type".into(), content_type.into()));
-        self
-    }
-
     /// Appends a header.
     pub fn with_header(mut self, name: &str, value: &str) -> Response {
         self.headers.push((name.into(), value.into()));
@@ -269,7 +261,6 @@ fn status_text(status: u16) -> &'static str {
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
-        502 => "Bad Gateway",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -278,8 +269,8 @@ fn status_text(status: u16) -> &'static str {
 /// A fetched response: status code, headers (lowercased names), body.
 pub type FetchResponse = (u16, Vec<(String, String)>, Vec<u8>);
 
-/// One blocking `Connection: close` HTTP exchange — the internal client
-/// used for result-cache peering and front-tier forwarding. Reads the
+/// One blocking `Connection: close` HTTP exchange — the client `grart`
+/// uses to submit jobs to, poll, and shut down a daemon. Reads the
 /// response body by `Content-Length` (every grserved response carries
 /// one), so it works against keep-alive servers too.
 pub fn fetch(
@@ -378,7 +369,7 @@ mod tests {
 
     #[test]
     fn status_texts_cover_served_codes() {
-        for code in [200, 202, 400, 404, 405, 408, 413, 429, 431, 500, 502, 503] {
+        for code in [200, 202, 400, 404, 405, 408, 413, 429, 431, 500, 503] {
             assert_ne!(status_text(code), "Unknown", "missing reason for {code}");
         }
     }
@@ -446,6 +437,200 @@ mod tests {
         let err = p.pop().expect_err("malformed");
         assert!(matches!(err, ParseError::Malformed(_)));
         assert_eq!(error_response(&err).status(), 400);
+    }
+
+    /// Seeded xorshift64: the fuzz test below is reproducible and std-only.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn word(&mut self, max_len: usize) -> String {
+            const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-";
+            let len = 1 + self.below(max_len);
+            (0..len).map(|_| CHARS[self.below(CHARS.len())] as char).collect()
+        }
+
+        /// `data` cut at up to `max_cuts` random byte boundaries.
+        fn split<'d>(&mut self, data: &'d [u8], max_cuts: usize) -> Vec<&'d [u8]> {
+            let mut cuts: Vec<usize> =
+                (0..self.below(max_cuts + 1)).map(|_| self.below(data.len() + 1)).collect();
+            cuts.push(data.len());
+            cuts.sort_unstable();
+            let mut start = 0;
+            cuts.into_iter()
+                .map(|end| {
+                    let piece = &data[start..end];
+                    start = end;
+                    piece
+                })
+                .collect()
+        }
+    }
+
+    /// A random valid request: its wire bytes and the `(method, path,
+    /// body, close)` the parser must recover. Only the last request of a
+    /// pipeline may ask to close.
+    fn valid_request(rng: &mut XorShift, last: bool) -> (Vec<u8>, (String, String, Vec<u8>, bool)) {
+        let method = ["GET", "POST", "PUT", "DELETE"][rng.below(4)];
+        let path = format!("/{}", rng.word(12));
+        let query = if rng.below(3) == 0 { format!("?{}", rng.word(6)) } else { String::new() };
+        let http10 = rng.below(5) == 0;
+        let mut head = format!("{method} {path}{query} HTTP/1.{}\r\n", u8::from(!http10));
+        for _ in 0..rng.below(4) {
+            head += &format!("X-{}: {}\r\n", rng.word(8), rng.word(20));
+        }
+        let body: Vec<u8> = match rng.below(3) {
+            0 => Vec::new(),
+            _ => (0..rng.below(300)).map(|_| rng.next() as u8).collect(),
+        };
+        if !body.is_empty() || rng.below(2) == 0 {
+            let name = ["Content-Length", "content-length", "CONTENT-LENGTH"][rng.below(3)];
+            head += &format!("{name}: {}\r\n", body.len());
+        }
+        let close = match rng.below(3) {
+            0 if last => {
+                head += "Connection: close\r\n";
+                true
+            }
+            1 => {
+                head += "Connection: keep-alive\r\n";
+                false
+            }
+            _ => http10,
+        };
+        head += "\r\n";
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&body);
+        (wire, (method.to_string(), path, body, close))
+    }
+
+    /// A random request the parser must refuse, with the status its
+    /// error maps to.
+    fn invalid_request(rng: &mut XorShift) -> (Vec<u8>, u16) {
+        let filler = |rng: &mut XorShift, head: &mut String| {
+            while head.len() <= MAX_HEAD_BYTES {
+                *head += &format!("X-{}: {}\r\n", rng.word(8), rng.word(200));
+            }
+        };
+        match rng.below(7) {
+            0 => {
+                // Random bytes with no '/', so never a valid request line.
+                let mut wire: Vec<u8> = (0..rng.below(400))
+                    .map(|_| rng.next() as u8)
+                    .map(|b| if b == b'/' { b'.' } else { b })
+                    .collect();
+                wire.extend_from_slice(b"\r\n\r\n");
+                (wire, 400)
+            }
+            1 => (format!("GET / HTTP/1.1\r\n{}\r\n\r\n", rng.word(30)).into_bytes(), 400),
+            2 => {
+                let length = format!("x{}", rng.word(10));
+                (format!("POST / HTTP/1.1\r\nContent-Length: {length}\r\n\r\n").into_bytes(), 400)
+            }
+            3 => (format!("GET /{} HTTP/2.0\r\n\r\n", rng.word(10)).into_bytes(), 400),
+            4 => {
+                // Oversized head that never terminates.
+                let mut head = "GET / HTTP/1.1\r\n".to_string();
+                filler(rng, &mut head);
+                (head.into_bytes(), 431)
+            }
+            5 => {
+                let mut head = "GET / HTTP/1.1\r\n".to_string();
+                filler(rng, &mut head);
+                head += "\r\n";
+                (head.into_bytes(), 431)
+            }
+            _ => {
+                let length = MAX_BODY_BYTES + 1 + rng.below(1 << 30);
+                let mut wire =
+                    format!("POST / HTTP/1.1\r\nContent-Length: {length}\r\n\r\n").into_bytes();
+                wire.extend((0..rng.below(64)).map(|_| rng.next() as u8));
+                (wire, 413)
+            }
+        }
+    }
+
+    /// Feeds `pieces` to one parser as the event loop does: push, then pop
+    /// until it needs more bytes, stopping at the first error. Returns the
+    /// parsed requests and the error's status, and checks after every
+    /// push that an incomplete request never holds more than one head and
+    /// one body's worth of bytes.
+    fn drive(pieces: &[&[u8]]) -> (Vec<Request>, Option<u16>) {
+        let mut p = RequestParser::new();
+        let mut requests = Vec::new();
+        for piece in pieces {
+            p.push(piece);
+            loop {
+                match p.pop() {
+                    Ok(Some(request)) => requests.push(request),
+                    Ok(None) => break,
+                    Err(err) => return (requests, Some(error_response(&err).status())),
+                }
+            }
+            let pending = &p.buf[p.start..];
+            assert!(pending.len() <= MAX_HEAD_BYTES + 4 + MAX_BODY_BYTES);
+            assert!(pending.len() <= MAX_HEAD_BYTES || find_head_end(pending).is_some());
+        }
+        (requests, None)
+    }
+
+    fn fields(requests: &[Request]) -> Vec<String> {
+        requests.iter().map(|r| format!("{r:?}")).collect()
+    }
+
+    #[test]
+    fn fuzzed_pipelines_parse_the_same_at_any_split() {
+        let mut rng = XorShift(0x5EED_F4E7);
+        for _ in 0..200 {
+            let n = 1 + rng.below(5);
+            let mut wire = Vec::new();
+            let mut expected = Vec::new();
+            for i in 0..n {
+                let (bytes, fields) = valid_request(&mut rng, i + 1 == n);
+                wire.extend_from_slice(&bytes);
+                expected.push(fields);
+            }
+            let (whole, err) = drive(&[&wire]);
+            assert_eq!(err, None);
+            let parsed: Vec<_> = whole
+                .iter()
+                .map(|r| (r.method.clone(), r.path.clone(), r.body.clone(), r.close))
+                .collect();
+            assert_eq!(parsed, expected);
+            let (split, err) = drive(&rng.split(&wire, 16));
+            assert_eq!(err, None);
+            assert_eq!(fields(&split), fields(&whole));
+        }
+    }
+
+    #[test]
+    fn fuzzed_bad_requests_end_in_the_documented_error() {
+        let mut rng = XorShift(0xBAD_5EED);
+        for _ in 0..200 {
+            let mut wire = Vec::new();
+            let good = rng.below(3);
+            for _ in 0..good {
+                wire.extend_from_slice(&valid_request(&mut rng, false).0);
+            }
+            let (bad, status) = invalid_request(&mut rng);
+            wire.extend_from_slice(&bad);
+            let (whole, err) = drive(&[&wire]);
+            assert_eq!(whole.len(), good, "valid prefix lost before the bad request");
+            assert_eq!(err, Some(status), "wrong error for {:?}", String::from_utf8_lossy(&bad));
+            let (split, err) = drive(&rng.split(&wire, 8));
+            assert_eq!(fields(&split), fields(&whole));
+            assert_eq!(err, Some(status));
+        }
     }
 
     #[test]

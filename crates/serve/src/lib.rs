@@ -9,7 +9,6 @@
 //! | `POST /v1/jobs` | Submit a job spec (apps × frames × policies × geometry) |
 //! | `GET /v1/jobs/{id}` | Lifecycle state + parsed result |
 //! | `GET /v1/jobs/{id}/result` | Raw payload bytes (bit-for-bit surface) |
-//! | `GET /v1/cache/{id}` | Peer cache probe (fleet peering; never executes) |
 //! | `GET /v1/policies`, `/v1/apps` | Discoverable vocabulary |
 //! | `GET /metrics` | Prometheus text exposition |
 //! | `POST /v1/shutdown` | Graceful drain (opt-in) |
@@ -17,13 +16,9 @@
 //! The connection layer ([`eventloop`]) is a single-threaded epoll
 //! readiness loop ([`poll`]) speaking HTTP/1.1 keep-alive with pipelining
 //! — one daemon holds tens of thousands of idle connections for the cost
-//! of their buffers. Simulation still runs on a Condvar worker pool;
-//! the two meet through per-request completion tickets.
-//!
-//! Fleet mode ([`fleet`]) stacks a front tier on the same loop: jobs are
-//! sharded across backend daemons by their content digest via rendezvous
-//! hashing, and backends probe each other's `/v1/cache/{id}` before
-//! executing, so a result computed anywhere is a cache hit everywhere.
+//! of their buffers. Every request is answered inline on the loop
+//! thread; simulation runs on a Condvar worker pool, and clients poll
+//! `GET /v1/jobs/{id}` for the outcome.
 //!
 //! Three properties hold the design together:
 //!
@@ -32,13 +27,14 @@
 //! 2. **Content-addressed results** ([`resultcache`]): the job id is the
 //!    SHA-256 of the canonical spec, so cached payloads need no
 //!    invalidation — memory tier for the process, size-bounded disk tier
-//!    across restarts, peer tier across the fleet. The same digest is the
-//!    shard-routing key, so an id's owner is also its cache home.
+//!    across restarts. Each disk file carries its payload's SHA-256 and is
+//!    checked on every read, so a damaged file is recomputed, never
+//!    served.
 //! 3. **Deterministic payloads** ([`job`]): no wall-clock fields, same
 //!    replay path and aggregation order as the offline tools, so the
-//!    service answer is bit-identical to a direct run — through any
-//!    number of fronts, shards, and peer adoptions. `grload smoke`
-//!    asserts exactly that.
+//!    service answer is bit-identical to a direct run, whether it was
+//!    executed or read from either cache tier. `grload smoke` asserts
+//!    exactly that.
 //!
 //! Admission control is a bounded queue: beyond `queue_cap` pending jobs
 //! the server answers 429 with `Retry-After` instead of accumulating
@@ -49,7 +45,6 @@
 //! linger window.
 
 pub mod eventloop;
-pub mod fleet;
 pub mod hash;
 pub mod http;
 pub mod job;
@@ -59,7 +54,6 @@ pub mod resultcache;
 pub mod server;
 pub mod spec;
 
-pub use fleet::{start_front, FrontConfig, FrontHandle, Ring};
 pub use job::{execute, JobOutput};
 pub use server::{start, ExecuteFn, ServerConfig, ServerHandle};
 pub use spec::JobSpec;

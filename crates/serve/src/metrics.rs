@@ -21,8 +21,6 @@ pub enum Endpoint {
     SubmitJob,
     /// `GET /v1/jobs/{id}`
     GetJob,
-    /// `GET /v1/cache/{id}` — the peering endpoint.
-    CachePeek,
     /// `GET /v1/policies`
     Policies,
     /// `GET /v1/apps`
@@ -38,10 +36,9 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
-    const ALL: [Endpoint; 9] = [
+    const ALL: [Endpoint; 8] = [
         Endpoint::SubmitJob,
         Endpoint::GetJob,
-        Endpoint::CachePeek,
         Endpoint::Policies,
         Endpoint::Apps,
         Endpoint::Profiles,
@@ -54,13 +51,12 @@ impl Endpoint {
         match self {
             Endpoint::SubmitJob => 0,
             Endpoint::GetJob => 1,
-            Endpoint::CachePeek => 2,
-            Endpoint::Policies => 3,
-            Endpoint::Apps => 4,
-            Endpoint::Profiles => 5,
-            Endpoint::Metrics => 6,
-            Endpoint::Shutdown => 7,
-            Endpoint::Other => 8,
+            Endpoint::Policies => 2,
+            Endpoint::Apps => 3,
+            Endpoint::Profiles => 4,
+            Endpoint::Metrics => 5,
+            Endpoint::Shutdown => 6,
+            Endpoint::Other => 7,
         }
     }
 
@@ -69,7 +65,6 @@ impl Endpoint {
         match self {
             Endpoint::SubmitJob => "jobs_post",
             Endpoint::GetJob => "jobs_get",
-            Endpoint::CachePeek => "cache_get",
             Endpoint::Policies => "policies",
             Endpoint::Apps => "apps",
             Endpoint::Profiles => "profiles",
@@ -106,6 +101,8 @@ pub struct ServerSnapshot {
     pub jobs_tracked: usize,
     /// Disk files evicted to stay under the cache budget.
     pub cache_evictions: u64,
+    /// Disk files deleted because their payload failed its digest check.
+    pub cache_corrupt: u64,
     /// Bytes resident in the disk cache tier.
     pub cache_disk_bytes: u64,
 }
@@ -114,7 +111,7 @@ pub struct ServerSnapshot {
 /// shared by every connection and worker thread.
 #[derive(Default)]
 pub struct Metrics {
-    endpoints: [EndpointStats; 9],
+    endpoints: [EndpointStats; 8],
     /// Jobs accepted into the queue.
     pub jobs_submitted: AtomicU64,
     /// Submissions that joined an already queued/running job.
@@ -129,10 +126,6 @@ pub struct Metrics {
     pub executions: AtomicU64,
     result_cache_hits_memory: AtomicU64,
     result_cache_hits_disk: AtomicU64,
-    /// Results adopted from a peer daemon instead of executing.
-    pub peer_hits: AtomicU64,
-    /// Peer lookups that found nothing (the job then executes locally).
-    pub peer_misses: AtomicU64,
     /// LLC accesses replayed by completed executions.
     pub replay_accesses: AtomicU64,
 }
@@ -208,6 +201,11 @@ impl Metrics {
             snap.cache_evictions,
         );
         counter(
+            "grserve_result_cache_corrupt_total",
+            "Disk cache files deleted because their payload failed its SHA-256 check.",
+            snap.cache_corrupt,
+        );
+        counter(
             "grserve_accepts_rejected_total",
             "Connections refused at accept time (max_conns reached).",
             conns.rejected.load(Ordering::Relaxed),
@@ -222,17 +220,6 @@ impl Metrics {
         out.push_str(&format!(
             "grserve_result_cache_hits_total{{tier=\"disk\"}} {}\n",
             self.result_cache_hits_disk.load(Ordering::Relaxed)
-        ));
-
-        out.push_str("# HELP grserve_peer_cache_total Peer result-cache lookups by outcome.\n");
-        out.push_str("# TYPE grserve_peer_cache_total counter\n");
-        out.push_str(&format!(
-            "grserve_peer_cache_total{{outcome=\"hit\"}} {}\n",
-            self.peer_hits.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "grserve_peer_cache_total{{outcome=\"miss\"}} {}\n",
-            self.peer_misses.load(Ordering::Relaxed)
         ));
 
         out.push_str("# HELP grserve_http_requests_total Requests handled by endpoint.\n");
@@ -293,10 +280,9 @@ mod tests {
     fn render_reports_all_series() {
         let m = Metrics::default();
         m.record_request(Endpoint::SubmitJob, Duration::from_millis(2));
-        m.record_request(Endpoint::CachePeek, Duration::from_millis(1));
+        m.record_request(Endpoint::Other, Duration::from_millis(1));
         m.record_cache_hit(CacheTier::Memory);
         Metrics::bump(&m.jobs_submitted);
-        Metrics::bump(&m.peer_hits);
         let conns = ConnGauges::default();
         conns.open.store(5, Ordering::Relaxed);
         conns.idle.store(4, Ordering::Relaxed);
@@ -306,6 +292,7 @@ mod tests {
             inflight: 1,
             jobs_tracked: 7,
             cache_evictions: 2,
+            cache_corrupt: 1,
             cache_disk_bytes: 4096,
         };
         let text = m.render(&snap, &conns);
@@ -314,10 +301,9 @@ mod tests {
             "grserve_result_cache_hits_total{tier=\"memory\"} 1",
             "grserve_result_cache_hits_total{tier=\"disk\"} 0",
             "grserve_result_cache_evictions_total 2",
-            "grserve_peer_cache_total{outcome=\"hit\"} 1",
-            "grserve_peer_cache_total{outcome=\"miss\"} 0",
+            "grserve_result_cache_corrupt_total 1",
             "grserve_http_requests_total{endpoint=\"jobs_post\"} 1",
-            "grserve_http_requests_total{endpoint=\"cache_get\"} 1",
+            "grserve_http_requests_total{endpoint=\"other\"} 1",
             "grserve_http_request_seconds_sum{endpoint=\"jobs_post\"} 0.002",
             "grserve_connections{state=\"open\"} 5",
             "grserve_connections{state=\"reading\"} 0",

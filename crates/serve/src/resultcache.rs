@@ -17,19 +17,47 @@
 //! On startup the directory is scanned and ordered by mtime (the best
 //! available proxy for cross-restart recency), and the budget is enforced
 //! immediately, so shrinking the budget across a restart also shrinks the
-//! directory. Files are written tmp-then-rename so a concurrent reader
-//! (or a peer daemon fetching over HTTP) never sees a torn payload.
+//! directory. The budget counts payload bytes; each file adds a 72-byte
+//! digest line.
+//!
+//! The job id digests the spec, not the payload, so nothing about the key
+//! vouches for a file's bytes. Each file therefore starts with one line,
+//! `sha256:<hex digest of the payload>`, and every disk read checks it. A
+//! file whose digest does not match, or that has no digest line, is
+//! deleted and counted (`grserve_result_cache_corrupt_total`), and the
+//! lookup misses, so the job executes again instead of serving damaged
+//! bytes for the life of the process. Memory hits are not re-hashed.
+//! Files are written with [`grtrace::io::write_atomic`], so a concurrent
+//! reader — in this process or another sharing the directory — never sees
+//! a torn payload.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::hash::sha256_hex;
 use crate::metrics::CacheTier;
 
 /// Default disk budget when `GR_RESULT_CACHE_MAX` is unset: 256 MiB.
 pub const DEFAULT_DISK_BUDGET: u64 = 256 * 1024 * 1024;
+
+/// Prefix of the digest line that starts every disk-tier file.
+const DIGEST_PREFIX: &str = "sha256:";
+
+/// Bytes of the digest line: the prefix, 64 hex digits, and a newline.
+const DIGEST_LINE_BYTES: u64 = (DIGEST_PREFIX.len() + 64 + 1) as u64;
+
+/// The payload of a disk-tier file's bytes, if its digest line is present
+/// and matches.
+fn verified_payload(file: Vec<u8>) -> Option<String> {
+    let text = String::from_utf8(file).ok()?;
+    let (line, payload) = text.split_once('\n')?;
+    let digest = line.strip_prefix(DIGEST_PREFIX)?;
+    (digest == sha256_hex(payload.as_bytes())).then(|| payload.to_string())
+}
 
 /// LRU bookkeeping for the disk tier. `by_id` and `by_seq` mirror each
 /// other; `total` is the byte sum of every tracked file.
@@ -64,7 +92,7 @@ impl DiskIndex {
             if victim == id {
                 // Never evict the entry being stored, even if it alone
                 // exceeds the budget — a cache that refuses its newest
-                // result would defeat peering.
+                // result would recompute it on the next restart.
                 self.by_seq.insert(seq, victim);
                 break;
             }
@@ -104,6 +132,9 @@ pub struct ResultCache {
     /// Disk files deleted to stay under budget (monotonic; exported as
     /// `grserve_result_cache_evictions_total`).
     evictions: AtomicU64,
+    /// Disk files deleted because their digest did not match (monotonic;
+    /// exported as `grserve_result_cache_corrupt_total`).
+    corrupt: AtomicU64,
 }
 
 impl ResultCache {
@@ -127,6 +158,7 @@ impl ResultCache {
             disk_budget,
             index: Mutex::new(DiskIndex::new()),
             evictions: AtomicU64::new(0),
+            corrupt: AtomicU64::new(0),
         };
         cache.scan_disk();
         cache
@@ -148,7 +180,8 @@ impl ResultCache {
             }
             let Ok(meta) = entry.metadata() else { continue };
             let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            found.push((mtime, id.to_string(), meta.len()));
+            let bytes = meta.len().saturating_sub(DIGEST_LINE_BYTES);
+            found.push((mtime, id.to_string(), bytes));
         }
         found.sort();
         let mut index = self.index.lock().expect("index lock");
@@ -180,8 +213,9 @@ impl ResultCache {
     }
 
     /// Looks `id` up, reporting which tier answered. A disk hit is
-    /// promoted into the memory tier on the way out and refreshed in the
-    /// LRU order.
+    /// verified against its digest line, promoted into the memory tier on
+    /// the way out, and refreshed in the LRU order; a disk file that fails
+    /// the check is deleted and the lookup misses.
     pub fn get(&self, id: &str) -> Option<(Arc<String>, CacheTier)> {
         if let Some(hit) = self.memory.lock().expect("cache lock").get(id) {
             let hit = Arc::clone(hit);
@@ -189,15 +223,19 @@ impl ResultCache {
             return Some((hit, CacheTier::Memory));
         }
         let path = self.disk_path(id)?;
-        let payload = match fs::read_to_string(path) {
-            Ok(payload) => Arc::new(payload),
-            Err(_) => {
-                // Possibly evicted by another process sharing the dir;
-                // drop any stale index entry.
-                self.index.lock().expect("index lock").forget(id);
-                return None;
-            }
+        let Ok(file) = fs::read(&path) else {
+            // Possibly evicted by another process sharing the dir; drop
+            // any stale index entry.
+            self.index.lock().expect("index lock").forget(id);
+            return None;
         };
+        let Some(payload) = verified_payload(file) else {
+            let _ = fs::remove_file(&path);
+            self.index.lock().expect("index lock").forget(id);
+            self.corrupt.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        let payload = Arc::new(payload);
         let evict = self.index.lock().expect("index lock").touch(
             id,
             payload.len() as u64,
@@ -217,10 +255,11 @@ impl ResultCache {
             if let Some(dir) = path.parent() {
                 let _ = fs::create_dir_all(dir);
             }
-            // Write-then-rename so a concurrent reader never sees a torn
-            // payload file.
-            let tmp = path.with_extension("json.tmp");
-            if fs::write(&tmp, payload.as_bytes()).is_ok() && fs::rename(&tmp, &path).is_ok() {
+            let written = grtrace::io::write_atomic(&path, |w| {
+                writeln!(w, "{DIGEST_PREFIX}{}", sha256_hex(payload.as_bytes()))?;
+                w.write_all(payload.as_bytes())
+            });
+            if written.is_ok() {
                 let evict = self.index.lock().expect("index lock").touch(
                     id,
                     payload.len() as u64,
@@ -245,6 +284,12 @@ impl ResultCache {
     /// Disk files evicted to stay under budget since startup.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Disk files deleted because they failed their digest check since
+    /// startup.
+    pub fn corrupt(&self) -> u64 {
+        self.corrupt.load(Ordering::Relaxed)
     }
 }
 
@@ -335,6 +380,44 @@ mod tests {
         let survivors = fs::read_dir(&dir).unwrap().count();
         assert_eq!(survivors, 2);
         fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn damaged_disk_files_are_deleted_and_recomputed() {
+        let id = "c0ffee";
+        let payload = "{\"misses\": [1, 2, 3]}";
+        for tag in ["truncated", "flipped", "legacy"] {
+            let dir = temp_dir(tag);
+            ResultCache::new(Some(dir.clone())).put(id, Arc::new(payload.to_string()));
+            let path = dir.join(format!("{id}.json"));
+            let mut bytes = fs::read(&path).unwrap();
+            match tag {
+                "truncated" => bytes.truncate(bytes.len() - 3),
+                "flipped" => *bytes.last_mut().unwrap() ^= 0x01,
+                _ => {
+                    // A file from before the digest line existed.
+                    let line = bytes.iter().position(|&b| b == b'\n').unwrap();
+                    bytes.drain(..=line);
+                }
+            }
+            fs::write(&path, bytes).unwrap();
+
+            // A fresh instance must refuse the damaged file, delete it,
+            // and count it, rather than serve or promote it.
+            let cache = ResultCache::new(Some(dir.clone()));
+            assert!(cache.get(id).is_none(), "{tag}: damaged file served");
+            assert!(!path.exists(), "{tag}: damaged file left in place");
+            assert_eq!(cache.corrupt(), 1, "{tag}: corruption not counted");
+            assert_eq!(cache.disk_bytes(), 0, "{tag}: index kept the damaged entry");
+            assert!(cache.get(id).is_none(), "{tag}: damaged payload promoted to memory");
+
+            // Recomputing stores a good file that round-trips.
+            cache.put(id, Arc::new(payload.to_string()));
+            let (hit, tier) = ResultCache::new(Some(dir.clone())).get(id).unwrap();
+            assert_eq!(*hit, payload, "{tag}");
+            assert_eq!(tier, CacheTier::Disk, "{tag}");
+            fs::remove_dir_all(dir).ok();
+        }
     }
 
     #[test]

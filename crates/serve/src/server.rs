@@ -1,5 +1,5 @@
 //! The daemon core: request routing, bounded job queue with admission
-//! control, coalescing worker pool, cache peering, and graceful drain.
+//! control, coalescing worker pool, and graceful drain.
 //! Connections are owned by the event loop in [`crate::eventloop`]; this
 //! module is the [`Handler`] behind it plus the execution machinery.
 //!
@@ -13,17 +13,12 @@
 //!                                  ├─ queue full ──────────────────►  429 + Retry-After
 //!                                  └─ else: enqueue ───────────────►  202
 //!
-//! worker pop ──► peer cache probe (GET /v1/cache/{id} on each peer)
-//!                  hit  ─► adopt payload verbatim ─► done (cached)
-//!                  miss ─► execute locally ────────► done
+//! worker pop ──► execute ──► result cache put ──► done
 //! ```
 //!
 //! Coalescing falls out of content addressing: the job table is keyed by
 //! the canonical spec digest, so concurrent identical submissions land on
-//! the same entry and share one execution. Peering extends the same idea
-//! across daemons — a result computed anywhere in the fleet is a cache
-//! hit everywhere, and because the adopted payload bytes are copied
-//! verbatim, bit-identity with offline [`job::execute`] is preserved.
+//! the same entry and share one execution.
 //!
 //! # Threads and locks
 //!
@@ -47,8 +42,8 @@ use grjson::Json;
 use grsynth::{AppProfile, Scale};
 use gspc::registry;
 
-use crate::eventloop::{self, ConnGauges, Handler, LoopConfig, Pending};
-use crate::http::{self, Request, Response};
+use crate::eventloop::{self, ConnGauges, Handler, LoopConfig};
+use crate::http::{Request, Response};
 use crate::job::{self, JobOutput};
 use crate::metrics::{CacheTier, Endpoint, Metrics, ServerSnapshot};
 use crate::resultcache::ResultCache;
@@ -58,9 +53,6 @@ use crate::spec::{scale_name, JobSpec};
 /// [`job::execute`]; tests inject blocking stand-ins to make coalescing,
 /// 429, and drain behavior deterministic.
 pub type ExecuteFn = Arc<dyn Fn(&JobSpec) -> Result<JobOutput, String> + Send + Sync>;
-
-/// How long a worker waits on one peer's cache probe before moving on.
-const PEER_PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Server construction parameters.
 pub struct ServerConfig {
@@ -78,9 +70,6 @@ pub struct ServerConfig {
     /// Disk-tier byte budget; `None` reads `GR_RESULT_CACHE_MAX` (with
     /// its built-in default).
     pub result_cache_max: Option<u64>,
-    /// Sibling daemons (`host:port`) whose result caches workers probe
-    /// before executing — the fleet peering protocol.
-    pub peers: Vec<String>,
     /// Honor `POST /v1/shutdown` (tests and supervised deployments).
     pub allow_http_shutdown: bool,
     /// How long the listener keeps answering reads after the drain
@@ -108,7 +97,6 @@ impl Default for ServerConfig {
             default_scale: ExperimentConfig::from_env().scale,
             result_cache_dir: std::env::var_os("GR_RESULT_CACHE").map(PathBuf::from),
             result_cache_max: None,
-            peers: Vec::new(),
             allow_http_shutdown: false,
             linger: Duration::from_millis(300),
             read_deadline: Duration::from_secs(10),
@@ -155,7 +143,6 @@ struct Inner {
     default_scale: Scale,
     allow_http_shutdown: bool,
     executor: ExecuteFn,
-    peers: Vec<String>,
     jobs: Mutex<HashMap<String, Job>>,
     queue: Mutex<QueueState>,
     /// Wakes workers (new job or drain started).
@@ -245,7 +232,6 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
         default_scale: cfg.default_scale,
         allow_http_shutdown: cfg.allow_http_shutdown,
         executor,
-        peers: cfg.peers,
         jobs: Mutex::new(HashMap::new()),
         queue: Mutex::new(QueueState { queue: VecDeque::new(), running: 0, draining: false }),
         work_cv: Condvar::new(),
@@ -261,7 +247,7 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
         })
         .collect();
 
-    let handler = Arc::new(BackendHandler { inner: Arc::clone(&inner) });
+    let handler = Arc::new(DaemonHandler { inner: Arc::clone(&inner) });
     let drained_probe = {
         let inner = Arc::clone(&inner);
         Arc::new(move || inner.is_drained()) as Arc<dyn Fn() -> bool + Send + Sync>
@@ -280,43 +266,23 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
     Ok(ServerHandle { inner, addr, event_loop: Some(event_loop), workers })
 }
 
-/// The event-loop handler for a backend daemon. Every endpoint here is
-/// non-blocking (submit only enqueues; status is a poll), so requests are
-/// always answered inline — the deferred path is for the fleet front
-/// tier.
-struct BackendHandler {
+/// The event-loop handler of the daemon. Every endpoint here is
+/// non-blocking (submit only enqueues; status is a poll), so it answers
+/// on the loop thread.
+struct DaemonHandler {
     inner: Arc<Inner>,
 }
 
-impl Handler for BackendHandler {
-    fn handle(&self, request: Request, _pending: Pending) -> Option<Response> {
+impl Handler for DaemonHandler {
+    fn handle(&self, request: Request) -> Response {
         let started = Instant::now();
         let (endpoint, response) = route(&request, &self.inner);
         self.inner.metrics.record_request(endpoint, started.elapsed());
-        Some(response)
+        response
     }
 }
 
-/// Probes each peer's cache endpoint for `id`; first hit wins. The
-/// payload bytes are adopted verbatim, which is what keeps fleet results
-/// bit-identical to offline execution.
-fn peer_lookup(peers: &[String], id: &str) -> Option<String> {
-    let path = format!("/v1/cache/{id}");
-    for peer in peers {
-        match http::fetch(peer, "GET", &path, &[], PEER_PROBE_TIMEOUT) {
-            Ok((200, _, body)) => match String::from_utf8(body) {
-                Ok(payload) => return Some(payload),
-                Err(_) => continue,
-            },
-            _ => continue,
-        }
-    }
-    None
-}
-
-/// Pops and executes jobs until the drain completes. Before executing, a
-/// fleet member probes its peers: a result computed anywhere is adopted
-/// instead of recomputed.
+/// Pops and executes jobs until the drain completes.
 fn worker_loop(inner: &Arc<Inner>) {
     loop {
         let id = {
@@ -340,31 +306,18 @@ fn worker_loop(inner: &Arc<Inner>) {
             Arc::clone(&entry.spec)
         };
 
-        let state = match peer_lookup(&inner.peers, &id) {
-            Some(payload) => {
-                Metrics::bump(&inner.metrics.peer_hits);
-                let payload = Arc::new(payload);
+        Metrics::bump(&inner.metrics.executions);
+        let state = match (inner.executor)(&spec) {
+            Ok(out) => {
+                let payload = Arc::new(out.payload);
                 inner.cache.put(&id, Arc::clone(&payload));
-                JobState::Done { payload, from_cache: true }
+                inner.metrics.replay_accesses.fetch_add(out.accesses, Ordering::Relaxed);
+                Metrics::bump(&inner.metrics.jobs_completed);
+                JobState::Done { payload, from_cache: false }
             }
-            None => {
-                if !inner.peers.is_empty() {
-                    Metrics::bump(&inner.metrics.peer_misses);
-                }
-                Metrics::bump(&inner.metrics.executions);
-                match (inner.executor)(&spec) {
-                    Ok(out) => {
-                        let payload = Arc::new(out.payload);
-                        inner.cache.put(&id, Arc::clone(&payload));
-                        inner.metrics.replay_accesses.fetch_add(out.accesses, Ordering::Relaxed);
-                        Metrics::bump(&inner.metrics.jobs_completed);
-                        JobState::Done { payload, from_cache: false }
-                    }
-                    Err(msg) => {
-                        Metrics::bump(&inner.metrics.jobs_failed);
-                        JobState::Failed(msg)
-                    }
-                }
+            Err(msg) => {
+                Metrics::bump(&inner.metrics.jobs_failed);
+                JobState::Failed(msg)
             }
         };
         inner.jobs.lock().expect("jobs lock").get_mut(&id).expect("running job is tracked").state =
@@ -409,12 +362,6 @@ fn route(request: &Request, inner: &Arc<Inner>) -> (Endpoint, Response) {
             _ => (Endpoint::Shutdown, method_not_allowed("POST")),
         },
         path => {
-            if let Some(id) = path.strip_prefix("/v1/cache/") {
-                if method != "GET" {
-                    return (Endpoint::CachePeek, method_not_allowed("GET"));
-                }
-                return (Endpoint::CachePeek, cache_peek(id, inner));
-            }
             if let Some(rest) = path.strip_prefix("/v1/jobs/") {
                 if method != "GET" {
                     return (Endpoint::GetJob, method_not_allowed("GET"));
@@ -533,24 +480,6 @@ fn raw_result(id: &str, inner: &Arc<Inner>) -> Response {
     }
 }
 
-/// `GET /v1/cache/{id}`: the peering endpoint. Serves the payload bytes
-/// if this daemon already has them (job table or result cache) and 404s
-/// otherwise — it never enqueues or executes anything, so a probe storm
-/// cannot create work. Local tier-hit counters are deliberately not
-/// bumped: a peer's probe is not local demand.
-fn cache_peek(id: &str, inner: &Arc<Inner>) -> Response {
-    {
-        let jobs = inner.jobs.lock().expect("jobs lock");
-        if let Some(JobState::Done { payload, .. }) = jobs.get(id).map(|entry| &entry.state) {
-            return Response::json(payload.as_str());
-        }
-    }
-    if let Some((payload, _tier)) = inner.cache.get(id) {
-        return Response::json(payload.as_str());
-    }
-    Response::new(404).with_json(error_body("not cached"))
-}
-
 pub(crate) fn policies_response() -> Response {
     let mut list = Vec::new();
     for entry in registry::ALL_POLICIES {
@@ -621,6 +550,7 @@ fn metrics_response(inner: &Arc<Inner>) -> Response {
         inflight: running,
         jobs_tracked: tracked,
         cache_evictions: inner.cache.evictions(),
+        cache_corrupt: inner.cache.corrupt(),
         cache_disk_bytes: inner.cache.disk_bytes(),
     };
     Response::new(200).with_text(inner.metrics.render(&snap, &inner.gauges))

@@ -27,7 +27,10 @@
 //! consumed whole by [`read_next_use`] or streamed alongside the trace via
 //! [`ChunkedReader::with_next_use`].
 
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::{Access, AccessSource, Chunk, StreamId, Trace};
 
@@ -325,6 +328,38 @@ pub fn read_nu_header<R: Read>(reader: &mut R) -> io::Result<u64> {
     Ok(u64::from_le_bytes(u64b))
 }
 
+/// Writes `path` without ever exposing a partial file: `fill` writes a
+/// temp file in the same directory whose name is unique to this process
+/// and call, which is flushed and then renamed over `path`. A concurrent
+/// reader — another thread, or another process sharing the directory —
+/// sees either the previous file or the complete new one. On any error the
+/// temp file is removed. Temp names end in `.tmp`, never in the target's
+/// own extension, so a directory scan by extension skips them.
+///
+/// # Errors
+///
+/// Returns any I/O error from creating, filling, flushing or renaming the
+/// temp file.
+pub fn write_atomic(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut name = path.file_name().expect("atomic writes name a file").to_os_string();
+    name.push(format!(".{}-{}.tmp", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed)));
+    let tmp = path.with_file_name(name);
+    let written = (|| {
+        let mut writer = BufWriter::new(File::create(&tmp)?);
+        fill(&mut writer)?;
+        writer.flush()?;
+        std::fs::rename(&tmp, path)
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
 /// A bounded-memory [`AccessSource`] over the `GRTR` disk format.
 ///
 /// The header is parsed eagerly (so [`ChunkedReader::app`] and friends work
@@ -514,6 +549,25 @@ mod tests {
         let mut buf = Vec::new();
         write(&mut buf, &t).unwrap();
         assert_eq!(read(&buf[..]).unwrap(), t);
+    }
+
+    /// A failed atomic write leaves the previous file and no temp file.
+    #[test]
+    fn failed_atomic_write_keeps_the_old_file() {
+        let dir = std::env::temp_dir().join(format!("grtrace-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("data.bin");
+        write_atomic(&path, |w| w.write_all(b"old")).unwrap();
+        let failed = write_atomic(&path, |w| {
+            w.write_all(b"half of the new")?;
+            Err(io::Error::other("fill failed"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"old");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "temp file left behind");
+        write_atomic(&path, |w| w.write_all(b"new")).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        std::fs::remove_dir_all(dir).ok();
     }
 
     /// The streamed writer emits the whole-trace format byte for byte, and
