@@ -14,6 +14,11 @@
 //!   differential replayer. Divergences are minimized to a handful of
 //!   accesses and dumped as `.gtrace` reproducers.
 //!
+//! * [`refdram`] — the same discipline for the DDR3 model: a naive
+//!   FR-FCFS reference ([`refdram::RefDram`]) that must match
+//!   [`grdram::DramSim`] on every statistic, bit for bit, on seeded
+//!   request streams and on real frames' memory logs.
+//!
 //! [`conform`] closes the loop against the paper itself: it replays real
 //! cached frames and asserts figure-level properties (per-stream hit-rate
 //! goldens, GSPC-vs-baseline miss ratios, OPT agreement).
@@ -28,4 +33,5 @@ pub mod conform;
 pub mod fuzz;
 pub mod optcheck;
 pub mod oracle;
+pub mod refdram;
 pub mod refmodel;

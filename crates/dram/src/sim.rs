@@ -57,23 +57,73 @@ impl DramStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct BankState {
-    open_row: Option<u64>,
-    ready_ns: f64,
-}
-
-#[derive(Debug, Clone)]
-struct Channel {
-    banks: Vec<BankState>,
-    bus_free_ns: f64,
-    busy_ns: f64,
-    last_was_write: bool,
-    next_refresh_ns: f64,
-}
-
 /// FR-FCFS window size (requests considered for row-hit reordering).
 const WINDOW: usize = 16;
+
+/// The oldest pending requests of one channel, in age order, with the
+/// per-slot facts the scheduler picks by kept as bitmasks: bit `k` of
+/// `writes` is set when slot `k` is a write, and bit `k` of `row_hits`
+/// when slot `k`'s bank-row key equals its bank's open key. Bits at and
+/// above `len` are always clear.
+struct Window {
+    keys: [u64; WINDOW],
+    arrivals: [f64; WINDOW],
+    len: usize,
+    writes: u32,
+    row_hits: u32,
+}
+
+impl Window {
+    fn live(&self) -> u32 {
+        (1 << self.len) - 1
+    }
+
+    /// Slots that have arrived by `now`: the longest prefix with
+    /// `arrival <= now` (arrivals are sorted, so it is a prefix; slot 0
+    /// always qualifies because `now` is at least its arrival). Only a
+    /// lone request can carry a NaN arrival — `run` rejects any pair
+    /// with one — and a one-slot window takes the `live` branch.
+    fn arrived(&self, now: f64) -> u32 {
+        if self.arrivals[self.len - 1] > now {
+            let mut n = 1;
+            while self.arrivals[n] <= now {
+                n += 1;
+            }
+            (1 << n) - 1
+        } else {
+            self.live()
+        }
+    }
+
+    /// Slots whose bank-row key is `key`.
+    fn matching(&self, key: u64) -> u32 {
+        let mut m = 0;
+        for (k, &slot) in self.keys.iter().enumerate() {
+            m |= u32::from(slot == key) << k;
+        }
+        m & self.live()
+    }
+
+    fn push(&mut self, key: u64, arrival_ns: f64, write: bool, row_hit: bool) {
+        self.keys[self.len] = key;
+        self.arrivals[self.len] = arrival_ns;
+        self.writes |= u32::from(write) << self.len;
+        self.row_hits |= u32::from(row_hit) << self.len;
+        self.len += 1;
+    }
+
+    /// Removes slot `pos`, shifting the younger slots down one.
+    fn take(&mut self, pos: usize) -> (u64, f64, bool) {
+        let out = (self.keys[pos], self.arrivals[pos], (self.writes >> pos) & 1 == 1);
+        self.keys.copy_within(pos + 1..self.len, pos);
+        self.arrivals.copy_within(pos + 1..self.len, pos);
+        let low = (1u32 << pos) - 1;
+        self.writes = (self.writes & low) | ((self.writes >> 1) & !low);
+        self.row_hits = (self.row_hits & low) | ((self.row_hits >> 1) & !low);
+        self.len -= 1;
+        out
+    }
+}
 
 /// A dual-channel, multi-bank DDR3 timing simulator.
 ///
@@ -87,7 +137,29 @@ pub struct DramSim {
 
 impl DramSim {
     /// Creates a simulator with the given timing parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `channels` and `banks` are powers of two and
+    /// `row_bytes` is a power of two of at least 64: requests are routed
+    /// by address bits, so any other geometry would silently leave
+    /// channels or banks unused.
     pub fn new(params: TimingParams) -> Self {
+        assert!(
+            params.channels.is_power_of_two(),
+            "TimingParams::channels must be a power of two, got {}",
+            params.channels
+        );
+        assert!(
+            params.banks.is_power_of_two(),
+            "TimingParams::banks must be a power of two, got {}",
+            params.banks
+        );
+        assert!(
+            params.row_bytes >= 64 && params.row_bytes.is_power_of_two(),
+            "TimingParams::row_bytes must be a power of two of at least 64, got {}",
+            params.row_bytes
+        );
         DramSim { params }
     }
 
@@ -96,148 +168,148 @@ impl DramSim {
         self.params
     }
 
-    fn decompose(&self, block: u64) -> (usize, usize, u64) {
-        let p = &self.params;
-        let channel = (block as usize) & (p.channels - 1);
-        let col_blocks = p.row_bytes / 64; // blocks per row
-        let after_ch = block >> p.channels.trailing_zeros();
-        let bank = ((after_ch / col_blocks) as usize) & (p.banks - 1);
-        let row = after_ch / col_blocks / p.banks as u64;
-        (channel, bank, row)
-    }
-
     /// Services `requests` (must be sorted by `arrival_ns`) and returns
     /// aggregate statistics.
     ///
     /// # Panics
     ///
-    /// Panics (debug builds) if arrivals are not monotonically
-    /// non-decreasing.
+    /// Panics if arrivals are not monotonically non-decreasing.
     pub fn run(&mut self, requests: &[Request]) -> DramStats {
         let p = self.params;
         let mut stats = DramStats::default();
         if requests.is_empty() {
             return stats;
         }
-        let mut channels: Vec<Channel> = (0..p.channels)
-            .map(|_| Channel {
-                banks: vec![BankState { open_row: None, ready_ns: 0.0 }; p.banks],
-                bus_free_ns: 0.0,
-                busy_ns: 0.0,
-                last_was_write: false,
-                next_refresh_ns: if p.t_refi_ns > 0.0 { p.t_refi_ns } else { f64::MAX },
-            })
-            .collect();
-        // Per-channel pending queues of (index into requests).
+        // One decode pass: each channel's requests, in arrival order.
+        let channel_mask = p.channels as u64 - 1;
         let mut queues: Vec<Vec<usize>> = vec![Vec::new(); p.channels];
         for (i, r) in requests.iter().enumerate() {
             if i > 0 {
-                debug_assert!(
+                assert!(
                     r.arrival_ns >= requests[i - 1].arrival_ns,
                     "requests must be sorted by arrival"
                 );
             }
-            let (ch, _, _) = self.decompose(r.block);
-            queues[ch].push(i);
+            queues[(r.block & channel_mask) as usize].push(i);
         }
 
+        // A request's bank-row key is its block address with the channel
+        // and column bits dropped; its bank is the key's low bits, so two
+        // requests share a bank and row exactly when their keys are equal.
+        let channel_bits = p.channels.trailing_zeros();
+        let column_bits = (p.row_bytes / 64).trailing_zeros();
+        let key_of = |block: u64| (block >> channel_bits) >> column_bits;
+        let bank_mask = p.banks as u64 - 1;
         let burst_ns = f64::from(p.burst_clocks()) * p.tck_ns;
+        let hit_ns = f64::from(p.t_cas) * p.tck_ns;
+        let miss_ns = f64::from(p.t_rp + p.t_rcd + p.t_cas) * p.tck_ns;
+        let activate_ns = f64::from(p.t_rp + p.t_rcd) * p.tck_ns;
+        let write_recovery_ns = f64::from(p.t_wr) * p.tck_ns;
+        let turnaround_ns = f64::from(p.t_turnaround) * p.tck_ns;
+        let refresh_ns = f64::from(p.t_rfc) * p.tck_ns;
+
+        let mut open: Vec<Option<u64>> = vec![None; p.banks];
+        let mut ready_ns = vec![0.0f64; p.banks];
         let mut total_latency = 0.0;
-        for (ch_idx, queue) in queues.iter().enumerate() {
-            let ch = &mut channels[ch_idx];
-            let mut pending: std::collections::VecDeque<usize> = queue.iter().copied().collect();
-            while let Some(&oldest) = pending.front() {
-                let now = ch.bus_free_ns.max(requests[oldest].arrival_ns);
+        for queue in &queues {
+            open.fill(None);
+            ready_ns.fill(0.0);
+            let mut bus_free_ns: f64 = 0.0;
+            let mut busy_ns = 0.0;
+            let mut last_was_write = false;
+            let mut next_refresh_ns = if p.t_refi_ns > 0.0 { p.t_refi_ns } else { f64::MAX };
+            let mut window = Window {
+                keys: [0; WINDOW],
+                arrivals: [0.0; WINDOW],
+                len: 0,
+                writes: 0,
+                row_hits: 0,
+            };
+            let mut queued = queue.iter().map(|&i| &requests[i]);
+            for r in queued.by_ref().take(WINDOW) {
+                window.push(key_of(r.block), r.arrival_ns, r.write, false);
+            }
+            while window.len > 0 {
+                let now = bus_free_ns.max(window.arrivals[0]);
                 // FR-FCFS with write batching: prefer a row hit among the
                 // arrived window; failing that, a request that keeps the
                 // bus direction (controllers group reads and writes to
                 // amortize turnarounds); finally the oldest.
-                let mut chosen_pos = 0;
-                let mut same_dir: Option<usize> = None;
-                let mut found_hit = false;
-                for (pos, &ri) in pending.iter().take(WINDOW).enumerate() {
-                    let r = &requests[ri];
-                    if r.arrival_ns > now {
-                        break;
-                    }
-                    let (_, bank, row) = self.decompose(r.block);
-                    if ch.banks[bank].open_row == Some(row) {
-                        chosen_pos = pos;
-                        found_hit = true;
-                        break;
-                    }
-                    if same_dir.is_none() && r.write == ch.last_was_write {
-                        same_dir = Some(pos);
-                    }
-                }
-                if !found_hit {
-                    if let Some(pos) = same_dir {
-                        chosen_pos = pos;
-                    }
-                }
-                let ri = pending.remove(chosen_pos).expect("chosen request exists");
-                let r = &requests[ri];
-                let (_, bank, row) = self.decompose(r.block);
+                let arrived = window.arrived(now);
+                let same_dir = if last_was_write { window.writes } else { !window.writes };
+                let pick = if window.row_hits & arrived != 0 {
+                    window.row_hits & arrived
+                } else {
+                    same_dir & arrived
+                };
+                let pos = if pick == 0 { 0 } else { pick.trailing_zeros() as usize };
+                let (key, arrival_ns, write) = window.take(pos);
+                let bank = (key & bank_mask) as usize;
                 // Rank-wide refresh: when the refresh deadline passes, all
                 // banks stall for tRFC and every row closes.
-                while now >= ch.next_refresh_ns {
-                    let rfc_ns = f64::from(p.t_rfc) * p.tck_ns;
-                    let refresh_start = ch.next_refresh_ns.max(ch.bus_free_ns);
-                    for b in &mut ch.banks {
-                        b.open_row = None;
-                        b.ready_ns = b.ready_ns.max(refresh_start + rfc_ns);
+                if now >= next_refresh_ns {
+                    while now >= next_refresh_ns {
+                        let refresh_start = next_refresh_ns.max(bus_free_ns);
+                        for ready in &mut ready_ns {
+                            *ready = ready.max(refresh_start + refresh_ns);
+                        }
+                        next_refresh_ns += p.t_refi_ns;
+                        stats.refreshes += 1;
                     }
-                    ch.next_refresh_ns += p.t_refi_ns;
-                    stats.refreshes += 1;
+                    open.fill(None);
+                    window.row_hits = 0;
                 }
-                let bank_state = &mut ch.banks[bank];
                 // `ready_ns` is when the bank can accept its next command;
                 // the CAS latency pipelines behind the data bursts.
-                let issue = r.arrival_ns.max(bank_state.ready_ns);
-                let (access_ns, hit) = if bank_state.open_row == Some(row) {
-                    (f64::from(p.t_cas) * p.tck_ns, true)
-                } else {
-                    (f64::from(p.t_rp + p.t_rcd + p.t_cas) * p.tck_ns, false)
-                };
+                let issue = arrival_ns.max(ready_ns[bank]);
+                let hit = open[bank] == Some(key);
+                let access_ns = if hit { hit_ns } else { miss_ns };
                 // Switching the bus between reads and writes pays a
                 // turnaround penalty.
-                let turnaround = if ch.last_was_write != r.write && ch.busy_ns > 0.0 {
+                let turnaround = if last_was_write != write && busy_ns > 0.0 {
                     stats.turnarounds += 1;
-                    f64::from(p.t_turnaround) * p.tck_ns
+                    turnaround_ns
                 } else {
                     0.0
                 };
-                let data_start = (issue + access_ns).max(ch.bus_free_ns + turnaround);
+                let data_start = (issue + access_ns).max(bus_free_ns + turnaround);
                 let done = data_start + burst_ns;
-                bank_state.open_row = Some(row);
-                bank_state.ready_ns = if hit {
-                    issue + burst_ns
-                } else {
-                    issue + f64::from(p.t_rp + p.t_rcd) * p.tck_ns + burst_ns
-                };
+                ready_ns[bank] =
+                    if hit { issue + burst_ns } else { issue + activate_ns + burst_ns };
                 // Writes hold the bank for the write-recovery window.
-                if r.write {
-                    bank_state.ready_ns =
-                        bank_state.ready_ns.max(done + f64::from(p.t_wr) * p.tck_ns);
+                if write {
+                    ready_ns[bank] = ready_ns[bank].max(done + write_recovery_ns);
                 }
-                ch.last_was_write = r.write;
-                ch.bus_free_ns = done;
-                ch.busy_ns += burst_ns;
-                total_latency += done - r.arrival_ns;
                 if hit {
                     stats.row_hits += 1;
                 } else {
+                    // The bank's row changes: its pending requests stop
+                    // hitting the old row and start hitting the new one.
                     stats.row_misses += 1;
+                    if let Some(old) = open[bank] {
+                        window.row_hits &= !window.matching(old);
+                    }
+                    open[bank] = Some(key);
+                    window.row_hits |= window.matching(key);
                 }
-                if r.write {
+                if write {
                     stats.writes += 1;
                 } else {
                     stats.reads += 1;
                 }
+                last_was_write = write;
+                bus_free_ns = done;
+                busy_ns += burst_ns;
+                total_latency += done - arrival_ns;
                 stats.makespan_ns = stats.makespan_ns.max(done);
+                if let Some(r) = queued.next() {
+                    let key = key_of(r.block);
+                    let row_hit = open[(key & bank_mask) as usize] == Some(key);
+                    window.push(key, r.arrival_ns, r.write, row_hit);
+                }
             }
+            stats.busy_ns = stats.busy_ns.max(busy_ns);
         }
-        stats.busy_ns = channels.iter().map(|c| c.busy_ns).fold(0.0, f64::max);
         stats.avg_latency_ns = total_latency / requests.len() as f64;
         stats
     }
@@ -329,6 +401,36 @@ mod tests {
         let stats = DramSim::new(TimingParams::ddr3_1600()).run(&reqs);
         assert_eq!(stats.writes, 1);
         assert_eq!(stats.reads, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "requests must be sorted by arrival")]
+    fn unsorted_arrivals_are_rejected() {
+        let reqs = vec![
+            Request { block: 0, write: false, arrival_ns: 5.0 },
+            Request { block: 1, write: false, arrival_ns: 1.0 },
+        ];
+        DramSim::new(TimingParams::ddr3_1600()).run(&reqs);
+    }
+
+    #[test]
+    #[should_panic(expected = "TimingParams::channels must be a power of two, got 3")]
+    fn three_channels_are_rejected() {
+        DramSim::new(TimingParams { channels: 3, ..TimingParams::ddr3_1600() });
+    }
+
+    #[test]
+    #[should_panic(expected = "TimingParams::banks must be a power of two, got 6")]
+    fn six_banks_are_rejected() {
+        DramSim::new(TimingParams { banks: 6, ..TimingParams::ddr3_1600() });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "TimingParams::row_bytes must be a power of two of at least 64, got 32"
+    )]
+    fn rows_below_one_block_are_rejected() {
+        DramSim::new(TimingParams { row_bytes: 32, ..TimingParams::ddr3_1600() });
     }
 
     #[test]

@@ -87,18 +87,14 @@ pub fn time_frame(
 
     let compute_bound = t_shader_ns.max(t_sampler_ns).max(t_llc_ns);
 
-    let build = |spacing: f64| -> Vec<Request> {
-        memory_requests
-            .iter()
-            .enumerate()
-            .map(|(i, &(block, write))| Request { block, write, arrival_ns: i as f64 * spacing })
-            .collect()
-    };
-
     // Bandwidth bound: replay back-to-back to measure the total DRAM
     // service time, including row conflicts, bus turnarounds, and refresh
     // (costs that the data-bus busy time alone would miss).
-    let saturated = DramSim::new(dram).run(&build(0.0));
+    let requests: Vec<Request> = memory_requests
+        .iter()
+        .map(|&(block, write)| Request { block, write, arrival_ns: 0.0 })
+        .collect();
+    let saturated = DramSim::new(dram).run(&requests);
     let t_mem = saturated.makespan_ns;
     let frame_base = compute_bound.max(t_mem);
 
