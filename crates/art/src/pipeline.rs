@@ -3,27 +3,25 @@
 //! Every figure whose numbers a `grserved` payload carries is phrased
 //! as canonical job-spec bodies handed to a [`JobSource`]: the
 //! normalized-miss figures (1, 11, 12, 14 and the partitioning
-//! ablation) and the Figure 15–17 FPS panels. One job per (figure,
-//! policy) keeps the specs small and exercises the serving stack's
-//! coalescing and result cache: the Figure 17 panels reuse Figure 15's
-//! exact spec bytes, so on a served run they are cache hits by
-//! construction.
+//! ablation) and the frame-graph profiles. One job per (figure, policy)
+//! keeps the specs small and exercises the serving stack's coalescing
+//! and result cache.
 //!
 //! Figures a payload cannot carry are computed in-process from
 //! `grbench`, the way the conformance panel is: the stream mix
 //! (Figure 4), the characterization counters behind Figures 5–9 and 13,
-//! Table 6, the Section 4 overhead report, and the inter-frame and
-//! sample-density ablations.
+//! the Figure 15–17 FPS panels, Table 6, the Section 4 overhead report,
+//! and the inter-frame and sample-density ablations. Each FPS panel is
+//! one timed `run_workload` ([`PerfConfig::run`]): every frame's own
+//! memory log goes through the DDR3 and GPU interval models, the same
+//! exact path the frame-time tests pin.
 //!
-//! Figure FPS points use the count-driven path
-//! ([`figures::fps_from_counts`]): payloads carry per-workload miss,
-//! writeback, and work counters, and the GPU interval model turns them
-//! into FPS deterministically. Payload bytes are a pure function of
-//! the spec and the in-process figures merge in canonical order, so
-//! artifacts are byte-identical whether the jobs ran in-process or in a
-//! spawned daemon, and at any `GR_THREADS`.
+//! Payload bytes are a pure function of the spec and the in-process
+//! figures merge in canonical order, so artifacts are byte-identical
+//! whether the jobs ran in-process or in a spawned daemon, and at any
+//! `GR_THREADS`.
 
-use grbench::figures::{self, CountedCell, PerfConfig};
+use grbench::figures::{self, PerfConfig};
 use grbench::{
     framecache, run_frame_sequence, run_workload, ExperimentConfig, RunOptions, WorkloadResults,
 };
@@ -115,8 +113,8 @@ pub fn run(tier: &Tier, source: &JobSource) -> Result<PipelineOutput, String> {
     let panels: Vec<PerfConfig> =
         if tier.full { figures::all_panels().to_vec() } else { vec![figures::fig15()] };
     for panel in &panels {
-        step(panel.key);
-        artifacts.push(figure_panel(tier, source, panel)?);
+        eprintln!("grart: [{}] {}, in-process", tier.name, panel.key);
+        artifacts.push(figure_panel(tier, panel));
     }
 
     artifacts.push(table6());
@@ -180,20 +178,6 @@ fn entry_u64(entry: &Json, key: &str) -> Result<u64, String> {
         Some(Json::UInt(n)) => Ok(*n),
         other => Err(format!("entry field {key} is {other:?}, expected an integer")),
     }
-}
-
-/// Rebuilds the replay counts a payload entry carries.
-fn counted_cell(entry: &Json) -> Result<CountedCell, String> {
-    let work = entry.get("work").ok_or("entry missing work counters")?;
-    Ok(CountedCell {
-        frames: entry_u64(entry, "frames")?,
-        accesses: entry_u64(entry, "accesses")?,
-        misses: entry_u64(entry, "misses")?,
-        writebacks: entry_u64(entry, "writebacks")?,
-        shaded_pixels: entry_u64(work, "shaded_pixels")?,
-        texel_samples: entry_u64(work, "texel_samples")?,
-        vertices: entry_u64(work, "vertices")?,
-    })
 }
 
 /// `num / den`, the denominator guarded so an empty cell reads 0, not NaN.
@@ -497,45 +481,51 @@ fn fig13(tier: &Tier, r: &WorkloadResults) -> Artifact {
     .into_artifact("fig13", tier.workload(Json::obj()))
 }
 
-/// One Figure 15–17 panel: count-driven FPS per app, normalized to the
-/// panel baseline, plus GSPC's absolute workload FPS.
-fn figure_panel(tier: &Tier, source: &JobSource, panel: &PerfConfig) -> Result<Artifact, String> {
-    let apps = AppProfile::all();
-
-    // One job per panel policy; cells per (policy, app), then the
-    // workload-wide merge of every app's counts in the last slot.
-    let mut cells: Vec<Vec<CountedCell>> = Vec::new();
-    for policy in figures::PERF_POLICIES {
-        let payload = run_job(source, &job_body(policy, tier.frames, panel.llc_mb, tier.scale))?;
-        let mut per_app = Vec::new();
-        for app in &apps {
-            per_app.push(counted_cell(result_entry(&payload, policy, app.abbrev)?)?);
-        }
-        let mut overall = CountedCell::default();
-        per_app.iter().for_each(|cell| overall.merge(cell));
-        per_app.push(overall);
-        cells.push(per_app);
-    }
-    let fps = |policy: &str, slot: usize| {
-        let index = figures::PERF_POLICIES.iter().position(|p| *p == policy).expect("panel member");
-        figures::fps_from_counts(panel, &cells[index][slot])
+/// One Figure 15–17 panel: exact per-frame FPS per app, normalized to
+/// the panel baseline, plus GSPC's absolute workload FPS and each
+/// contender's DRAM traffic (misses plus writebacks) over the
+/// baseline's, so an FPS gain can be read against the traffic cut.
+fn figure_panel(tier: &Tier, panel: &PerfConfig) -> Artifact {
+    let r = panel.run(&tier.config());
+    let fps = |policy: &str, apps: &[String]| figures::fps(apps.iter().map(|a| r.get(policy, a)));
+    let traffic = |policy: &str| -> u64 {
+        r.apps
+            .iter()
+            .map(|a| &r.get(policy, a).stats)
+            .map(|s| s.total_misses() + s.writebacks)
+            .sum()
     };
 
     let contenders: Vec<&str> = figures::perf_contenders().collect();
     let mut table = Table::new(panel.title, "app", &contenders).grouped("normalized_fps");
-    let labels = apps.iter().map(|a| a.abbrev).chain(["ALL"]);
-    for (slot, label) in labels.enumerate() {
-        let base = fps(figures::PERF_BASELINE, slot);
-        table.row(label, contenders.iter().map(|c| Fixed(fps(c, slot) / base, 4)).collect());
+    let rows = r.apps.iter().map(|a| (a.as_str(), std::slice::from_ref(a)));
+    for (label, apps) in rows.chain([("ALL", &r.apps[..])]) {
+        let base = fps(figures::PERF_BASELINE, apps);
+        table.row(label, contenders.iter().map(|c| Fixed(fps(c, apps) / base, 4)).collect());
     }
-    let gspc_fps = fps("GSPC+UCD", apps.len());
+    let gspc_fps = fps("GSPC+UCD", &r.apps);
     table.footer(vec!["avg FPS (GSPC+UCD)".into(), fixed(gspc_fps, 1), "-".into(), "-".into()]);
 
     let mut fields = Json::obj();
     fields.set("baseline", figures::PERF_BASELINE).set("llc_mb", panel.llc_mb);
     let mut artifact = table.into_artifact(panel.key, tier.workload(fields));
     artifact.doc.set("gspc_fps", fixed(gspc_fps, 1));
-    Ok(artifact)
+
+    let base_traffic = traffic(figures::PERF_BASELINE);
+    let mut normalized_traffic = Json::obj();
+    let mut shown = Vec::new();
+    for contender in &contenders {
+        let value = fixed(ratio(traffic(contender), base_traffic), 4);
+        shown.push(format!("{contender} {value}"));
+        normalized_traffic.set(*contender, value);
+    }
+    artifact.doc.set("normalized_traffic", normalized_traffic);
+    artifact.markdown += &format!(
+        "\nDRAM traffic (misses + writebacks) over {}: {}\n",
+        figures::PERF_BASELINE,
+        shown.join(", ")
+    );
+    artifact
 }
 
 /// Table 6: the evaluated policies, from the registry.

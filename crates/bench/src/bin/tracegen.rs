@@ -86,6 +86,10 @@ fn main() {
             let trace = import_or_die(&args[1]);
             let kb: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(512);
             let cfg = LlcConfig { size_bytes: kb * 1024, ways: 16, banks: 4, sample_period: 64 };
+            if let Err(e) = cfg.validate() {
+                eprintln!("invalid {kb} KB LLC ({} sets per bank): {e}", cfg.sets_per_bank());
+                std::process::exit(1);
+            }
             let policy = registry::create(&args[2], &cfg).unwrap_or_else(|| {
                 eprintln!("unknown policy {}", args[2]);
                 std::process::exit(1);

@@ -293,11 +293,6 @@ pub struct CellResult {
     pub chars: Option<CharReport>,
     /// Frame render time in nanoseconds (when `opts.timing` was set).
     pub frame_ns: f64,
-    /// Synthesis work counters of the replayed frame (pixels shaded,
-    /// texels sampled, vertices transformed). Always populated — this is
-    /// what lets payload consumers run the GPU timing model from counts
-    /// alone. Imported traces carry only `raw_accesses`.
-    pub work: FrameWork,
     /// Accesses replayed.
     pub accesses: u64,
     /// Seconds spent inside the replay loop only (synthesis and
@@ -629,7 +624,6 @@ fn finish_cell<P: Policy, O: LlcObserver>(
         stats: llc.stats().clone(),
         chars: llc.characterization().cloned(),
         frame_ns: 0.0,
-        work: *work,
         accesses,
         replay_seconds: replay_started.elapsed().as_secs_f64(),
     };

@@ -115,15 +115,30 @@ impl LlcConfig {
             banks: 4,
             sample_period: 64,
         };
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         cfg
     }
 
-    fn validate(&self) {
-        assert!(self.banks.is_power_of_two(), "bank count must be a power of two");
-        assert!(self.sets_per_bank() > 0, "LLC must have at least one set per bank");
-        assert!(self.sets_per_bank().is_power_of_two(), "sets per bank must be a power of two");
-        assert!(self.sample_period.is_power_of_two(), "sample period must be a power of two");
+    /// Checks that the geometry maps every address: a power-of-two bank
+    /// count, set count per bank and sample period. [`LlcGeometry`] masks
+    /// the set index, so a set count that is not a power of two would
+    /// silently leave sets unreachable and simulate a smaller cache.
+    ///
+    /// # Errors
+    ///
+    /// The first violated rule.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if !self.banks.is_power_of_two() {
+            Err("bank count must be a power of two")
+        } else if self.sets_per_bank() == 0 {
+            Err("LLC must have at least one set per bank")
+        } else if !self.sets_per_bank().is_power_of_two() {
+            Err("sets per bank must be a power of two")
+        } else if !self.sample_period.is_power_of_two() {
+            Err("sample period must be a power of two")
+        } else {
+            Ok(())
+        }
     }
 
     /// Number of sets in each bank.

@@ -178,9 +178,11 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
     /// # Panics
     ///
     /// Panics if the configured associativity exceeds 64 ways (the per-set
-    /// validity bitmask is a single `u64` word).
+    /// validity bitmask is a single `u64` word) or the geometry fails
+    /// [`LlcConfig::validate`].
     pub fn with_observer(cfg: LlcConfig, policy: P, observer: O) -> Self {
         assert!(cfg.ways <= 64, "set bitmasks support at most 64 ways");
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Llc {
             cfg,
             geo: cfg.geometry(),
@@ -568,6 +570,16 @@ mod tests {
             })
             .take(n as usize)
             .collect()
+    }
+
+    /// 768 sets over four banks is 192 per bank: the index mask would
+    /// reach only 128 of them, so construction refuses the geometry.
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_sets_are_rejected() {
+        let cfg = LlcConfig { size_bytes: 768 * 16 * 64, ways: 16, banks: 4, sample_period: 64 };
+        assert_eq!(cfg.total_sets(), 768);
+        Llc::new(cfg, TestLru { tick: 0 });
     }
 
     #[test]

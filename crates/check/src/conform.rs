@@ -24,8 +24,7 @@
 //! module spells itself are the pinned DRRIP/GSPC fixtures in the
 //! frame-graph profile golden table ([`run_profiles`]).
 
-use grbench::figures::{self, CountedCell};
-use grbench::{framecache, simulate_cell, ExperimentConfig, RunOptions};
+use grbench::{figures, framecache, ExperimentConfig};
 use grcache::{Llc, LlcConfig, LlcStats};
 use grsynth::{AppProfile, GraphRenderer, Scale, GRAPH_PROFILES};
 use grtrace::StreamId;
@@ -306,34 +305,20 @@ pub fn run_profiles(paper_mb: u64) -> ConformanceReport {
 const ORDERING_TOLERANCE: f64 = 0.02;
 
 /// Pins the paper's qualitative Figure 15 claim at the kick-tires scale:
-/// sweeping the +UCD performance panel over every app, the count-driven
-/// FPS ([`figures::fps_from_counts`] on the [`figures::fig15`] machine)
-/// must respect [`figures::PERF_FPS_ORDER`] — GSPC ≥ GS-DRRIP ≥ DRRIP ≥
-/// NRU — within [`ORDERING_TOLERANCE`]. Always evaluated at the pinned
-/// `Scale::Tiny` configuration regardless of `GR_SCALE`, like
-/// [`run_profiles`], so the golden stays one exact workload.
+/// sweeping the +UCD performance panel over every app on the
+/// [`figures::fig15`] machine, the exact workload FPS (each frame's own
+/// memory log timed through the DDR3 and interval models) must respect
+/// [`figures::PERF_FPS_ORDER`] — GSPC ≥ GS-DRRIP ≥ DRRIP ≥ NRU — within
+/// [`ORDERING_TOLERANCE`]. Always evaluated at the pinned `Scale::Tiny`
+/// configuration regardless of `GR_SCALE`, like [`run_profiles`], so the
+/// golden stays one exact workload.
 pub fn run_figure_ordering() -> ConformanceReport {
     let cfg = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) };
-    let panel = figures::fig15();
-    let opts = RunOptions { llc_paper_mb: panel.llc_mb, ..RunOptions::misses(&[]) };
-
-    let mut fps = Vec::new();
-    for name in figures::PERF_FPS_ORDER {
-        let mut cell = CountedCell::default();
-        for app in &AppProfile::all() {
-            let r = simulate_cell(name, app, 0, &opts, &cfg);
-            cell.merge(&CountedCell {
-                frames: 1,
-                accesses: r.stats.total_accesses(),
-                misses: r.stats.total_misses(),
-                writebacks: r.stats.writebacks,
-                shaded_pixels: r.work.shaded_pixels,
-                texel_samples: r.work.texel_samples,
-                vertices: r.work.vertices,
-            });
-        }
-        fps.push((name, figures::fps_from_counts(&panel, &cell)));
-    }
+    let r = figures::fig15().run(&cfg);
+    let fps: Vec<(&str, f64)> = figures::PERF_FPS_ORDER
+        .into_iter()
+        .map(|name| (name, figures::fps(r.apps.iter().map(|app| r.get(name, app)))))
+        .collect();
 
     let mut report = ConformanceReport::default();
     for pair in fps.windows(2) {

@@ -302,9 +302,9 @@ fn smoke(argv_tail: &[String]) {
     // the duplicate job; distinct jobs must overflow the cap of 2 into 429.
     let mut overflow_ids = Vec::new();
     let mut saw_429 = false;
-    for llc_mb in [2u64, 3, 4, 5] {
+    for frames in 2..=5 {
         let body = format!(
-            r#"{{"policies": ["NRU"], "apps": ["Dirt"], "llc_mb": {llc_mb}, "scale": "tiny"}}"#
+            r#"{{"policies": ["NRU"], "apps": ["Dirt"], "frames": {frames}, "scale": "tiny"}}"#
         );
         let (status, doc, retry_after) = submit(&addr, &body);
         if status == 429 {
@@ -359,9 +359,9 @@ fn smoke(argv_tail: &[String]) {
     // The drain flag is set by the daemon's signal poll loop; retry until
     // a fresh submission observes 503.
     let mut saw_503 = false;
-    for llc_mb in 6u64..30 {
+    for frames in 2..26 {
         let body = format!(
-            r#"{{"policies": ["NRU"], "apps": ["DMC"], "llc_mb": {llc_mb}, "scale": "tiny"}}"#
+            r#"{{"policies": ["NRU"], "apps": ["DMC"], "frames": {frames}, "scale": "tiny"}}"#
         );
         let (status, _, _) = submit(&addr, &body);
         if status == 503 {

@@ -11,7 +11,7 @@
 use grbench::{simulate_cell, simulate_trace_cell, RunOptions};
 use grcache::{CharReport, LlcStats};
 use grjson::Json;
-use grsynth::{AppProfile, FrameWork, Frames};
+use grsynth::{AppProfile, Frames};
 use grtrace::{PolicyClass, StreamId};
 
 use crate::spec::JobSpec;
@@ -69,7 +69,7 @@ pub fn execute(spec: &JobSpec, base: &RunOptions) -> JobOutput {
                 chars.merge(c);
             }
             let mut workload_obj = Json::obj();
-            let entry = stats_entry(&stats, &chars, 1, &cell.work, spec.characterize);
+            let entry = stats_entry(&stats, &chars, 1, spec.characterize);
             workload_obj.set(trace_ref.app.clone(), entry);
             per_policy.set(policy.clone(), workload_obj);
         }
@@ -96,7 +96,6 @@ pub fn execute(spec: &JobSpec, base: &RunOptions) -> JobOutput {
             for &(label, frames, nframes) in &workloads {
                 let mut stats = LlcStats::new();
                 let mut chars = CharReport::default();
-                let mut work = FrameWork::default();
                 let mut count = 0u64;
                 for frame in 0..cfg.frames_for(nframes) {
                     let cell = simulate_cell(policy, frames, frame, &opts, &cfg);
@@ -104,12 +103,11 @@ pub fn execute(spec: &JobSpec, base: &RunOptions) -> JobOutput {
                     if let Some(c) = &cell.chars {
                         chars.merge(c);
                     }
-                    merge_work(&mut work, &cell.work);
                     count += 1;
                     accesses += cell.accesses;
                     replay_seconds += cell.replay_seconds;
                 }
-                let entry = stats_entry(&stats, &chars, count, &work, spec.characterize);
+                let entry = stats_entry(&stats, &chars, count, spec.characterize);
                 workload_obj.set(label, entry);
             }
             per_policy.set(policy.clone(), workload_obj);
@@ -122,31 +120,10 @@ pub fn execute(spec: &JobSpec, base: &RunOptions) -> JobOutput {
     JobOutput { payload: doc.to_string_pretty(), accesses, replay_seconds }
 }
 
-/// Sums per-frame work counters (payload v2 carries the aggregate).
-fn merge_work(into: &mut FrameWork, cell: &FrameWork) {
-    into.shaded_pixels += cell.shaded_pixels;
-    into.texel_samples += cell.texel_samples;
-    into.vertices += cell.vertices;
-    into.raw_accesses += cell.raw_accesses;
-}
-
 /// The per-workload result entry every workload kind shares, so payload
-/// consumers see one shape regardless of where the accesses came from.
-/// `frames` and the `work` counters (summed over those frames) let a
-/// consumer drive the GPU interval timing model from the payload alone —
-/// this is what the `grart` pipeline turns into Figure 15-17 FPS points.
-fn stats_entry(
-    stats: &LlcStats,
-    chars: &CharReport,
-    frames: u64,
-    work: &FrameWork,
-    characterize: bool,
-) -> Json {
-    let mut work_obj = Json::obj();
-    work_obj
-        .set("shaded_pixels", work.shaded_pixels)
-        .set("texel_samples", work.texel_samples)
-        .set("vertices", work.vertices);
+/// consumers see one shape regardless of where the accesses came from:
+/// the LLC counters summed over `frames` frames.
+fn stats_entry(stats: &LlcStats, chars: &CharReport, frames: u64, characterize: bool) -> Json {
     let mut entry = Json::obj();
     entry
         .set("frames", frames)
@@ -156,8 +133,7 @@ fn stats_entry(
         .set("writebacks", stats.writebacks)
         .set("tex_hit_rate", stats.class_hit_rate(PolicyClass::Tex))
         .set("rt_hit_rate", stats.hit_rate(StreamId::RenderTarget))
-        .set("z_hit_rate", stats.hit_rate(StreamId::Z))
-        .set("work", work_obj);
+        .set("z_hit_rate", stats.hit_rate(StreamId::Z));
     if characterize {
         entry.set("rt_consumption", chars.rt_consumption_rate());
     }
@@ -287,5 +263,6 @@ mod tests {
             .expect("payload entry");
         assert!(entry.get("rt_consumption").is_none());
         assert!(entry.get("misses").is_some());
+        assert!(entry.get("work").is_none(), "payload entries carry no work counters");
     }
 }

@@ -20,10 +20,10 @@ use crate::hash;
 /// Spec format version, embedded in the canonical encoding so a future
 /// payload change invalidates old cache entries instead of serving them.
 ///
-/// v2: result entries gained `frames` and the `work` counter object
-/// (pixels/texels/vertices), so timing-model consumers can derive FPS
-/// from a payload alone.
-const SPEC_VERSION: u64 = 2;
+/// v2: result entries gained `frames` and a `work` counter object.
+/// v3: the `work` object is gone again; FPS is timed in-process on each
+/// frame's memory log, never derived from payload counts.
+const SPEC_VERSION: u64 = 3;
 
 /// A validated reference to an external `.gtrace` file workload.
 ///
@@ -245,6 +245,16 @@ impl JobSpec {
                 .ok_or_else(|| format!("unknown scale {s:?} (full|half|quarter|tiny)"))?,
             Some(_) => return Err("scale must be a string".into()),
         };
+        // The LLC shrinks with the scale, and a capacity whose derived set
+        // count is not a power of two would replay a smaller cache.
+        let llc = ExperimentConfig { scale, frames_per_app: None }.llc(llc_mb);
+        if let Err(e) = llc.validate() {
+            return Err(format!(
+                "llc_mb {llc_mb} at scale {} gives an LLC with {} sets per bank: {e}",
+                scale_name(scale),
+                llc.sets_per_bank()
+            ));
+        }
 
         let characterize = match doc.get("characterize") {
             None => false,
@@ -517,6 +527,20 @@ mod tests {
         let body = format!(r#"{{"policies": ["NRU"], "trace": {:?}}}"#, bad.to_str().unwrap());
         let err = JobSpec::parse(&body, Scale::Tiny).expect_err("bad magic");
         assert!(err.contains("cannot import trace"), "error {err:?}");
+    }
+
+    #[test]
+    fn llc_mb_must_give_a_power_of_two_geometry() {
+        // 3 MB at half scale is 768 KB, 192 sets per bank; at tiny scale it
+        // clamps to the 64 KB floor, 16 sets per bank.
+        let parse = |scale: &str| {
+            let policy = registry::ALL_POLICIES[0].name;
+            let body = format!(r#"{{"policies": ["{policy}"], "llc_mb": 3, "scale": "{scale}"}}"#);
+            JobSpec::parse(&body, Scale::Full)
+        };
+        let err = parse("half").expect_err("192 sets per bank");
+        assert!(err.contains("llc_mb 3") && err.contains("scale half"), "error {err:?}");
+        assert_eq!(parse("tiny").expect("64 KB LLC").llc_mb, 3);
     }
 
     #[test]
