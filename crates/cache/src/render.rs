@@ -78,8 +78,6 @@ pub struct RenderCaches {
     tex_l1: LruCache,
     tex_l2: LruCache,
     tex_l3: LruCache,
-    tex_prefetch: bool,
-    prefetches: u64,
 }
 
 impl RenderCaches {
@@ -102,23 +100,7 @@ impl RenderCaches {
             tex_l1: LruCache::new(tex.l1),
             tex_l2: LruCache::new(tex.l2),
             tex_l3: LruCache::new(tex.l3),
-            tex_prefetch: false,
-            prefetches: 0,
         }
-    }
-
-    /// Enables next-block prefetching into the texture L3 on its misses
-    /// (texture caches have long used FIFO prefetch structures; see the
-    /// paper's related work). The prefetched block's fill also reaches the
-    /// LLC trace, tagged as texture traffic.
-    pub fn with_texture_prefetch(mut self) -> Self {
-        self.tex_prefetch = true;
-        self
-    }
-
-    /// Texture blocks prefetched so far.
-    pub fn prefetches(&self) -> u64 {
-        self.prefetches
     }
 
     /// Routes one raw pipeline access through its render cache; misses and
@@ -147,11 +129,6 @@ impl RenderCaches {
                     return;
                 }
                 llc_trace.push(access);
-                // Sequential next-block prefetch into the L3.
-                if self.tex_prefetch && self.tex_l3.access(block + 1, false) != Lookup::Hit {
-                    self.prefetches += 1;
-                    llc_trace.push(Access::load((block + 1) * 64, StreamId::Texture));
-                }
             }
             _ => {
                 let cache = self.cache_for(stream);
@@ -197,25 +174,6 @@ impl RenderCaches {
                 llc_trace.push(Access::store(block * 64, stream));
             }
         }
-    }
-
-    /// Total hits across all render caches (for reporting).
-    pub fn total_hits(&self) -> u64 {
-        [
-            &self.vertex,
-            &self.vertex_index,
-            &self.hiz,
-            &self.z,
-            &self.stencil,
-            &self.rt,
-            &self.other,
-            &self.tex_l1,
-            &self.tex_l2,
-            &self.tex_l3,
-        ]
-        .iter()
-        .map(|c| c.hits())
-        .sum()
     }
 }
 
@@ -283,29 +241,6 @@ mod tests {
         // Same address from a different stream still misses (separate caches).
         rc.filter(Access::load(0, StreamId::Stencil), &mut out);
         assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn texture_prefetch_fetches_next_block() {
-        let mut rc = RenderCaches::new().with_texture_prefetch();
-        let mut out = Trace::new("t", 0);
-        rc.filter(Access::load(0x40, StreamId::Texture), &mut out);
-        // The demand miss and its prefetch both reach the LLC.
-        assert_eq!(out.len(), 2);
-        assert_eq!(out.accesses()[1].block(), out.accesses()[0].block() + 1);
-        assert_eq!(rc.prefetches(), 1);
-        // The prefetched block now hits in the L3: no LLC traffic.
-        rc.filter(Access::load(0x80, StreamId::Texture), &mut out);
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn prefetch_disabled_by_default() {
-        let mut rc = RenderCaches::new();
-        let mut out = Trace::new("t", 0);
-        rc.filter(Access::load(0x40, StreamId::Texture), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(rc.prefetches(), 0);
     }
 
     #[test]
