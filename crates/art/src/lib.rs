@@ -7,10 +7,11 @@
 //! * **`grart kick-tires`** — every table, figure and ablation at tiny
 //!   scale, in seconds: Table 1, Figures 1, 4–9 and 11–15, Table 6,
 //!   the Section 4 overhead report, the partitioning, inter-frame and
-//!   sample-density ablations, and the conformance panel.
+//!   sample-density ablations, the frame-graph profiles, and the
+//!   conformance panel.
 //! * **`grart full`** — the complete study: the same artifacts over
 //!   every app's captured frames at half scale, plus the Figure 16/17
-//!   machine panels and the frame-graph profiles.
+//!   machine panels.
 //!
 //! Every table and figure is emitted twice under the output directory:
 //! a deterministic JSON document (numbers carried as fixed-precision
@@ -21,18 +22,12 @@
 //! exits nonzero on drift, which is what pins the committed goldens in
 //! CI.
 //!
-//! The pipeline submits its replay work as `grserved` job specs. By
-//! default they execute in-process through the same [`grserve::execute`]
-//! path the daemon uses; `--serve spawn` boots a private daemon (drained
-//! automatically, even if the pipeline dies) and `--serve HOST:PORT`
-//! targets a running one. All three routes produce byte-identical
-//! artifacts — that identity is itself a regression test of the serving
-//! stack.
+//! Every artifact is computed in-process from `grbench`, through the
+//! same `run_workload` and `simulate_cell` replays the harness's own
+//! tests pin.
 
 pub mod artifact;
-pub mod daemon;
 pub mod diff;
 pub mod pipeline;
-pub mod source;
 
 pub use grbench::figures;

@@ -1,29 +1,24 @@
-//! The two artifact tiers and the jobs that build them.
+//! The two artifact tiers and the figures that build them.
 //!
-//! Every figure whose numbers a `grserved` payload carries is phrased
-//! as canonical job-spec bodies handed to a [`JobSource`]: the
-//! normalized-miss figures (1, 11, 12, 14 and the partitioning
-//! ablation) and the frame-graph profiles. One job per (figure, policy)
-//! keeps the specs small and exercises the serving stack's coalescing
-//! and result cache.
+//! Every artifact is computed in-process from `grbench`. Each
+//! normalized-miss figure (1, 11, 12, 14 and the partitioning ablation)
+//! is one [`run_workload`] over its baseline and policies; the
+//! characterization counters behind Figures 5–9 and 13 share one
+//! characterizing run; each Figure 15–17 FPS panel is one timed
+//! `run_workload` ([`PerfConfig::run`]), every frame's own memory log
+//! going through the DDR3 and GPU interval models on the same exact
+//! path the frame-time tests pin. The stream mix (Figure 4), the
+//! ablations and the frame-graph profiles read the shared frame cache
+//! and [`simulate_cell`] directly.
 //!
-//! Figures a payload cannot carry are computed in-process from
-//! `grbench`, the way the conformance panel is: the stream mix
-//! (Figure 4), the characterization counters behind Figures 5–9 and 13,
-//! the Figure 15–17 FPS panels, Table 6, the Section 4 overhead report,
-//! and the inter-frame and sample-density ablations. Each FPS panel is
-//! one timed `run_workload` ([`PerfConfig::run`]): every frame's own
-//! memory log goes through the DDR3 and GPU interval models, the same
-//! exact path the frame-time tests pin.
-//!
-//! Payload bytes are a pure function of the spec and the in-process
-//! figures merge in canonical order, so artifacts are byte-identical
-//! whether the jobs ran in-process or in a spawned daemon, and at any
-//! `GR_THREADS`.
+//! Every run merges its cells in canonical order, so the artifacts are
+//! byte-identical at any `GR_THREADS` and with or without the streamed
+//! disk tier.
 
 use grbench::figures::{self, PerfConfig};
 use grbench::{
-    framecache, run_frame_sequence, run_workload, ExperimentConfig, RunOptions, WorkloadResults,
+    framecache, run_frame_sequence, run_workload, simulate_cell, ExperimentConfig, RunOptions,
+    WorkloadResults,
 };
 use grcache::{CharReport, Llc, LlcConfig, LlcStats};
 use grcheck::conform;
@@ -34,7 +29,6 @@ use gspc::{overhead, registry, Drrip, Gspc};
 
 use crate::artifact::Cell::{self, Count, Fixed, Text};
 use crate::artifact::{fixed, markdown_table, Artifact, Table};
-use crate::source::JobSource;
 
 /// One pipeline tier: how much of the study to reproduce.
 pub struct Tier {
@@ -46,8 +40,8 @@ pub struct Tier {
     pub frames: u32,
     /// Apps covered by the conformance panel section.
     pub conform_apps: usize,
-    /// Whether to emit the full-study artifacts (Figures 16/17 and the
-    /// frame-graph profiles) on top of the kick-tires set.
+    /// Whether to emit the Figure 16/17 machine panels on top of the
+    /// kick-tires set.
     pub full: bool,
 }
 
@@ -60,9 +54,7 @@ impl Tier {
     /// `fields` followed by the tier's scale and frames: the document
     /// fields of an artifact replayed at the tier's workload.
     fn workload(&self, mut fields: Json) -> Json {
-        fields
-            .set("scale", grserve::spec::scale_name(self.scale))
-            .set("frames", u64::from(self.frames));
+        fields.set("scale", self.scale.name()).set("frames", u64::from(self.frames));
         fields
     }
 }
@@ -85,99 +77,48 @@ pub struct PipelineOutput {
     pub conformance_pass: bool,
 }
 
-/// Runs `tier`'s jobs through `source` and builds its artifacts, in
-/// paper order.
-///
-/// # Errors
-///
-/// Propagates job execution and payload-shape problems.
-pub fn run(tier: &Tier, source: &JobSource) -> Result<PipelineOutput, String> {
-    let step = |what: &str| eprintln!("grart: [{}] {what} via {}", tier.name, source.describe());
+/// Builds `tier`'s artifacts, in paper order.
+pub fn run(tier: &Tier) -> PipelineOutput {
+    let step = |what: &str| eprintln!("grart: [{}] {what}", tier.name);
     let [fig01, fig11, fig12, fig14, partitioning] = miss_figures();
 
     let mut artifacts = vec![table1()];
     step(fig01.key);
-    artifacts.push(normalized_misses(tier, source, &fig01)?);
-    eprintln!("grart: [{}] fig04 and the fig05-09/fig13 characterization, in-process", tier.name);
+    artifacts.push(normalized_misses(tier, &fig01));
+    step("fig04 and the fig05-09/fig13 characterization");
     artifacts.push(fig04(tier));
     let characterized = characterize(tier);
     artifacts.extend(characterization(tier, &characterized));
     for figure in [&fig11, &fig12] {
         step(figure.key);
-        artifacts.push(normalized_misses(tier, source, figure)?);
+        artifacts.push(normalized_misses(tier, figure));
     }
     artifacts.push(fig13(tier, &characterized));
     step(fig14.key);
-    artifacts.push(normalized_misses(tier, source, &fig14)?);
+    artifacts.push(normalized_misses(tier, &fig14));
 
     let panels: Vec<PerfConfig> =
         if tier.full { figures::all_panels().to_vec() } else { vec![figures::fig15()] };
     for panel in &panels {
-        eprintln!("grart: [{}] {}, in-process", tier.name, panel.key);
+        step(panel.key);
         artifacts.push(figure_panel(tier, panel));
     }
 
     artifacts.push(table6());
     artifacts.push(overhead_report());
     step(partitioning.key);
-    artifacts.push(normalized_misses(tier, source, &partitioning)?);
-    eprintln!("grart: [{}] inter-frame and sample-density ablations, in-process", tier.name);
+    artifacts.push(normalized_misses(tier, &partitioning));
+    step("inter-frame and sample-density ablations");
     artifacts.push(interframe(tier));
     artifacts.push(sample_density(tier));
+    step("frame-graph profiles");
+    artifacts.push(profiles(tier));
 
-    if tier.full {
-        step("frame-graph profiles");
-        artifacts.push(profiles(tier, source)?);
-    }
-
-    eprintln!("grart: [{}] conformance panel", tier.name);
+    step("conformance panel");
     let (conformance, pass) = conformance(tier);
     artifacts.push(conformance);
 
-    Ok(PipelineOutput { artifacts, conformance_pass: pass })
-}
-
-/// The canonical body for an app-grid job over one policy.
-fn job_body(policy: &str, frames: u32, llc_mb: u64, scale: Scale) -> String {
-    let mut doc = Json::obj();
-    doc.set("policies", Json::Arr(vec![Json::Str(policy.to_string())]))
-        .set("frames", u64::from(frames))
-        .set("llc_mb", llc_mb)
-        .set("scale", grserve::spec::scale_name(scale));
-    doc.to_string_pretty()
-}
-
-/// The canonical body for a frame-graph profile job.
-fn profile_body(profile: &str, policies: &[&str], frames: u32, scale: Scale) -> String {
-    let mut doc = Json::obj();
-    doc.set("policies", Json::Arr(policies.iter().map(|p| Json::Str(p.to_string())).collect()))
-        .set("profile", profile)
-        .set("frames", u64::from(frames))
-        .set("scale", grserve::spec::scale_name(scale));
-    doc.to_string_pretty()
-}
-
-/// Runs one job and returns its parsed payload.
-fn run_job(source: &JobSource, body: &str) -> Result<Json, String> {
-    let payload = source.payload(body)?;
-    Json::parse(&payload).map_err(|e| format!("payload is not valid JSON: {e}"))
-}
-
-/// The per-workload result entry for `policy`/`workload` in a payload.
-fn result_entry<'p>(payload: &'p Json, policy: &str, workload: &str) -> Result<&'p Json, String> {
-    payload
-        .get("results")
-        .and_then(|r| r.get(policy))
-        .and_then(|p| p.get(workload))
-        .ok_or_else(|| format!("payload missing results.{policy}.{workload}"))
-}
-
-/// An exact integer field of a result entry.
-fn entry_u64(entry: &Json, key: &str) -> Result<u64, String> {
-    match entry.get(key) {
-        Some(Json::UInt(n)) => Ok(*n),
-        other => Err(format!("entry field {key} is {other:?}, expected an integer")),
-    }
+    PipelineOutput { artifacts, conformance_pass: pass }
 }
 
 /// `num / den`, the denominator guarded so an empty cell reads 0, not NaN.
@@ -271,28 +212,23 @@ fn miss_figures() -> [MissFigure; 5] {
     ]
 }
 
-/// One normalized-miss figure: one job per policy, the baseline
-/// included, and each policy's misses over the baseline's per app and
-/// workload-wide.
-fn normalized_misses(
-    tier: &Tier,
-    source: &JobSource,
-    figure: &MissFigure,
-) -> Result<Artifact, String> {
-    let apps = AppProfile::all();
-    let misses = |policy: &str| -> Result<Vec<u64>, String> {
-        let payload = run_job(source, &job_body(policy, tier.frames, figure.llc_mb, tier.scale))?;
-        apps.iter()
-            .map(|app| entry_u64(result_entry(&payload, policy, app.abbrev)?, "misses"))
-            .collect()
-    };
-    let baseline = misses(figure.baseline)?;
+/// One normalized-miss figure: one run over the baseline and the
+/// figure's policies, and each policy's misses over the baseline's per
+/// app and workload-wide.
+fn normalized_misses(tier: &Tier, figure: &MissFigure) -> Artifact {
+    let mut names = vec![figure.baseline];
+    names.extend(figure.policies.iter().filter(|p| **p != figure.baseline));
+    let opts = RunOptions { llc_paper_mb: figure.llc_mb, ..RunOptions::from_env(&names) };
+    let r = run_workload(&opts, &tier.config());
+    let misses =
+        |policy: &str| -> Vec<u64> { r.apps.iter().map(|a| r.misses(policy, a)).collect() };
+    let baseline = misses(figure.baseline);
 
-    let mut keys: Vec<&str> = apps.iter().map(|a| a.abbrev).collect();
+    let mut keys: Vec<&str> = r.apps.iter().map(String::as_str).collect();
     keys.push("ALL");
     let mut table = Table::new(figure.title, "policy", &keys).grouped("normalized_misses");
     for policy in &figure.policies {
-        let ours = misses(policy)?;
+        let ours = misses(policy);
         let mut cells: Vec<Cell> =
             ours.iter().zip(&baseline).map(|(m, b)| Fixed(ratio(*m, *b), 4)).collect();
         cells.push(Fixed(ratio(ours.iter().sum(), baseline.iter().sum()), 4));
@@ -301,7 +237,7 @@ fn normalized_misses(
 
     let mut fields = Json::obj();
     fields.set("baseline", figure.baseline).set("llc_mb", figure.llc_mb);
-    Ok(table.into_artifact(figure.key, tier.workload(fields)))
+    table.into_artifact(figure.key, tier.workload(fields))
 }
 
 /// Figure 4: each stream's share of the LLC accesses, per app and
@@ -595,7 +531,7 @@ fn interframe(tier: &Tier) -> Artifact {
         row(policy, "ALL", frames_total, cold_total, warm_total);
     }
     let mut fields = Json::obj();
-    fields.set("llc_mb", 8u64).set("scale", grserve::spec::scale_name(tier.scale));
+    fields.set("llc_mb", 8u64).set("scale", tier.scale.name());
     table.into_artifact("ablation-interframe", fields)
 }
 
@@ -625,30 +561,30 @@ fn sample_density(tier: &Tier) -> Artifact {
         table.row(&format!("{}/1024", 1024 / period), cells);
     }
     let mut fields = Json::obj();
-    fields
-        .set("llc_mb", 8u64)
-        .set("scale", grserve::spec::scale_name(tier.scale))
-        .set("frames", 1u64);
+    fields.set("llc_mb", 8u64).set("scale", tier.scale.name()).set("frames", 1u64);
     table.into_artifact("ablation-sample-density", fields)
 }
 
-/// Frame-graph profiles: DRRIP vs GSPC hit rates per built-in profile.
-fn profiles(tier: &Tier, source: &JobSource) -> Result<Artifact, String> {
+/// Frame-graph profiles: DRRIP vs GSPC hit rates per built-in profile,
+/// each at its default coherence over the tier's frames.
+fn profiles(tier: &Tier) -> Artifact {
     const POLICIES: [&str; 2] = ["DRRIP", "GSPC"];
+    let (cfg, opts) = (tier.config(), RunOptions::from_env(&[]));
     let keys = POLICIES.map(|policy| format!("{policy}_hit_rate"));
     let mut table = Table::new("Frame-graph profiles: overall hit rates", "profile", &keys)
         .headings(&["profile", "DRRIP", "GSPC"]);
     for profile in GRAPH_PROFILES {
-        let body = profile_body(profile.name, &POLICIES, tier.frames, tier.scale);
-        let payload = run_job(source, &body)?;
-        let mut cells = Vec::new();
-        for policy in POLICIES {
-            let entry = result_entry(&payload, policy, profile.name)?;
-            cells.push(Fixed(ratio(entry_u64(entry, "hits")?, entry_u64(entry, "accesses")?), 4));
-        }
-        table.row(profile.name, cells);
+        let graph = profile.graph();
+        let cells = POLICIES.map(|policy| {
+            let mut stats = LlcStats::new();
+            for frame in 0..cfg.frames_for(profile.frames) {
+                stats.merge(&simulate_cell(policy, &graph, frame, &opts, &cfg).stats);
+            }
+            Fixed(ratio(stats.total_hits(), stats.total_accesses()), 4)
+        });
+        table.row(profile.name, cells.into());
     }
-    Ok(table.into_artifact("profiles", tier.workload(Json::obj())))
+    table.into_artifact("profiles", tier.workload(Json::obj()))
 }
 
 /// The conformance panel, profile goldens, and the pinned Figure 15
@@ -707,20 +643,6 @@ mod tests {
         let full = full();
         assert_eq!(full.frames, 52);
         assert!(full.full);
-    }
-
-    #[test]
-    fn job_bodies_are_canonical_specs() {
-        let body = job_body("GSPC+UCD", 1, 8, Scale::Tiny);
-        let spec = grserve::JobSpec::parse(&body, Scale::Full).expect("body parses");
-        assert_eq!(spec.policies, vec!["GSPC+UCD".to_string()]);
-        assert_eq!(spec.scale, Scale::Tiny, "explicit scale wins over the daemon default");
-        assert_eq!(spec.apps.len(), 12);
-
-        let body = profile_body("deferred", &["DRRIP", "GSPC"], 2, Scale::Tiny);
-        let spec = grserve::JobSpec::parse(&body, Scale::Full).expect("profile body parses");
-        assert_eq!(spec.profile.as_deref(), Some("deferred"));
-        assert_eq!(spec.frames, 2);
     }
 
     #[test]

@@ -1,11 +1,8 @@
-//! End-to-end pipeline properties: determinism, golden diffing, and
-//! served/in-process byte identity.
+//! End-to-end pipeline properties: determinism and golden diffing.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use grart::daemon::DaemonGuard;
-use grart::source::JobSource;
 use grart::{artifact, diff, pipeline};
 use grjson::Json;
 
@@ -15,13 +12,13 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn run_kick_tires(source: &JobSource, dir: &Path) -> pipeline::PipelineOutput {
-    let output = pipeline::run(&pipeline::kick_tires(), source).expect("pipeline runs");
+fn run_kick_tires(dir: &Path) -> pipeline::PipelineOutput {
+    let output = pipeline::run(&pipeline::kick_tires());
     artifact::write_all(dir, &output.artifacts).expect("artifacts write");
     output
 }
 
-/// One in-process kick-tires run, shared by the tests that only read
+/// One kick-tires run, shared by the tests that only read
 /// it. No test outlives it, so it goes to Cargo's per-target scratch
 /// directory instead of being removed; the process id keeps concurrent
 /// test processes apart.
@@ -31,7 +28,7 @@ fn shared_run() -> &'static Path {
         let name = format!("grart-kick-tires-{}", std::process::id());
         let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
         let _ = std::fs::remove_dir_all(&dir);
-        run_kick_tires(&JobSource::in_process(), &dir);
+        run_kick_tires(&dir);
         dir
     })
 }
@@ -49,20 +46,20 @@ fn tree_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
-/// Two in-process runs write byte-identical trees, the self-diff
+/// Two runs write byte-identical trees, the self-diff
 /// passes, and a perturbed artifact is caught with a nonzero drift.
 #[test]
 fn kick_tires_is_deterministic_and_diffable() {
     let a = shared_run();
     let b = temp_dir("det-b");
-    let out = run_kick_tires(&JobSource::in_process(), &b);
+    let out = run_kick_tires(&b);
     assert!(out.conformance_pass, "conformance must pass at the pinned configuration");
     let names: Vec<&str> = out.artifacts.iter().map(|x| x.name.as_str()).collect();
     assert_eq!(
         names.join(" "),
         "table1 fig01 fig04 fig05 fig06 fig07 fig08 fig09 fig11 fig12 fig13 fig14 fig15 \
          table6 overhead ablation-partitioning ablation-interframe ablation-sample-density \
-         conformance",
+         profiles conformance",
         "kick-tires artifact set is pinned"
     );
     assert_eq!(tree_bytes(a), tree_bytes(&b), "artifact trees must be byte-identical");
@@ -107,37 +104,4 @@ fn interframe_ablation_warm_never_exceeds_cold() {
         assert!(warm > 0 && cold > 0);
         assert!(warm <= cold, "a persistent LLC cannot miss more than cold starts: {row:?}");
     }
-}
-
-/// The same pipeline through a spawned daemon produces byte-identical
-/// artifacts, and the guard drains the daemon on drop.
-#[test]
-fn served_artifacts_match_in_process() {
-    let served = temp_dir("served-daemon");
-    let daemon = DaemonGuard::spawn(Path::new(env!("CARGO_BIN_EXE_grart"))).expect("daemon spawns");
-    let pid = daemon.pid();
-    run_kick_tires(&JobSource::served(daemon.addr()), &served);
-    drop(daemon);
-
-    assert_eq!(
-        tree_bytes(shared_run()),
-        tree_bytes(&served),
-        "served and in-process artifacts must be byte-identical"
-    );
-    assert!(!process_alive(pid), "daemon must exit once its guard drops");
-
-    let _ = std::fs::remove_dir_all(&served);
-}
-
-#[cfg(unix)]
-fn process_alive(pid: u32) -> bool {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    unsafe { kill(pid as i32, 0) == 0 }
-}
-
-#[cfg(not(unix))]
-fn process_alive(_pid: u32) -> bool {
-    false
 }

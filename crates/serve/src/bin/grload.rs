@@ -11,7 +11,9 @@
 //!
 //! 1. submit → poll → fetch the raw result and compare it **byte for
 //!    byte** against an offline [`grserve::execute`] run of the same spec
-//!    (the shared replay/aggregation path used by the export tools);
+//!    (the shared replay/aggregation path used by the export tools), for
+//!    an app grid covering plain, Belady-annotated and parameterized
+//!    policies and for a frame-graph profile;
 //! 2. resubmit the identical job and verify it is answered from the
 //!    result cache (cache-hit counter up, execution counter unchanged);
 //! 3. submit N identical jobs while the single worker is busy and verify
@@ -47,6 +49,7 @@ use grjson::Json;
 use grserve::poll::{self, Epoll, EPOLLIN, EPOLLOUT};
 use grserve::JobSpec;
 use grsynth::Scale;
+use gspc::registry;
 
 const USAGE: &str = "grload smoke (--spawn PATH | --url HOST:PORT) [--metrics-out FILE]\n\
        grload bench (--spawn PATH | --url HOST:PORT) [--connections N] \
@@ -201,6 +204,27 @@ fn scrape(addr: &str) -> String {
 
 // ----------------------------------------------------------------- smoke test
 
+/// Submits `body` as a fresh job, waits for it, and checks that the
+/// served result bytes equal an offline [`grserve::execute`] of the same
+/// canonical spec.
+fn served_matches_offline(addr: &str, body: &str, what: &str) {
+    let (status, doc, _) = submit(addr, body);
+    check(status == 202, &format!("fresh {what} job accepted with 202"));
+    let id = doc.get("id").and_then(Json::as_str).map(str::to_string).expect("job id");
+    let status_doc = await_done(addr, &id);
+    check(status_doc.get("state").and_then(Json::as_str) == Some("done"), "job reached done");
+    let (status, _, served) =
+        http(addr, "GET", &format!("/v1/jobs/{id}/result"), None).expect("fetch result");
+    check(status == 200, "raw result fetch returns 200");
+    let offline_spec = JobSpec::parse(body, Scale::Tiny).expect("spec parses offline");
+    check(offline_spec.id() == id, "client and server agree on the canonical job id");
+    let offline = grserve::execute(&offline_spec, &RunOptions::from_env(&[]));
+    check(
+        served == offline.payload,
+        &format!("{what} payload is bit-identical to the offline run"),
+    );
+}
+
 fn smoke(argv_tail: &[String]) {
     let mut spawn_path: Option<String> = None;
     let mut url: Option<String> = None;
@@ -241,24 +265,27 @@ fn smoke(argv_tail: &[String]) {
     println!("grload: smoke against http://{addr}");
 
     // Phase 1: correctness — the service answer must be bit-identical to
-    // the offline execution of the same canonical spec.
-    let spec_body = r#"{"policies": ["DRRIP", "NRU"], "apps": ["HAWX"], "scale": "tiny"}"#;
-    let (status, doc, _) = submit(&addr, spec_body);
-    check(status == 202, "fresh job accepted with 202");
-    let id = doc.get("id").and_then(Json::as_str).map(str::to_string).expect("job id");
-    let status_doc = await_done(&addr, &id);
-    check(status_doc.get("state").and_then(Json::as_str) == Some("done"), "job reached done");
-    let (status, _, served) =
-        http(&addr, "GET", &format!("/v1/jobs/{id}/result"), None).expect("fetch result");
-    check(status == 200, "raw result fetch returns 200");
-    let offline_spec = JobSpec::parse(spec_body, Scale::Tiny).expect("spec parses offline");
-    check(offline_spec.id() == id, "client and server agree on the canonical job id");
-    let offline = grserve::execute(&offline_spec, &RunOptions::from_env(&[]));
-    check(served == offline.payload, "service payload is bit-identical to the offline run");
+    // the offline execution of the same canonical spec: an app grid over
+    // a plain, a Belady-annotated and a parameterized policy (the latter
+    // two drawn from the registry), and a frame-graph profile.
+    let annotated = registry::ALL_POLICIES
+        .iter()
+        .find(|e| e.needs_next_use())
+        .expect("the registry has an annotated policy")
+        .name;
+    let parameterized = registry::PARAMETERIZED[0].fuzz_spellings[0];
+    let spec_body = format!(
+        r#"{{"policies": ["DRRIP", "NRU", {annotated:?}, {parameterized:?}], "apps": ["HAWX"], "scale": "tiny"}}"#
+    );
+    served_matches_offline(&addr, &spec_body, "app-grid");
+    let profile_body = format!(
+        r#"{{"policies": [{annotated:?}, {parameterized:?}], "profile": "deferred", "scale": "tiny"}}"#
+    );
+    served_matches_offline(&addr, &profile_body, "profile");
 
     // Phase 2: content-addressed caching — resubmission never re-executes.
     let before = scrape(&addr);
-    let (status, doc, _) = submit(&addr, spec_body);
+    let (status, doc, _) = submit(&addr, &spec_body);
     check(status == 200, "resubmission answered immediately with 200");
     check(doc.get("cached") == Some(&Json::Bool(true)), "resubmission flagged as cached");
     let after = scrape(&addr);

@@ -162,56 +162,89 @@ mod tests {
         assert!(a.accesses > 0);
     }
 
-    /// The payload must agree with the offline `run_workload` aggregation
-    /// path cell for cell.
-    #[test]
-    fn payload_matches_run_workload() {
-        let s = spec(r#"{"policies": ["DRRIP"], "apps": ["HAWX"], "characterize": true}"#);
-        let out = execute(&s, &RunOptions::from_env(&[]));
-
-        let opts = RunOptions { characterize: true, ..RunOptions::from_env(&["DRRIP"]) };
-        let r = grbench::run_workload(&opts, &s.config());
-        let agg = r.get("DRRIP", "HAWX");
-
-        let doc = Json::parse(&out.payload).unwrap();
-        let entry = doc
-            .get("results")
-            .and_then(|p| p.get("DRRIP"))
-            .and_then(|p| p.get("HAWX"))
-            .expect("payload entry");
-        assert_eq!(
-            entry.get("misses").and_then(Json::as_f64),
-            Some(agg.stats.total_misses() as f64)
-        );
-        assert_eq!(entry.get("hits").and_then(Json::as_f64), Some(agg.stats.total_hits() as f64));
-        assert_eq!(
-            entry.get("rt_consumption").and_then(Json::as_f64),
-            Some(agg.chars.rt_consumption_rate())
-        );
+    /// Two-bit DRRIP, the first Belady-annotated registry policy and the
+    /// first parameterized fuzz spelling: one policy of each replay shape,
+    /// drawn from the registry instead of spelled out.
+    fn covered_policies() -> [&'static str; 3] {
+        let annotated = gspc::registry::ALL_POLICIES
+            .iter()
+            .find(|e| e.needs_next_use())
+            .expect("the registry has an annotated policy");
+        ["DRRIP", annotated.name, gspc::registry::PARAMETERIZED[0].fuzz_spellings[0]]
     }
 
-    /// A profile job's payload must agree cell for cell with the direct
-    /// `simulate_cell` replay of the same graph.
+    /// A spec body over `policies` plus the `extra` fields.
+    fn body(policies: &[&str], extra: &[(&str, Json)]) -> String {
+        let mut doc = Json::obj();
+        doc.set("policies", Json::Arr(policies.iter().map(|p| Json::from(*p)).collect()));
+        for (key, value) in extra {
+            doc.set(*key, value.clone());
+        }
+        doc.to_string_pretty()
+    }
+
+    /// The payload entry for `policy` on `workload`.
+    fn entry<'d>(doc: &'d Json, policy: &str, workload: &str) -> &'d Json {
+        doc.get("results")
+            .and_then(|p| p.get(policy))
+            .and_then(|p| p.get(workload))
+            .unwrap_or_else(|| panic!("payload entry {policy}/{workload}"))
+    }
+
+    /// The entry's exact counters equal `stats`'.
+    fn assert_counts(entry: &Json, stats: &LlcStats, what: &str) {
+        let want = [
+            ("misses", stats.total_misses()),
+            ("hits", stats.total_hits()),
+            ("accesses", stats.total_accesses()),
+        ];
+        for (key, value) in want {
+            assert_eq!(entry.get(key), Some(&Json::UInt(value)), "{what}: {key}");
+        }
+    }
+
+    /// The payload must agree with the offline `run_workload` aggregation
+    /// path cell for cell, on every app and every replay shape.
+    #[test]
+    fn payload_matches_run_workload() {
+        let policies = covered_policies();
+        let s = spec(&body(&policies, &[("characterize", Json::Bool(true))]));
+        assert_eq!(s.apps.len(), 12, "an omitted app list means every app");
+        let out = execute(&s, &RunOptions::from_env(&[]));
+        let doc = Json::parse(&out.payload).unwrap();
+
+        let opts = RunOptions { characterize: true, ..RunOptions::from_env(&policies) };
+        let r = grbench::run_workload(&opts, &s.config());
+        for policy in policies {
+            for app in &r.apps {
+                let (agg, entry) = (r.get(policy, app), entry(&doc, policy, app));
+                assert_counts(entry, &agg.stats, &format!("{policy}/{app}"));
+                assert_eq!(
+                    entry.get("rt_consumption").and_then(Json::as_f64),
+                    Some(agg.chars.rt_consumption_rate())
+                );
+            }
+        }
+    }
+
+    /// A profile job at its default coherence must agree cell for cell
+    /// with the direct `simulate_cell` replay of the profile's graph.
     #[test]
     fn profile_payload_matches_direct_graph_replay() {
-        let s = spec(r#"{"policies": ["DRRIP"], "profile": "postfx", "frames": 2}"#);
+        let policies = covered_policies();
+        let s = spec(&body(&policies, &[("profile", "postfx".into()), ("frames", 2u64.into())]));
         let out = execute(&s, &RunOptions::from_env(&[]));
-
-        let graph = grsynth::graph_profile("postfx").unwrap().graph_with_coherence(0.8);
-        let opts = RunOptions::from_env(&[]);
-        let mut stats = LlcStats::new();
-        for frame in 0..2 {
-            stats.merge(&simulate_cell("DRRIP", &graph, frame, &opts, &s.config()).stats);
-        }
-
         let doc = Json::parse(&out.payload).unwrap();
-        let entry = doc
-            .get("results")
-            .and_then(|p| p.get("DRRIP"))
-            .and_then(|p| p.get("postfx"))
-            .expect("payload entry keyed by profile name");
-        assert_eq!(entry.get("misses").and_then(Json::as_f64), Some(stats.total_misses() as f64));
-        assert_eq!(entry.get("hits").and_then(Json::as_f64), Some(stats.total_hits() as f64));
+
+        let profile = grsynth::graph_profile("postfx").unwrap();
+        let (graph, cfg, opts) = (profile.graph(), s.config(), RunOptions::from_env(&[]));
+        for policy in policies {
+            let mut stats = LlcStats::new();
+            for frame in 0..cfg.frames_for(profile.frames) {
+                stats.merge(&simulate_cell(policy, &graph, frame, &opts, &cfg).stats);
+            }
+            assert_counts(entry(&doc, policy, "postfx"), &stats, policy);
+        }
     }
 
     /// A trace job replays the imported bytes and keys the result by the

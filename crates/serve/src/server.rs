@@ -47,7 +47,7 @@ use crate::http::{Request, Response};
 use crate::job::{self, JobOutput};
 use crate::metrics::{CacheTier, Endpoint, Metrics, ServerSnapshot};
 use crate::resultcache::ResultCache;
-use crate::spec::{scale_name, JobSpec};
+use crate::spec::JobSpec;
 
 /// The execution hook: maps a spec to its output. The default wraps
 /// [`job::execute`]; tests inject blocking stand-ins to make coalescing,
@@ -562,6 +562,6 @@ fn shutdown_response(inner: &Arc<Inner>) -> Response {
     }
     inner.begin_shutdown();
     let mut doc = Json::obj();
-    doc.set("draining", true).set("default_scale", scale_name(inner.default_scale));
+    doc.set("draining", true).set("default_scale", inner.default_scale.name());
     Response::json(doc.to_string_pretty())
 }

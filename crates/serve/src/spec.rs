@@ -77,17 +77,6 @@ pub struct JobSpec {
     pub characterize: bool,
 }
 
-/// The environment-variable spelling of a scale, inverse of
-/// [`Scale::from_name`].
-pub fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Full => "full",
-        Scale::Half => "half",
-        Scale::Quarter => "quarter",
-        Scale::Tiny => "tiny",
-    }
-}
-
 impl JobSpec {
     /// Parses and validates a `POST /v1/jobs` body. `default_scale` fills
     /// a missing `"scale"` field (the daemon passes its startup scale).
@@ -251,7 +240,7 @@ impl JobSpec {
         if let Err(e) = llc.validate() {
             return Err(format!(
                 "llc_mb {llc_mb} at scale {} gives an LLC with {} sets per bank: {e}",
-                scale_name(scale),
+                scale.name(),
                 llc.sets_per_bank()
             ));
         }
@@ -295,7 +284,7 @@ impl JobSpec {
             .set("sample_period", llc.sample_period as u64);
         let mut doc = Json::obj();
         doc.set("version", SPEC_VERSION)
-            .set("scale", scale_name(self.scale))
+            .set("scale", self.scale.name())
             .set("apps", Json::Arr(self.apps.iter().map(|a| Json::from(a.as_str())).collect()))
             .set("frames", self.frames)
             .set(

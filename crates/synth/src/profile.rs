@@ -30,15 +30,22 @@ impl Scale {
         }
     }
 
-    /// Parses the conventional environment-variable spelling.
-    pub fn from_name(name: &str) -> Option<Scale> {
-        match name.to_ascii_lowercase().as_str() {
-            "full" => Some(Scale::Full),
-            "half" => Some(Scale::Half),
-            "quarter" => Some(Scale::Quarter),
-            "tiny" => Some(Scale::Tiny),
-            _ => None,
+    /// The conventional environment-variable spelling (`GR_SCALE`, job
+    /// specs, artifact fields), inverse of [`Scale::from_name`].
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Full => "full",
+            Scale::Half => "half",
+            Scale::Quarter => "quarter",
+            Scale::Tiny => "tiny",
         }
+    }
+
+    /// Parses the conventional environment-variable spelling, in any case.
+    pub fn from_name(name: &str) -> Option<Scale> {
+        [Scale::Full, Scale::Half, Scale::Quarter, Scale::Tiny]
+            .into_iter()
+            .find(|s| s.name().eq_ignore_ascii_case(name))
     }
 }
 
@@ -387,6 +394,15 @@ impl AppProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_names_round_trip() {
+        for scale in [Scale::Full, Scale::Half, Scale::Quarter, Scale::Tiny] {
+            assert_eq!(Scale::from_name(scale.name()), Some(scale));
+        }
+        assert_eq!(Scale::from_name("QUARTER"), Some(Scale::Quarter));
+        assert_eq!(Scale::from_name("eighth"), None);
+    }
 
     #[test]
     fn twelve_apps_fifty_two_frames() {
