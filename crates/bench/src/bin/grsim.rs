@@ -10,30 +10,65 @@
 //! grsim profiles                     # list frame-graph workload profiles
 //! grsim sequence GSPC --profile deferred 4 --coherence 0.3
 //!                                    # frame-graph workload, drifting set
-//! grsim replay trace.gtrace GSPC DRRIP
-//!                                    # replay an imported .gtrace file
+//! grsim dump HAWX 0 hawx0.gtrace     # export one frame as a .gtrace file
+//! grsim dump --profile postfx 0 px.gtrace --coherence 0.8
+//! grsim info px.gtrace               # header and stream mix of a file
+//! grsim replay px.gtrace GSPC DRRIP --llc-mb 16
+//!                                    # replay a .gtrace file
 //! ```
 //!
 //! All subcommands honour `GR_SCALE`, `GR_FRAMES`, `GR_TRACE_CACHE`,
 //! `GR_STREAM_CHUNK`, and `GR_STREAMED` (see the grbench crate docs).
+//! `dump` streams the frame band by band straight to the file, so the
+//! trace is never materialized; `info` and `replay` read files through the
+//! validating [`grtrace::import`], so a malformed file is a typed error
+//! (exit 1), never a panic.
+
+use std::fs::File;
+use std::io::BufWriter;
 
 use grbench::{cli, framecache, run_workload, table, ExperimentConfig, RunOptions};
-use grcache::Llc;
-use grsynth::{AppProfile, FrameGraph, Frames, GRAPH_PROFILES};
-use grtrace::StreamId;
+use grsynth::{AppProfile, FrameGraph, FrameStream, Frames, GRAPH_PROFILES};
+use grtrace::{StreamId, Trace};
 use gspc::registry;
 
 fn usage() -> ! {
     cli::usage_error(
-        "grsim <apps|policies|profiles|characterize APP|compare POLICY...|sweep POLICY MB...|sequence POLICY APP NFRAMES|sequence POLICY --profile NAME NFRAMES [--coherence C]|replay FILE POLICY...>",
+        "grsim <apps|policies|profiles|characterize APP|compare POLICY...|sweep POLICY MB...|sequence POLICY APP NFRAMES|sequence POLICY --profile NAME NFRAMES [--coherence C]|dump APP FRAME FILE|dump --profile NAME FRAME FILE [--coherence C]|info FILE|replay FILE POLICY... [--llc-mb N]>",
     );
+}
+
+/// Splits `args` into positionals and the values of the `--flag VALUE`
+/// options named in `flags`, in that order. Any other `--` argument, or a
+/// flag without its value, is a usage error.
+fn split_flags<'a, const N: usize>(
+    args: &'a [String],
+    flags: [&str; N],
+) -> (Vec<&'a str>, [Option<&'a str>; N]) {
+    let mut positionals = Vec::new();
+    let mut values = [None; N];
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if let Some(i) = flags.iter().position(|f| f == arg) {
+            values[i] = Some(it.next().unwrap_or_else(|| usage()).as_str());
+        } else if arg.starts_with("--") {
+            usage();
+        } else {
+            positionals.push(arg.as_str());
+        }
+    }
+    (positionals, values)
+}
+
+/// Parses a numeric argument or exits with the usage code (2).
+fn parse_or_usage<T: std::str::FromStr>(arg: &str) -> T {
+    arg.parse().unwrap_or_else(|_| usage())
 }
 
 /// Resolves a registry policy name or exits with the stable user-error
 /// code (1) — the one place every subcommand's unknown-policy path goes
 /// through.
-fn require_policy(cfg: &ExperimentConfig, policy: &str) {
-    let _ = cfg;
+fn require_policy(policy: &str) {
     if registry::resolve(policy).is_none() {
         cli::user_error(&format!("unknown policy {policy}; try `grsim policies`"));
     }
@@ -44,6 +79,26 @@ fn require_policy(cfg: &ExperimentConfig, policy: &str) {
 fn require_app(app_name: &str) -> AppProfile {
     AppProfile::by_abbrev(app_name)
         .unwrap_or_else(|| cli::user_error(&format!("unknown app {app_name}; try `grsim apps`")))
+}
+
+/// Exits with the user-error code (1) unless `paper_mb` gives a valid LLC
+/// geometry at the configured scale.
+fn require_llc(cfg: &ExperimentConfig, paper_mb: u64) {
+    let llc = cfg.llc(paper_mb);
+    if let Err(e) = llc.validate() {
+        cli::user_error(&format!(
+            "invalid {paper_mb} MB LLC at {} scale ({} sets per bank): {e}",
+            cfg.scale.name(),
+            llc.sets_per_bank()
+        ));
+    }
+}
+
+/// Imports and validates a `.gtrace` file, or exits with the user-error
+/// code (1) naming the typed import error.
+fn import_or_exit(path: &str) -> Trace {
+    grtrace::import_file(path)
+        .unwrap_or_else(|e| cli::user_error(&format!("cannot import {path}: {e}")))
 }
 
 fn main() {
@@ -92,10 +147,8 @@ fn main() {
             if args.len() < 3 {
                 usage();
             }
-            let policy = &args[1];
-            let sizes: Vec<u64> =
-                args[2..].iter().map(|s| s.parse().unwrap_or_else(|_| usage())).collect();
-            sweep(&cfg, policy, &sizes);
+            let sizes: Vec<u64> = args[2..].iter().map(|s| parse_or_usage(s)).collect();
+            sweep(&cfg, &args[1], &sizes);
         }
         Some("sequence") => {
             if args.iter().any(|a| a == "--profile") {
@@ -104,8 +157,7 @@ fn main() {
                 if args.len() != 4 {
                     usage();
                 }
-                let nframes: u32 = args[3].parse().unwrap_or_else(|_| usage());
-                sequence(&cfg, &args[1], &args[2], nframes);
+                sequence(&cfg, &args[1], &args[2], parse_or_usage(&args[3]));
             }
         }
         Some("profiles") => {
@@ -123,11 +175,18 @@ fn main() {
                 .collect();
             table::print(&["profile", "passes", "frames", "coherence", "description"], &rows);
         }
+        Some("dump") => dump(&cfg, &args[1..]),
+        Some("info") => {
+            let [_, path] = &args[..] else { usage() };
+            info(path);
+        }
         Some("replay") => {
-            if args.len() < 3 {
+            let (positionals, [llc_mb]) = split_flags(&args[1..], ["--llc-mb"]);
+            let [path, policies @ ..] = &positionals[..] else { usage() };
+            if policies.is_empty() {
                 usage();
             }
-            replay(&cfg, &args[1], &args[2..]);
+            replay(&cfg, path, policies, llc_mb.map_or(8, parse_or_usage));
         }
         _ => usage(),
     }
@@ -153,34 +212,56 @@ fn require_graph(profile_name: &str, coherence: Option<f64>) -> FrameGraph {
 /// persistent-LLC replay of a frame-graph workload, where the coherence
 /// knob controls how much of the per-frame working set drifts.
 fn sequence_profile(cfg: &ExperimentConfig, rest: &[String]) {
-    let mut positionals: Vec<&String> = Vec::new();
-    let mut profile_name = None;
-    let mut coherence = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--profile" => profile_name = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--coherence" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                coherence = Some(v.parse::<f64>().unwrap_or_else(|_| usage()));
-            }
-            s if s.starts_with("--") => usage(),
-            _ => positionals.push(arg),
-        }
-    }
-    let (policy, nframes) = match positionals[..] {
-        [policy, nframes] => (policy, nframes.parse::<u32>().unwrap_or_else(|_| usage())),
-        _ => usage(),
-    };
-    require_policy(cfg, policy);
-    let name = profile_name.expect("--profile present by dispatch");
-    let graph = require_graph(&name, coherence);
+    let (positionals, [profile_name, coherence]) = split_flags(rest, ["--profile", "--coherence"]);
+    let [policy, nframes] = positionals[..] else { usage() };
+    let nframes: u32 = parse_or_usage(nframes);
+    require_policy(policy);
+    let name = profile_name.unwrap_or_else(|| usage());
+    let graph = require_graph(name, coherence.map(parse_or_usage));
     let title = format!(
         "{policy} on profile {} (coherence {:.2}) — persistent LLC across {nframes} frames",
         graph.name(),
         graph.frame_coherence(),
     );
     sequence_table(cfg, policy, Frames::from(&graph), nframes, &title);
+}
+
+/// `dump APP FRAME FILE` and `dump --profile NAME FRAME FILE [--coherence
+/// C]`: streams one frame at the configured scale band by band into FILE.
+fn dump(cfg: &ExperimentConfig, rest: &[String]) {
+    let (positionals, [profile_name, coherence]) = split_flags(rest, ["--profile", "--coherence"]);
+    let (app, graph);
+    let (frames, frame, path) = match (profile_name, &positionals[..]) {
+        (Some(name), &[frame, path]) => {
+            let frame = parse_or_usage(frame);
+            graph = require_graph(name, coherence.map(parse_or_usage));
+            (Frames::from(&graph), frame, path)
+        }
+        (None, &[app_name, frame, path]) if coherence.is_none() => {
+            let frame = parse_or_usage(frame);
+            app = require_app(app_name);
+            (Frames::from(&app), frame, path)
+        }
+        _ => usage(),
+    };
+    let file = File::create(path)
+        .unwrap_or_else(|e| cli::user_error(&format!("cannot create {path}: {e}")));
+    let mut stream = FrameStream::new(frames, frame, cfg.scale);
+    let count = grtrace::io::write_source(BufWriter::new(file), &mut stream, frames.name(), frame)
+        .unwrap_or_else(|e| cli::user_error(&format!("cannot write {path}: {e}")));
+    println!("wrote {count} accesses to {path}");
+}
+
+/// Prints the header and per-stream access mix of a `.gtrace` file.
+fn info(path: &str) {
+    let trace = import_or_exit(path);
+    println!("app={} frame={} accesses={}", trace.app(), trace.frame(), trace.len());
+    for s in StreamId::ALL {
+        let n = trace.stats().accesses(s);
+        if n > 0 {
+            println!("  {:<6} {:>9} ({:.1}%)", s.label(), n, 100.0 * trace.stats().fraction(s));
+        }
+    }
 }
 
 /// Prints per-frame cold (fresh LLC) against warm (one persistent LLC)
@@ -221,25 +302,26 @@ fn sequence_table(
     table::print(&["frame", "cold misses", "warm misses", "saved"], &rows);
 }
 
-/// Replays an imported `.gtrace` file through one or more policies.
-fn replay(cfg: &ExperimentConfig, path: &str, policies: &[String]) {
+/// Replays an imported `.gtrace` file through one or more policies on the
+/// LLC equivalent to `llc_mb` paper megabytes.
+fn replay(cfg: &ExperimentConfig, path: &str, policies: &[&str], llc_mb: u64) {
     for p in policies {
-        require_policy(cfg, p);
+        require_policy(p);
     }
-    let trace = grtrace::import_file(path)
-        .unwrap_or_else(|e| cli::user_error(&format!("cannot import {path}: {e}")));
+    require_llc(cfg, llc_mb);
+    let trace = import_or_exit(path);
     println!(
-        "{path} — app {:?} frame {} ({} accesses), replayed on the 8 MB-equivalent LLC",
+        "{path} — app {:?} frame {} ({} accesses), replayed on the {llc_mb} MB-equivalent LLC",
         trace.app(),
         trace.frame(),
         trace.len()
     );
     let mut rows = Vec::new();
     for p in policies {
-        let opts = RunOptions { policies: vec![p.clone()], ..RunOptions::misses(&[]) };
+        let opts = RunOptions { llc_paper_mb: llc_mb, ..RunOptions::misses(&[p]) };
         let cell = grbench::simulate_trace_cell(p, &trace, &opts, cfg);
         rows.push(vec![
-            p.clone(),
+            p.to_string(),
             format!("{}", cell.stats.total_misses()),
             table::pct(cell.stats.total_hits() as f64 / cell.stats.total_accesses().max(1) as f64),
         ]);
@@ -250,7 +332,7 @@ fn replay(cfg: &ExperimentConfig, path: &str, policies: &[String]) {
 /// Multi-frame replay through one persistent LLC (no inter-frame flush),
 /// against the paper's per-frame cold-start methodology.
 fn sequence(cfg: &ExperimentConfig, policy: &str, app_name: &str, nframes: u32) {
-    require_policy(cfg, policy);
+    require_policy(policy);
     let app = require_app(app_name);
     let nframes = nframes.min(app.frames);
     let title = format!("{policy} on {} — persistent LLC across {nframes} frames", app.name);
@@ -259,20 +341,17 @@ fn sequence(cfg: &ExperimentConfig, policy: &str, app_name: &str, nframes: u32) 
 
 /// Section-2-style reuse characterization of one application.
 fn characterize(cfg: &ExperimentConfig, app_name: &str) {
+    const ORACLE: &str = "OPT";
     let app = require_app(app_name);
-    let llc_cfg = cfg.llc(8);
+    let opts = RunOptions { characterize: true, ..RunOptions::misses(&[ORACLE]) };
     let mut stats = grcache::LlcStats::new();
     let mut chars = grcache::CharReport::default();
     let mut mix = grtrace::StreamStats::new();
     for frame in 0..cfg.frames_for(app.frames) {
-        let data = framecache::frame_data(&app, frame, cfg.scale);
-        mix.merge(data.trace.stats());
-        let mut llc =
-            Llc::new(llc_cfg, registry::create("OPT", &llc_cfg).unwrap()).with_characterization();
-        llc.run_source(&mut data.trace.source_annotated(data.next_use()))
-            .expect("in-memory replay cannot fail");
-        stats.merge(llc.stats());
-        chars.merge(llc.characterization().expect("characterization enabled"));
+        mix.merge(framecache::frame_data(&app, frame, cfg.scale).trace.stats());
+        let cell = grbench::simulate_cell(ORACLE, &app, frame, &opts, cfg);
+        stats.merge(&cell.stats);
+        chars.merge(cell.chars.as_ref().expect("characterization requested"));
     }
     println!("{} — reuse profile under Belady's OPT", app.name);
     println!();
@@ -319,7 +398,7 @@ fn characterize(cfg: &ExperimentConfig, app_name: &str) {
 /// Workload-wide comparison of policies against DRRIP.
 fn compare(cfg: &ExperimentConfig, policies: &[String]) {
     for p in policies {
-        require_policy(cfg, p);
+        require_policy(p);
     }
     let mut all: Vec<String> = policies.to_vec();
     if !all.iter().any(|p| p == "DRRIP") {
@@ -348,22 +427,23 @@ fn compare(cfg: &ExperimentConfig, policies: &[String]) {
     table::print(&head, &rows);
 }
 
-/// Miss-rate curve of one policy over LLC capacities.
+/// Miss-rate curve of one policy over LLC capacities: one workload run per
+/// capacity, at most two frames per application.
 fn sweep(cfg: &ExperimentConfig, policy: &str, sizes_mb: &[u64]) {
-    require_policy(cfg, policy);
+    require_policy(policy);
+    for &mb in sizes_mb {
+        require_llc(cfg, mb);
+    }
+    let capped = ExperimentConfig { frames_per_app: Some(cfg.frames_for(2)), ..*cfg };
     let mut rows = Vec::new();
     for &mb in sizes_mb {
-        let llc_cfg = cfg.llc(mb);
-        let mut hits = 0u64;
-        let mut total = 0u64;
-        for app in AppProfile::all() {
-            for frame in 0..cfg.frames_for(app.frames).min(2) {
-                let data = framecache::frame_data(&app, frame, cfg.scale);
-                let mut llc = Llc::new(llc_cfg, registry::create(policy, &llc_cfg).unwrap());
-                llc.run_source(&mut data.trace.source()).expect("in-memory replay cannot fail");
-                hits += llc.stats().total_hits();
-                total += llc.stats().total_accesses();
-            }
+        let opts = RunOptions { llc_paper_mb: mb, ..RunOptions::misses(&[policy]) };
+        let r = run_workload(&opts, &capped);
+        let (mut hits, mut total) = (0u64, 0u64);
+        for app in &r.apps {
+            let stats = &r.get(policy, app).stats;
+            hits += stats.total_hits();
+            total += stats.total_accesses();
         }
         rows.push(vec![
             format!("{mb} MB"),

@@ -29,7 +29,10 @@
 //! The tier heals itself: a `.grtr` is reused only if its header names the
 //! frame and its length matches the record count the header declares, and
 //! a `.work` only if it parses; a `.nu` only if its length matches the
-//! trace. Any other file is regenerated.
+//! trace. Any other file is regenerated. A record that fails to decode
+//! passes those checks; it surfaces as a typed error from the reader, and
+//! the runner then [`discard`]s the frame's files and replays the cell from
+//! a fresh render. Nothing re-reads a file to check it on the success path.
 //!
 //! Every disk-tier file is written through [`write_atomic`]: workers and
 //! processes sharing one cache directory may write the same frame at once,
@@ -160,10 +163,12 @@ pub fn frame_data<'a>(frames: impl Into<Frames<'a>>, frame: u32, scale: Scale) -
     }))
 }
 
-/// Reads a disk-tier frame back whole, when its files are.
+/// Reads a disk-tier frame back whole, when its files are whole and the
+/// trace decodes.
 fn load_frame(trace_path: &Path, frames: Frames<'_>, frame: u32) -> Option<(Trace, FrameWork)> {
     let work = reusable(trace_path, &trace_path.with_extension("work"), frames.name(), frame)?;
-    let trace = grtrace::io::read(io::BufReader::new(File::open(trace_path).ok()?)).ok()?;
+    let file = io::BufReader::new(File::open(trace_path).ok()?);
+    let trace = ChunkedReader::new(file, stream_chunk()).ok()?.read_trace().ok()?;
     Some((trace, work))
 }
 
@@ -283,6 +288,18 @@ pub fn disk_source<'a>(
         reader = reader.with_next_use(io::BufReader::new(File::open(&nu)?))?;
     }
     Ok(Some(DiskSource { reader, work }))
+}
+
+/// Deletes the disk-tier files of frame `(frames, frame, scale)` — for a
+/// trace that failed to decode mid-replay, which the whole-file checks of
+/// [`ensure_on_disk`] cannot see — so the next lookup regenerates them.
+/// Missing files are not an error.
+pub fn discard<'a>(frames: impl Into<Frames<'a>>, frame: u32, scale: Scale) {
+    if let Some(path) = trace_path(frames.into(), frame, scale) {
+        for ext in ["grtr", "work", "nu"] {
+            let _ = std::fs::remove_file(path.with_extension(ext));
+        }
+    }
 }
 
 /// Drops every cached frame (tests use this to exercise cold paths).
@@ -408,7 +425,7 @@ mod tests {
             let path = dir.join(format!("{stem}.grtr"));
             let work = ensure_at(&path, frames, 1, Scale::Tiny).expect("disk write");
             let streamed = std::fs::read(&path).unwrap();
-            let written = grtrace::io::read(&streamed[..]).unwrap();
+            let written = ChunkedReader::new(&streamed[..], 64).unwrap().read_trace().unwrap();
             let (rendered, rendered_work) = frames.render(1, Scale::Tiny);
             assert_eq!((written.app(), written.frame()), (name, 1));
             assert_eq!((&written, work), (&rendered, rendered_work));

@@ -14,8 +14,9 @@
 //! cargo run -p grart --release -- full         # the complete study
 //! ```
 //!
-//! The `grsim` and `tracegen` binaries are interactive tools for
-//! exploring single apps, policies and traces.
+//! The `grsim` binary is the interactive tool for exploring single apps,
+//! policies and traces, and for dumping, inspecting and replaying
+//! `.gtrace` files; everything it replays goes through the runner.
 //!
 //! # Scaling
 //!

@@ -18,6 +18,7 @@
 //! byte-identical figure output.
 
 use std::collections::HashMap;
+use std::io;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -357,27 +358,15 @@ pub fn simulate_trace_cell(
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
-    struct Visit<'a> {
-        trace: &'a Trace,
-        policy_name: &'a str,
-        llc_cfg: LlcConfig,
-        opts: &'a RunOptions,
-    }
-    impl PolicyVisitor for Visit<'_> {
-        type Output = CellResult;
-        fn visit<P: Policy + 'static>(self, policy: P) -> CellResult {
-            let (trace, opts) = (self.trace, self.opts);
-            let work = FrameWork { raw_accesses: trace.len() as u64, ..FrameWork::default() };
-            if registry::needs_next_use(self.policy_name) {
-                let ann = grcache::annotate_next_use(trace.accesses());
-                replay(self.llc_cfg, policy, &mut trace.source_annotated(&ann), &work, opts)
-            } else {
-                replay(self.llc_cfg, policy, &mut trace.source(), &work, opts)
-            }
-        }
-    }
     let llc_cfg = cfg.llc(opts.llc_paper_mb);
-    dispatch(policy_name, &llc_cfg, opts.boxed, Visit { trace, policy_name, llc_cfg, opts })
+    let work = FrameWork { raw_accesses: trace.len() as u64, ..FrameWork::default() };
+    let out = if registry::needs_next_use(policy_name) {
+        let ann = grcache::annotate_next_use(trace.accesses());
+        replay_cell(policy_name, llc_cfg, &mut trace.source_annotated(&ann), &work, opts)
+    } else {
+        replay_cell(policy_name, llc_cfg, &mut trace.source(), &work, opts)
+    };
+    out.expect("in-memory replay cannot fail")
 }
 
 /// Builds the named policy and hands it to `visitor`: the concrete type
@@ -508,42 +497,54 @@ fn run_cell(
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
-    /// The cell body: `P` is the concrete policy type selected by the
-    /// registry visitor (or `Box<dyn Policy>` on the boxed path), so the
-    /// replay loop compiles once per policy with the callbacks inlined.
-    struct Visit<'a> {
-        frames: Frames<'a>,
-        frame: u32,
-        policy_name: &'a str,
-        llc_cfg: LlcConfig,
-        opts: &'a RunOptions,
-        cfg: &'a ExperimentConfig,
-    }
-    impl PolicyVisitor for Visit<'_> {
-        type Output = CellResult;
-        fn visit<P: Policy + 'static>(self, policy: P) -> CellResult {
-            let (llc_cfg, opts, scale) = (self.llc_cfg, self.opts, self.cfg.scale);
-            let needs_nu = registry::needs_next_use(self.policy_name);
-            if opts.streamed {
-                let disk = framecache::disk_source(self.frames, self.frame, scale, needs_nu)
-                    .expect("streaming disk tier failed");
-                if let Some(mut src) = disk {
-                    return replay(llc_cfg, policy, &mut src.reader, &src.work, opts);
-                }
-                // `GR_TRACE_CACHE` unset: fall back to the in-memory trace
-                // (the results are identical either way).
-            }
-            let data = framecache::frame_data(self.frames, self.frame, scale);
-            if needs_nu {
-                let ann = data.next_use().clone();
-                replay(llc_cfg, policy, &mut data.trace.source_annotated(&ann), &data.work, opts)
-            } else {
-                replay(llc_cfg, policy, &mut data.trace.source(), &data.work, opts)
+    let needs_nu = registry::needs_next_use(policy_name);
+    if opts.streamed {
+        let disk = framecache::disk_source(frames, frame, cfg.scale, needs_nu)
+            .expect("streaming disk tier failed");
+        // `None`: `GR_TRACE_CACHE` unset, so the in-memory trace below
+        // serves the cell (the results are identical either way).
+        if let Some(mut src) = disk {
+            match replay_cell(policy_name, llc_cfg, &mut src.reader, &src.work, opts) {
+                Ok(out) => return out,
+                // The file passed the tier's whole-file checks but a record
+                // failed to decode (or to read): drop the frame's files and
+                // replay the cell from a fresh render on a fresh LLC.
+                Err(_) => framecache::discard(frames, frame, cfg.scale),
             }
         }
     }
-    let visit = Visit { frames, frame, policy_name, llc_cfg, opts, cfg };
-    dispatch(policy_name, &llc_cfg, opts.boxed, visit)
+    let data = framecache::frame_data(frames, frame, cfg.scale);
+    let out = if needs_nu {
+        let ann = data.next_use().clone();
+        replay_cell(policy_name, llc_cfg, &mut data.trace.source_annotated(&ann), &data.work, opts)
+    } else {
+        replay_cell(policy_name, llc_cfg, &mut data.trace.source(), &data.work, opts)
+    };
+    out.expect("in-memory replay cannot fail")
+}
+
+/// Replays `source` through the named policy, built by [`dispatch`] so the
+/// replay loop compiles once per policy type with the callbacks inlined.
+fn replay_cell<S: grtrace::AccessSource>(
+    policy_name: &str,
+    llc_cfg: LlcConfig,
+    source: &mut S,
+    work: &FrameWork,
+    opts: &RunOptions,
+) -> io::Result<CellResult> {
+    struct Visit<'a, S> {
+        llc_cfg: LlcConfig,
+        source: &'a mut S,
+        work: &'a FrameWork,
+        opts: &'a RunOptions,
+    }
+    impl<S: grtrace::AccessSource> PolicyVisitor for Visit<'_, S> {
+        type Output = io::Result<CellResult>;
+        fn visit<P: Policy + 'static>(self, policy: P) -> Self::Output {
+            replay(self.llc_cfg, policy, self.source, self.work, self.opts)
+        }
+    }
+    dispatch(policy_name, &llc_cfg, opts.boxed, Visit { llc_cfg, source, work, opts })
 }
 
 /// Drains `source` through an LLC carrying exactly the observers the run
@@ -556,7 +557,7 @@ fn replay<P: Policy, S: grtrace::AccessSource>(
     source: &mut S,
     work: &FrameWork,
     opts: &RunOptions,
-) -> CellResult {
+) -> io::Result<CellResult> {
     // The clock starts here — after synthesis, annotation, and disk-tier
     // setup — so `RunPerf::replay_seconds` measures pure replay.
     let started = Instant::now();
@@ -607,10 +608,10 @@ fn replay_with<P: Policy, O: LlcObserver, S: grtrace::AccessSource>(
     started: Instant,
     work: &FrameWork,
     opts: &RunOptions,
-) -> CellResult {
+) -> io::Result<CellResult> {
     let mut llc = Llc::with_observer(llc_cfg, policy, observer);
-    let n = llc.run_source(source).expect("streaming replay failed");
-    finish_cell(&llc, n, started, work, opts)
+    let n = llc.run_source(source)?;
+    Ok(finish_cell(&llc, n, started, work, opts))
 }
 
 fn finish_cell<P: Policy, O: LlcObserver>(

@@ -138,22 +138,67 @@ fn grsim_profile_and_replay_exit_codes_are_stable() {
     }
 }
 
-/// A profile dumped by `tracegen dump-profile` replays through `grsim
-/// replay` — the full export → import → replay loop as real processes.
+/// A profile dumped by `grsim dump --profile` replays through `grsim
+/// replay` — the full export → import → replay loop as real processes —
+/// and `grsim info` reads the same file back.
 #[test]
 fn grsim_replays_dumped_profile_trace() {
     let dir = std::env::temp_dir().join("grsim-cli-roundtrip");
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join("postfx0.gtrace");
     let path = path.to_str().expect("utf8 path");
-    let out = Command::new(env!("CARGO_BIN_EXE_tracegen"))
-        .args(["dump-profile", "postfx", "0", "tiny", "0.8", path])
+    let out = grsim()
+        .args(["dump", "--profile", "postfx", "0", path, "--coherence", "0.8"])
         .output()
-        .expect("spawn tracegen");
+        .expect("spawn grsim");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let out = grsim().args(["info", path]).output().expect("spawn grsim");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+    assert!(stdout.starts_with("app=postfx frame=0 accesses="), "bad info:\n{stdout}");
     let out = grsim().args(["replay", path, "GSPC", "DRRIP"]).output().expect("spawn grsim");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
     assert!(stdout.contains("postfx"), "missing app echo:\n{stdout}");
     assert!(stdout.contains("GSPC") && stdout.contains("DRRIP"), "missing rows:\n{stdout}");
+    assert!(stdout.contains("8 MB-equivalent"), "missing default LLC:\n{stdout}");
+}
+
+/// `grsim dump` and `grsim replay --llc-mb` keep the stable exit codes: 2
+/// for a malformed invocation (an unparseable number, a stray flag), 1
+/// for a well-formed one naming an unknown app or profile or an LLC size
+/// with no valid geometry.
+#[test]
+fn grsim_dump_and_llc_size_exit_codes_are_stable() {
+    let dir = std::env::temp_dir().join("grsim-cli-dump");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let out = dir.join("out.gtrace");
+    let out = out.to_str().expect("utf8 path");
+    let policy = gspc::registry::ALL_POLICIES[0].name;
+    let cases: &[(&[&str], i32, &str)] = &[
+        (&["dump"], grbench::cli::EXIT_USAGE, "usage:"),
+        (&["dump", "HAWX", "0"], grbench::cli::EXIT_USAGE, "usage:"),
+        (&["dump", "HAWX", "zero", out], grbench::cli::EXIT_USAGE, "usage:"),
+        (&["dump", "HAWX", "0", out, "--coherence", "0.5"], grbench::cli::EXIT_USAGE, "usage:"),
+        (&["dump", "--profile", "postfx", "-1", out], grbench::cli::EXIT_USAGE, "usage:"),
+        (&["dump", "NotAnApp", "0", out], grbench::cli::EXIT_USER_ERROR, "unknown app"),
+        (
+            &["dump", "--profile", "nope", "0", out],
+            grbench::cli::EXIT_USER_ERROR,
+            "unknown profile",
+        ),
+        (&["info"], grbench::cli::EXIT_USAGE, "usage:"),
+        (&["replay", out, policy, "--llc-mb", "big"], grbench::cli::EXIT_USAGE, "usage:"),
+        (
+            &["replay", out, policy, "--llc-mb", "24"],
+            grbench::cli::EXIT_USER_ERROR,
+            "invalid 24 MB",
+        ),
+    ];
+    for (args, code, fragment) in cases {
+        let out = grsim().args(*args).output().expect("spawn grsim");
+        assert_eq!(out.status.code(), Some(*code), "args {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(fragment), "args {args:?}: stderr {stderr:?}");
+    }
 }

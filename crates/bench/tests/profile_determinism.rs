@@ -2,8 +2,8 @@
 //! built-in profile at a fixed seed must emit **byte-identical** `.gtrace`
 //! files regardless of the thread environment (`GR_THREADS=1` vs `8`) and
 //! regardless of whether the frame is streamed band by band or fully
-//! materialized first. The streamed files come from real `tracegen
-//! dump-profile` processes, so the property covers the exact bytes a user
+//! materialized first. The streamed files come from real `grsim dump
+//! --profile` processes, so the property covers the exact bytes a user
 //! would ship.
 
 use std::process::Command;
@@ -11,14 +11,16 @@ use std::process::Command;
 use grsynth::{GraphRenderer, Scale, GRAPH_PROFILES};
 
 fn dump(profile: &str, threads: &str, path: &std::path::Path) -> Vec<u8> {
-    let out = Command::new(env!("CARGO_BIN_EXE_tracegen"))
+    let out = Command::new(env!("CARGO_BIN_EXE_grsim"))
         .env("GR_THREADS", threads)
-        .args(["dump-profile", profile, "0", "tiny", "0.5", path.to_str().expect("utf8 path")])
+        .env("GR_SCALE", "tiny")
+        .args(["dump", "--profile", profile, "0", path.to_str().expect("utf8 path")])
+        .args(["--coherence", "0.5"])
         .output()
-        .expect("spawn tracegen");
+        .expect("spawn grsim");
     assert!(
         out.status.success(),
-        "dump-profile {profile} failed: {}",
+        "dump --profile {profile} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     std::fs::read(path).expect("read dumped trace")

@@ -152,3 +152,40 @@ fn streamed_workload_matches_materialized() {
         }
     }
 }
+
+/// A cached `.grtr` whose length and header are intact but whose last
+/// record carries an unknown stream code passes every whole-file check of
+/// the disk tier; only the decoder sees it. A streamed cell over it must
+/// drop the frame's files and replay from a fresh render, with the stats of
+/// the in-memory replay, rather than panic on every replay for good.
+#[test]
+fn corrupt_cached_trace_is_replaced_not_fatal() {
+    init_disk_cache();
+    // Frame 3 lies outside every other workload in this file.
+    const CORRUPT_FRAME: u32 = 3;
+    let tiny = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) };
+    let app = AppProfile::by_abbrev("HAWX").expect("profile");
+    for policy in ["DRRIP", "OPT"] {
+        let opts = RunOptions { streamed: false, ..RunOptions::misses(&[policy]) };
+        let expected = grbench::simulate_cell(policy, &app, CORRUPT_FRAME, &opts, &tiny).stats;
+        let path = framecache::ensure_on_disk(&app, CORRUPT_FRAME, Scale::Tiny)
+            .expect("disk tier I/O")
+            .expect("GR_TRACE_CACHE is set by init_disk_cache");
+        let mut bytes = std::fs::read(&path).expect("read cached trace");
+        let stream_byte = bytes.len() - 2;
+        bytes[stream_byte] = 200;
+        std::fs::write(&path, &bytes).expect("corrupt cached trace");
+
+        let streamed = RunOptions { streamed: true, ..opts };
+        for round in 0..2 {
+            let got = grbench::simulate_cell(policy, &app, CORRUPT_FRAME, &streamed, &tiny);
+            assert_eq!(got.stats, expected, "{policy}, round {round}");
+            framecache::clear();
+        }
+        let healed = framecache::ensure_on_disk(&app, CORRUPT_FRAME, Scale::Tiny)
+            .expect("disk tier I/O")
+            .expect("GR_TRACE_CACHE is set");
+        let healed = std::fs::read(healed).expect("read regenerated trace");
+        assert_ne!(healed[stream_byte], 200, "{policy}: the damaged file was kept");
+    }
+}

@@ -80,8 +80,7 @@ fn injected_mirror_desync_is_caught_shrunk_and_dumped() {
 
     let dir = std::env::temp_dir().join(format!("grcheck-selftest-{}", std::process::id()));
     let path = dump_reproducer(&dir, "DRRIP", 7, 0, &shrunk).expect("dump reproducer");
-    let trace = grtrace::io::read(std::fs::File::open(&path).expect("open reproducer"))
-        .expect("reproducer parses");
+    let trace = grtrace::import_file(&path).expect("reproducer imports");
     assert_eq!(trace.accesses(), &shrunk[..], "artifact round-trip");
     std::fs::remove_dir_all(&dir).ok();
 }

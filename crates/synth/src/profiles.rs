@@ -2,7 +2,7 @@
 //!
 //! The named entries below are the graph analogue of the policy registry:
 //! one table is the single source of truth, and every layer — `grsim
-//! profiles` / `sequence --profile`, the runner, `tracegen dump-profile`,
+//! profiles` / `sequence --profile` / `dump --profile`, the runner,
 //! `grserved` job specs, the fuzzer's trace plans, and the conformance
 //! goldens — iterates or resolves it instead of hard-coding names.
 

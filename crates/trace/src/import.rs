@@ -1,12 +1,13 @@
 //! Validating `.gtrace` import.
 //!
-//! [`crate::trace_io::read`] trusts its input — it was written for files
-//! this harness produced moments earlier. External traces (captured on
-//! other machines, converted from CPU/graph-analytics LLC dumps, or
-//! hand-built) go through [`import`] instead: every header field and
-//! record is checked, and each failure mode is a distinct
-//! [`ImportError`] variant, so tools can report *what* is wrong with a
-//! file rather than a generic "invalid data".
+//! External traces (captured on other machines, converted from CPU or
+//! graph-analytics LLC dumps, or hand-built) enter through [`import`]. It
+//! drains the one GRTR decoder, [`trace_io::ChunkedReader`], and adds the checks
+//! that only apply at this boundary: a zero access count, addresses
+//! outside the simulated space and bytes after the last record. Each
+//! failure mode is a distinct [`ImportError`] variant — the decoder
+//! reports the format ones too — so tools can report *what* is wrong
+//! with a file rather than a generic "invalid data".
 //!
 //! The accepted format is exactly the GRTR format `trace_io::write`
 //! emits; a round trip (export → import → export) is byte-identical.
@@ -109,23 +110,27 @@ impl std::error::Error for ImportError {
     }
 }
 
+/// Recovers the typed variant an `io::Result` API (such as
+/// [`trace_io::ChunkedReader`]'s) carried; any other error is [`ImportError::Io`].
 impl From<io::Error> for ImportError {
     fn from(e: io::Error) -> Self {
-        ImportError::Io(e)
+        if e.get_ref().is_some_and(|inner| inner.is::<ImportError>()) {
+            let inner = e.into_inner().expect("checked above");
+            *inner.downcast::<ImportError>().expect("checked above")
+        } else {
+            ImportError::Io(e)
+        }
     }
 }
 
-/// Reads exactly `buf.len()` bytes, mapping a clean EOF to the
-/// caller-supplied truncation error.
-fn read_exactly<R: Read>(
-    reader: &mut R,
-    buf: &mut [u8],
-    on_eof: impl FnOnce() -> ImportError,
-) -> Result<(), ImportError> {
-    match reader.read_exact(buf) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(on_eof()),
-        Err(e) => Err(ImportError::Io(e)),
+/// Carries a format error through an `io::Result` API as `InvalidData`;
+/// [`ImportError::Io`] unwraps to the error it holds.
+impl From<ImportError> for io::Error {
+    fn from(e: ImportError) -> Self {
+        match e {
+            ImportError::Io(e) => e,
+            e => io::Error::new(io::ErrorKind::InvalidData, e),
+        }
     }
 }
 
@@ -133,8 +138,8 @@ fn read_exactly<R: Read>(
 ///
 /// # Errors
 ///
-/// An [`ImportError`] naming the first problem found; see the variant
-/// docs for the checks performed.
+/// An [`ImportError`] naming the problem found; see the variant docs for
+/// the checks performed.
 ///
 /// # Example
 ///
@@ -150,64 +155,23 @@ fn read_exactly<R: Read>(
 ///
 /// assert!(import(&b"not a trace"[..]).is_err());
 /// ```
-pub fn import<R: Read>(mut reader: R) -> Result<Trace, ImportError> {
-    let mut magic = [0u8; 4];
-    read_exactly(&mut reader, &mut magic, || {
-        ImportError::BadHeader("file shorter than the magic".into())
-    })?;
-    if &magic != trace_io::MAGIC {
-        return Err(ImportError::BadMagic(magic));
-    }
-    let mut u32b = [0u8; 4];
-    read_exactly(&mut reader, &mut u32b, || ImportError::BadHeader("missing version".into()))?;
-    let version = u32::from_le_bytes(u32b);
-    if version != trace_io::VERSION {
-        return Err(ImportError::UnsupportedVersion(version));
-    }
-    read_exactly(&mut reader, &mut u32b, || ImportError::BadHeader("missing name length".into()))?;
-    let name_len = u32::from_le_bytes(u32b) as usize;
-    if name_len > 4096 {
-        return Err(ImportError::BadHeader(format!("app name length {name_len} exceeds 4096")));
-    }
-    let mut name = vec![0u8; name_len];
-    read_exactly(&mut reader, &mut name, || {
-        ImportError::BadHeader("file ends inside the app name".into())
-    })?;
-    let app = String::from_utf8(name)
-        .map_err(|_| ImportError::BadHeader("app name is not UTF-8".into()))?;
-    read_exactly(&mut reader, &mut u32b, || ImportError::BadHeader("missing frame index".into()))?;
-    let frame = u32::from_le_bytes(u32b);
-    let mut u64b = [0u8; 8];
-    read_exactly(&mut reader, &mut u64b, || ImportError::BadHeader("missing access count".into()))?;
-    let count = u64::from_le_bytes(u64b);
-    if count == 0 {
+pub fn import<R: Read>(reader: R) -> Result<Trace, ImportError> {
+    let mut source = trace_io::ChunkedReader::new(reader, trace_io::DEFAULT_CHUNK)?;
+    let expected = source.remaining();
+    if expected == 0 {
         return Err(ImportError::ZeroAccesses);
     }
-
-    let mut trace = Trace::with_capacity(&app, frame, count.min(1 << 24) as usize);
-    let mut rec = [0u8; trace_io::RECORD_BYTES];
-    for index in 0..count {
-        read_exactly(&mut reader, &mut rec, || ImportError::TruncatedBody {
-            expected: count,
-            got: index,
-        })?;
-        let addr = u64::from_le_bytes(rec[0..8].try_into().expect("8-byte slice"));
-        let stream = trace_io::stream_from_code(rec[8])
-            .ok_or(ImportError::BadStreamCode { index, code: rec[8] })?;
-        if addr == 0 || addr >= MAX_IMPORT_ADDR {
-            return Err(ImportError::AddressOutOfRange { index, addr });
-        }
-        let access =
-            if rec[9] != 0 { Access::store(addr, stream) } else { Access::load(addr, stream) };
-        trace.push(access);
+    let trace = source.read_trace()?;
+    let out_of_range = |a: &Access| a.addr == 0 || a.addr >= MAX_IMPORT_ADDR;
+    if let Some(index) = trace.iter().position(out_of_range) {
+        let addr = trace.accesses()[index].addr;
+        return Err(ImportError::AddressOutOfRange { index: index as u64, addr });
     }
-    let mut probe = [0u8; 1];
-    match reader.read_exact(&mut probe) {
-        Ok(()) => return Err(ImportError::TrailingBytes { expected: count }),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {}
-        Err(e) => return Err(ImportError::Io(e)),
+    match source.into_inner().read_exact(&mut [0u8; 1]) {
+        Ok(()) => Err(ImportError::TrailingBytes { expected }),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(trace),
+        Err(e) => Err(ImportError::Io(e)),
     }
-    Ok(trace)
 }
 
 /// Imports and validates the `.gtrace` file at `path`.

@@ -11,15 +11,22 @@
 //! Each access is 10 bytes: `u64` byte address, `u8` stream, `u8` write
 //! flag.
 //!
-//! Three access paths share the format:
+//! This module is the only code that knows the layout. One function
+//! encodes the header and one decodes it; records are written by
+//! [`write`] / [`TraceWriter`] and read by one decoder, [`ChunkedReader`]:
 //!
-//! * [`write`] / [`read`] — whole traces, materialized,
+//! * [`write`] — a whole, materialized trace,
 //! * [`TraceWriter`] — incremental writing (the access count is patched in
 //!   at [`TraceWriter::finish`]) so a trace can be streamed to disk without
 //!   ever existing in memory,
 //! * [`ChunkedReader`] — a bounded-memory [`AccessSource`] that replays a
-//!   trace file chunk by chunk; peak memory is the chunk capacity, not the
-//!   trace length.
+//!   trace file chunk by chunk (peak memory is the chunk capacity, not the
+//!   trace length), or drains it whole with [`ChunkedReader::read_trace`].
+//!
+//! Every malformation the decoder finds is one of [`ImportError`]'s typed
+//! variants, carried inside an `InvalidData` [`io::Error`] where the
+//! signature is `io::Result`; [`ImportError::from`] recovers the variant.
+//! [`crate::import`] adds the checks that only apply to external files.
 //!
 //! A trace file may have a *next-use sidecar* (`GRNU` magic, conventionally
 //! a `.nu` file next to the `.grtr`) carrying the Belady next-use
@@ -32,14 +39,14 @@ use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::{Access, AccessSource, Chunk, StreamId, Trace};
+use crate::{Access, AccessSource, Chunk, ImportError, StreamId, Trace};
 
-pub(crate) const MAGIC: &[u8; 4] = b"GRTR";
-pub(crate) const VERSION: u32 = 1;
+const MAGIC: &[u8; 4] = b"GRTR";
+const VERSION: u32 = 1;
 const NU_MAGIC: &[u8; 4] = b"GRNU";
 const NU_VERSION: u32 = 1;
 /// Bytes of one serialized access record.
-pub(crate) const RECORD_BYTES: usize = 10;
+const RECORD_BYTES: usize = 10;
 
 /// Default [`ChunkedReader`] chunk capacity, in accesses (64 Ki accesses
 /// ≈ 1 MiB resident once decoded).
@@ -49,8 +56,25 @@ fn stream_code(s: StreamId) -> u8 {
     s.index() as u8
 }
 
-pub(crate) fn stream_from_code(code: u8) -> Option<StreamId> {
+fn stream_from_code(code: u8) -> Option<StreamId> {
     StreamId::ALL.get(usize::from(code)).copied()
+}
+
+/// Writes the header of a trace of `count` accesses to frame `frame` of
+/// `app`.
+fn write_header<W: Write>(writer: &mut W, app: &str, frame: u32, count: u64) -> io::Result<()> {
+    writer.write_all(MAGIC)?;
+    writer.write_all(&VERSION.to_le_bytes())?;
+    writer.write_all(&(app.len() as u32).to_le_bytes())?;
+    writer.write_all(app.as_bytes())?;
+    writer.write_all(&frame.to_le_bytes())?;
+    writer.write_all(&count.to_le_bytes())
+}
+
+#[inline]
+fn write_record<W: Write>(writer: &mut W, a: &Access) -> io::Result<()> {
+    writer.write_all(&a.addr.to_le_bytes())?;
+    writer.write_all(&[stream_code(a.stream), u8::from(a.write)])
 }
 
 /// Writes `trace` to `writer` in the binary format.
@@ -61,51 +85,8 @@ pub(crate) fn stream_from_code(code: u8) -> Option<StreamId> {
 ///
 /// Returns any I/O error from the underlying writer.
 pub fn write<W: Write>(mut writer: W, trace: &Trace) -> io::Result<()> {
-    writer.write_all(MAGIC)?;
-    writer.write_all(&VERSION.to_le_bytes())?;
-    let name = trace.app().as_bytes();
-    writer.write_all(&(name.len() as u32).to_le_bytes())?;
-    writer.write_all(name)?;
-    writer.write_all(&trace.frame().to_le_bytes())?;
-    writer.write_all(&(trace.len() as u64).to_le_bytes())?;
-    for a in trace.iter() {
-        writer.write_all(&a.addr.to_le_bytes())?;
-        writer.write_all(&[stream_code(a.stream), u8::from(a.write)])?;
-    }
-    Ok(())
-}
-
-/// Reads a trace previously written with [`write()`](fn@write).
-///
-/// # Errors
-///
-/// Returns `InvalidData` for a bad magic number, unsupported version, or
-/// corrupt stream codes, and any I/O error from the underlying reader.
-///
-/// # Example
-///
-/// ```
-/// use grtrace::{io as trace_io, Access, StreamId, Trace};
-///
-/// # fn main() -> std::io::Result<()> {
-/// let mut t = Trace::new("demo", 7);
-/// t.push(Access::load(0x40, StreamId::Texture));
-/// let mut buf = Vec::new();
-/// trace_io::write(&mut buf, &t)?;
-/// let back = trace_io::read(&buf[..])?;
-/// assert_eq!(back, t);
-/// # Ok(())
-/// # }
-/// ```
-pub fn read<R: Read>(mut reader: R) -> io::Result<Trace> {
-    let header = read_header(&mut reader)?;
-    let mut trace = Trace::with_capacity(header.app, header.frame, header.count as usize);
-    let mut rec = [0u8; RECORD_BYTES];
-    for _ in 0..header.count {
-        reader.read_exact(&mut rec)?;
-        trace.push(decode_record(&rec)?);
-    }
-    Ok(trace)
+    write_header(&mut writer, trace.app(), trace.frame(), trace.len() as u64)?;
+    trace.iter().try_for_each(|a| write_record(&mut writer, a))
 }
 
 /// The fixed metadata at the head of a trace file.
@@ -115,43 +96,45 @@ struct Header {
     count: u64,
 }
 
-fn read_header<R: Read>(reader: &mut R) -> io::Result<Header> {
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not a GRTR trace"));
+/// Reads exactly `buf.len()` header bytes; a clean end of input is a
+/// [`ImportError::BadHeader`] naming the `missing` field.
+fn read_field<R: Read>(reader: &mut R, buf: &mut [u8], missing: &str) -> Result<(), ImportError> {
+    match reader.read_exact(buf) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+            Err(ImportError::BadHeader(missing.into()))
+        }
+        Err(e) => Err(ImportError::Io(e)),
     }
-    let mut u32b = [0u8; 4];
-    reader.read_exact(&mut u32b)?;
-    let version = u32::from_le_bytes(u32b);
-    if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported trace version {version}"),
-        ));
-    }
-    reader.read_exact(&mut u32b)?;
-    let name_len = u32::from_le_bytes(u32b) as usize;
-    if name_len > 4096 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "app name too long"));
-    }
-    let mut name = vec![0u8; name_len];
-    reader.read_exact(&mut name)?;
-    let app = String::from_utf8(name).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    reader.read_exact(&mut u32b)?;
-    let frame = u32::from_le_bytes(u32b);
-    let mut u64b = [0u8; 8];
-    reader.read_exact(&mut u64b)?;
-    let count = u64::from_le_bytes(u64b);
-    Ok(Header { app, frame, count })
 }
 
-#[inline]
-fn decode_record(rec: &[u8; RECORD_BYTES]) -> io::Result<Access> {
-    let addr = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-    let stream = stream_from_code(rec[8])
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad stream code"))?;
-    Ok(Access { addr, stream, write: rec[9] != 0 })
+/// Decodes a trace header, leaving `reader` at the first record.
+fn read_header<R: Read>(reader: &mut R) -> Result<Header, ImportError> {
+    let mut magic = [0u8; 4];
+    read_field(reader, &mut magic, "file shorter than the magic")?;
+    if &magic != MAGIC {
+        return Err(ImportError::BadMagic(magic));
+    }
+    let mut u32b = [0u8; 4];
+    read_field(reader, &mut u32b, "missing version")?;
+    let version = u32::from_le_bytes(u32b);
+    if version != VERSION {
+        return Err(ImportError::UnsupportedVersion(version));
+    }
+    read_field(reader, &mut u32b, "missing name length")?;
+    let name_len = u32::from_le_bytes(u32b) as usize;
+    if name_len > 4096 {
+        return Err(ImportError::BadHeader(format!("app name length {name_len} exceeds 4096")));
+    }
+    let mut name = vec![0u8; name_len];
+    read_field(reader, &mut name, "file ends inside the app name")?;
+    let app = String::from_utf8(name)
+        .map_err(|_| ImportError::BadHeader("app name is not UTF-8".into()))?;
+    read_field(reader, &mut u32b, "missing frame index")?;
+    let frame = u32::from_le_bytes(u32b);
+    let mut u64b = [0u8; 8];
+    read_field(reader, &mut u64b, "missing access count")?;
+    Ok(Header { app, frame, count: u64::from_le_bytes(u64b) })
 }
 
 /// Writes a trace record by record, for producers that never hold the whole
@@ -168,7 +151,7 @@ fn decode_record(rec: &[u8; RECORD_BYTES]) -> io::Result<Access> {
 /// let mut w = trace_io::TraceWriter::new(std::io::Cursor::new(Vec::new()), "demo", 3)?;
 /// w.push(&Access::load(0x40, StreamId::Z))?;
 /// let buf = w.finish()?.into_inner();
-/// let back = trace_io::read(&buf[..])?;
+/// let back = trace_io::ChunkedReader::new(&buf[..], trace_io::DEFAULT_CHUNK)?.read_trace()?;
 /// assert_eq!(back.len(), 1);
 /// assert_eq!(back.frame(), 3);
 /// # Ok(())
@@ -189,14 +172,9 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// Returns any I/O error from the underlying writer.
     pub fn new(mut writer: W, app: &str, frame: u32) -> io::Result<Self> {
-        writer.write_all(MAGIC)?;
-        writer.write_all(&VERSION.to_le_bytes())?;
-        let name = app.as_bytes();
-        writer.write_all(&(name.len() as u32).to_le_bytes())?;
-        writer.write_all(name)?;
-        writer.write_all(&frame.to_le_bytes())?;
-        let count_pos = writer.stream_position()?;
-        writer.write_all(&0u64.to_le_bytes())?;
+        write_header(&mut writer, app, frame, 0)?;
+        // The count is the header's last field.
+        let count_pos = writer.stream_position()? - 8;
         Ok(TraceWriter { writer, count_pos, count: 0 })
     }
 
@@ -207,8 +185,7 @@ impl<W: Write + Seek> TraceWriter<W> {
     /// Returns any I/O error from the underlying writer.
     #[inline]
     pub fn push(&mut self, access: &Access) -> io::Result<()> {
-        self.writer.write_all(&access.addr.to_le_bytes())?;
-        self.writer.write_all(&[stream_code(access.stream), u8::from(access.write)])?;
+        write_record(&mut self.writer, access)?;
         self.count += 1;
         Ok(())
     }
@@ -413,8 +390,8 @@ impl<R: Read> ChunkedReader<R> {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for a malformed header and any I/O error from
-    /// the underlying reader.
+    /// Returns an `InvalidData` error carrying the [`ImportError`] for a
+    /// malformed header, and any I/O error from the underlying reader.
     ///
     /// # Panics
     ///
@@ -476,9 +453,38 @@ impl<R: Read> ChunkedReader<R> {
     pub fn chunk_capacity(&self) -> usize {
         self.chunk_cap
     }
+
+    /// Decodes every remaining record into one [`Trace`] named by the
+    /// header.
+    ///
+    /// # Errors
+    ///
+    /// As [`AccessSource::advance`].
+    pub fn read_trace(&mut self) -> io::Result<Trace> {
+        // A damaged header can declare any count; reserve at most 16 Mi
+        // accesses up front and let the body prove the rest.
+        let cap = self.remaining().min(1 << 24) as usize;
+        let mut trace = Trace::with_capacity(self.app.clone(), self.frame, cap);
+        while self.advance()? {
+            for &a in &self.accesses {
+                trace.push(a);
+            }
+        }
+        Ok(trace)
+    }
+
+    /// The underlying reader, positioned after the last record decoded.
+    pub fn into_inner(self) -> R {
+        self.reader
+    }
 }
 
 impl<R: Read> AccessSource for ChunkedReader<R> {
+    /// # Errors
+    ///
+    /// A truncated body or an unknown stream code is an `InvalidData`
+    /// error carrying [`ImportError::TruncatedBody`] (with the whole
+    /// records present) or [`ImportError::BadStreamCode`].
     fn advance(&mut self) -> io::Result<bool> {
         let n = self.remaining().min(self.chunk_cap as u64) as usize;
         if n == 0 {
@@ -486,11 +492,22 @@ impl<R: Read> AccessSource for ChunkedReader<R> {
             self.next_uses.clear();
             return Ok(false);
         }
-        self.raw.resize(n * RECORD_BYTES, 0);
-        self.reader.read_exact(&mut self.raw)?;
+        self.raw.clear();
+        self.raw.reserve(n * RECORD_BYTES);
+        self.reader.by_ref().take((n * RECORD_BYTES) as u64).read_to_end(&mut self.raw)?;
+        let whole = self.raw.len() / RECORD_BYTES;
         self.accesses.clear();
-        for rec in self.raw.chunks_exact(RECORD_BYTES) {
-            self.accesses.push(decode_record(rec.try_into().expect("10 bytes"))?);
+        for (i, rec) in self.raw.chunks_exact(RECORD_BYTES).enumerate() {
+            let Some(stream) = stream_from_code(rec[8]) else {
+                let index = self.consumed + i as u64;
+                return Err(ImportError::BadStreamCode { index, code: rec[8] }.into());
+            };
+            let addr = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
+            self.accesses.push(Access { addr, stream, write: rec[9] != 0 });
+        }
+        if whole < n {
+            let got = self.consumed + whole as u64;
+            return Err(ImportError::TruncatedBody { expected: self.total, got }.into());
         }
         if let Some(nu) = self.next_use.as_mut() {
             self.raw.resize(n * 8, 0);
@@ -535,6 +552,11 @@ impl<R> std::fmt::Debug for ChunkedReader<R> {
 mod tests {
     use super::*;
 
+    /// Drains serialized `bytes` through the one decoder.
+    fn drain(bytes: &[u8]) -> Result<Trace, ImportError> {
+        Ok(ChunkedReader::new(bytes, DEFAULT_CHUNK)?.read_trace()?)
+    }
+
     fn sample() -> Trace {
         let mut t = Trace::new("Röntgen", 42);
         for (i, s) in StreamId::ALL.iter().enumerate() {
@@ -548,7 +570,7 @@ mod tests {
         let t = sample();
         let mut buf = Vec::new();
         write(&mut buf, &t).unwrap();
-        assert_eq!(read(&buf[..]).unwrap(), t);
+        assert_eq!(drain(&buf).unwrap(), t);
     }
 
     /// A failed atomic write leaves the previous file and no temp file.
@@ -594,13 +616,14 @@ mod tests {
         let t = Trace::new("", 0);
         let mut buf = Vec::new();
         write(&mut buf, &t).unwrap();
-        assert_eq!(read(&buf[..]).unwrap(), t);
+        assert_eq!(drain(&buf).unwrap(), t);
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let err = read(&b"NOPE........."[..]).unwrap_err();
+        let err = ChunkedReader::new(&b"NOPE........."[..], 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(matches!(ImportError::from(err), ImportError::BadMagic(m) if &m == b"NOPE"));
     }
 
     #[test]
@@ -608,7 +631,7 @@ mod tests {
         let mut buf = Vec::new();
         write(&mut buf, &Trace::new("x", 0)).unwrap();
         buf[4] = 99;
-        assert!(read(&buf[..]).is_err());
+        assert!(matches!(drain(&buf), Err(ImportError::UnsupportedVersion(99))));
     }
 
     #[test]
@@ -618,7 +641,7 @@ mod tests {
         // Corrupt the first access's stream byte.
         let header = 4 + 4 + 4 + "Röntgen".len() + 4 + 8;
         buf[header + 8] = 200;
-        assert!(read(&buf[..]).is_err());
+        assert!(matches!(drain(&buf), Err(ImportError::BadStreamCode { index: 0, code: 200 })));
     }
 
     #[test]
@@ -626,7 +649,48 @@ mod tests {
         let mut buf = Vec::new();
         write(&mut buf, &sample()).unwrap();
         buf.truncate(buf.len() - 3);
-        assert!(read(&buf[..]).is_err());
+        assert!(matches!(drain(&buf), Err(ImportError::TruncatedBody { .. })));
+    }
+
+    /// Advances `src` until it fails.
+    fn first_error(mut src: ChunkedReader<&[u8]>) -> io::Error {
+        loop {
+            match src.advance() {
+                Ok(true) => {}
+                Ok(false) => panic!("the damaged body decoded cleanly"),
+                Err(e) => return e,
+            }
+        }
+    }
+
+    /// The decoder types both body faults: a truncation reports the exact
+    /// count of whole records present, and a bad stream code the index of
+    /// its record, wherever the chunk boundaries fall.
+    #[test]
+    fn chunked_reader_types_body_errors() {
+        let t = big_sample(50);
+        let mut buf = Vec::new();
+        write(&mut buf, &t).unwrap();
+        let body = buf.len() - 50 * RECORD_BYTES;
+        for chunk in [1, 7, 16, 64] {
+            for cut in [1, 9, 10, 11, 255] {
+                let short = &buf[..buf.len() - cut];
+                let got = ((short.len() - body) / RECORD_BYTES) as u64;
+                let err = first_error(ChunkedReader::new(short, chunk).unwrap());
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                match ImportError::from(err) {
+                    ImportError::TruncatedBody { expected: 50, got: g } if g == got => {}
+                    other => panic!("chunk {chunk} cut {cut}: {other:?}"),
+                }
+            }
+            let mut bad = buf.clone();
+            bad[body + 37 * RECORD_BYTES + 8] = 9;
+            let err = first_error(ChunkedReader::new(&bad[..], chunk).unwrap());
+            assert!(matches!(
+                ImportError::from(err),
+                ImportError::BadStreamCode { index: 37, code: 9 }
+            ));
+        }
     }
 
     fn big_sample(n: u64) -> Trace {

@@ -3,6 +3,11 @@
 
 use grtrace::{io as trace_io, Access, StreamId, Trace};
 
+/// Decodes `bytes` whole through the one GRTR decoder.
+fn drain(bytes: &[u8]) -> std::io::Result<Trace> {
+    trace_io::ChunkedReader::new(bytes, trace_io::DEFAULT_CHUNK)?.read_trace()
+}
+
 /// SplitMix64 — a tiny deterministic generator for test inputs.
 struct Rng(u64);
 
@@ -39,7 +44,7 @@ fn roundtrip() {
         }
         let mut buf = Vec::new();
         trace_io::write(&mut buf, &t).expect("write to Vec cannot fail");
-        let back = trace_io::read(&buf[..]).expect("roundtrip read");
+        let back = drain(&buf).expect("roundtrip read");
         assert_eq!(back, t);
     }
 }
@@ -50,7 +55,7 @@ fn fuzz_reader_never_panics() {
     let mut rng = Rng(42);
     for _ in 0..256 {
         let bytes: Vec<u8> = (0..rng.below(256)).map(|_| rng.next() as u8).collect();
-        let _ = trace_io::read(&bytes[..]);
+        let _ = drain(&bytes);
     }
 }
 
@@ -67,6 +72,6 @@ fn truncation_is_an_error() {
     for cut in 0..buf.len() {
         let mut short = buf.clone();
         short.truncate(cut);
-        assert!(trace_io::read(&short[..]).is_err(), "cut at {cut}");
+        assert!(drain(&short).is_err(), "cut at {cut}");
     }
 }
