@@ -17,7 +17,7 @@
 
 use grbench::figures::{self, PerfConfig};
 use grbench::{
-    framecache, run_frame_sequence, run_workload, simulate_cell, ExperimentConfig, RunOptions,
+    framecache, run_frame_sequence, run_workload, simulate_cells, ExperimentConfig, RunOptions,
     WorkloadResults,
 };
 use grcache::{CharReport, Llc, LlcConfig, LlcStats};
@@ -573,16 +573,25 @@ fn profiles(tier: &Tier) -> Artifact {
     let keys = POLICIES.map(|policy| format!("{policy}_hit_rate"));
     let mut table = Table::new("Frame-graph profiles: overall hit rates", "profile", &keys)
         .headings(&["profile", "DRRIP", "GSPC"]);
+    let graphs: Vec<_> = GRAPH_PROFILES.iter().map(|profile| profile.graph()).collect();
+    let mut cells = Vec::new();
+    for (profile, graph) in GRAPH_PROFILES.iter().zip(&graphs) {
+        for policy in POLICIES {
+            let frames = 0..cfg.frames_for(profile.frames);
+            cells.extend(frames.map(|frame| (policy, graph.into(), frame)));
+        }
+    }
+    let results = simulate_cells(&cells, &opts, &cfg);
+    let mut results = results.iter();
     for profile in GRAPH_PROFILES {
-        let graph = profile.graph();
-        let cells = POLICIES.map(|policy| {
+        let row = POLICIES.map(|_| {
             let mut stats = LlcStats::new();
-            for frame in 0..cfg.frames_for(profile.frames) {
-                stats.merge(&simulate_cell(policy, &graph, frame, &opts, &cfg).stats);
+            for cell in results.by_ref().take(cfg.frames_for(profile.frames) as usize) {
+                stats.merge(&cell.stats);
             }
             Fixed(ratio(stats.total_hits(), stats.total_accesses()), 4)
         });
-        table.row(profile.name, cells.into());
+        table.row(profile.name, row.into());
     }
     table.into_artifact("profiles", tier.workload(Json::obj()))
 }

@@ -274,12 +274,13 @@ fn sequence_table(
     title: &str,
 ) {
     let warm = grbench::run_frame_sequence(policy, frames, 0..nframes, 8, cfg);
-    let opts = RunOptions::misses(&[]);
+    let cells: Vec<_> = (0..nframes).map(|frame| (policy, frames, frame)).collect();
+    let cold_runs = grbench::simulate_cells(&cells, &RunOptions::misses(&[]), cfg);
     let mut rows = Vec::new();
     let mut prev = 0u64;
     let mut cold_total = 0u64;
     for frame in 0..nframes {
-        let cold = grbench::simulate_cell(policy, frames, frame, &opts, cfg).stats.total_misses();
+        let cold = cold_runs[frame as usize].stats.total_misses();
         cold_total += cold;
         let cum = warm[frame as usize].total_misses();
         let delta = cum - prev;
@@ -344,12 +345,14 @@ fn characterize(cfg: &ExperimentConfig, app_name: &str) {
     const ORACLE: &str = "OPT";
     let app = require_app(app_name);
     let opts = RunOptions { characterize: true, ..RunOptions::misses(&[ORACLE]) };
+    let frames = 0..cfg.frames_for(app.frames);
+    let cells: Vec<_> = frames.map(|frame| (ORACLE, Frames::from(&app), frame)).collect();
+    let results = grbench::simulate_cells(&cells, &opts, cfg);
     let mut stats = grcache::LlcStats::new();
     let mut chars = grcache::CharReport::default();
     let mut mix = grtrace::StreamStats::new();
-    for frame in 0..cfg.frames_for(app.frames) {
+    for (&(_, _, frame), cell) in cells.iter().zip(&results) {
         mix.merge(framecache::frame_data(&app, frame, cfg.scale).trace.stats());
-        let cell = grbench::simulate_cell(ORACLE, &app, frame, &opts, cfg);
         stats.merge(&cell.stats);
         chars.merge(cell.chars.as_ref().expect("characterization requested"));
     }

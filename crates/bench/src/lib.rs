@@ -32,8 +32,9 @@
 //! # Parallelism & caching
 //!
 //! [`run_workload`] fans the (app, frame, policy) grid across `GR_THREADS`
-//! workers (default: all cores) and merges results in a canonical order,
-//! so results are byte-identical for any thread count. Frames are
+//! workers (default: all cores) through [`simulate_cells`], the one cell
+//! fan-out every multi-cell caller shares, and merges results in a
+//! canonical order, so results are byte-identical for any thread count. Frames are
 //! synthesized once per process in the shared [`framecache`];
 //! `GR_TRACE_CACHE=<dir>` adds an on-disk tier that survives across
 //! processes and regenerates any file it finds damaged.
@@ -47,6 +48,6 @@ pub mod table;
 
 pub use config::ExperimentConfig;
 pub use runner::{
-    run_frame_sequence, run_workload, simulate_cell, simulate_graph_cell, simulate_trace_cell,
-    AppAgg, CellResult, RunOptions, RunPerf, WorkloadResults,
+    fan_out, run_frame_sequence, run_workload, simulate_cell, simulate_cells, simulate_graph_cell,
+    simulate_trace_cell, AppAgg, CellResult, RunOptions, RunPerf, WorkloadResults,
 };

@@ -4,18 +4,21 @@
 //! Each cell of the grid — one policy replaying one frame — is an
 //! independent LLC simulation: policies are per-LLC-instance state machines
 //! with no cross-frame coupling, so the grid is embarrassingly parallel.
-//! Workers claim cells from a shared atomic counter and write results into
-//! per-cell slots; frames come from the process-wide
-//! [`crate::framecache`], so each trace is synthesized once no matter how
-//! many policies replay it or how many runners re-use it.
+//! [`fan_out`] is the one worker pool: workers claim cells from a shared
+//! atomic counter and write results into per-cell slots, and
+//! [`simulate_cells`] runs any list of cells through it. Frames come from
+//! the process-wide [`crate::framecache`], so each trace is synthesized
+//! once no matter how many policies replay it or how many runners re-use
+//! it.
 //!
 //! # Determinism
 //!
-//! The merge phase folds cell results into per-(policy, app) aggregates
-//! sequentially, in canonical (policy, app, frame) order, after all workers
-//! finish. Floating-point accumulation order therefore never depends on
-//! thread scheduling: `GR_THREADS=1` and `GR_THREADS=64` produce
-//! byte-identical figure output.
+//! Cell results come back in input order, and every caller folds them
+//! into its aggregates sequentially, in its canonical order (for
+//! [`run_workload`], (policy, app, frame)), after all workers finish.
+//! Floating-point accumulation order therefore never depends on thread
+//! scheduling: `GR_THREADS=1` and `GR_THREADS=64` produce byte-identical
+//! figure output.
 
 use std::collections::HashMap;
 use std::io;
@@ -71,8 +74,11 @@ pub struct RunOptions {
     pub timing: Option<(GpuConfig, TimingParams)>,
     /// LLC capacity at native scale, in megabytes (8 or 16 in the paper).
     pub llc_paper_mb: u64,
-    /// Worker thread count. `None` falls back to `GR_THREADS`, then to
-    /// `std::thread::available_parallelism()`.
+    /// Worker thread count of every multi-cell entry point
+    /// ([`run_workload`], [`simulate_cells`], and through them the
+    /// daemon's jobs and the artifact pipeline). `None` falls back to
+    /// `GR_THREADS`, then to `std::thread::available_parallelism()`.
+    /// Results are byte-identical at any value.
     pub threads: Option<usize>,
     /// Replay cells through the streaming disk tier
     /// ([`framecache::disk_source`]) instead of the in-memory trace.
@@ -136,6 +142,11 @@ impl RunOptions {
             probe: None,
         }
     }
+}
+
+/// The worker count `GR_THREADS` asks for, if it is set to an integer.
+pub fn threads_from_env() -> Option<usize> {
+    std::env::var("GR_THREADS").ok().and_then(|v| v.parse().ok())
 }
 
 /// `true` when `GR_STREAMED` requests disk-tier streaming replay (any
@@ -272,20 +283,11 @@ impl WorkloadResults {
     }
 }
 
-/// One grid cell: `policies[policy]` replaying frame `frame` of
-/// `apps[app]`.
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    app: usize,
-    frame: u32,
-    policy: usize,
-}
-
 /// What one grid cell produces — one policy replaying one frame.
 ///
 /// `run_workload` merges these into per-(policy, app) aggregates; the
-/// `grserve` daemon consumes them directly via [`simulate_cell`], its
-/// workers doing their own canonical-order aggregation per job.
+/// `grserve` daemon consumes them directly via [`simulate_cells`], doing
+/// its own canonical-order aggregation per job.
 #[derive(Debug, Clone)]
 pub struct CellResult {
     /// LLC statistics of the replay.
@@ -305,12 +307,8 @@ pub struct CellResult {
 /// a frame graph — through the same monomorphized path as
 /// [`run_workload`]: [`gspc::registry::with_policy`] dispatch, shared
 /// [`crate::framecache`] traces, streamed or in-memory per
-/// `opts.streamed`. Returns the raw cell result.
-///
-/// This is the daemon-callable entry point: a long-lived server that wants
-/// slices of the grid calls this per cell and aggregates in its own
-/// canonical order, instead of paying for the full 12-app sweep
-/// `run_workload` runs.
+/// `opts.streamed`. Returns the raw cell result. Callers with more than
+/// one cell use [`simulate_cells`], which fans them over `opts.threads`.
 ///
 /// # Panics
 ///
@@ -392,15 +390,89 @@ fn dispatch<V: PolicyVisitor>(
     out.unwrap_or_else(|| panic!("unknown policy {name}"))
 }
 
+/// The worker count a `threads` setting resolves to: the explicit value,
+/// else `GR_THREADS`, else `std::thread::available_parallelism()`; at
+/// least 1.
 fn resolve_threads(explicit: Option<usize>) -> usize {
     explicit
-        .or_else(|| std::env::var("GR_THREADS").ok().and_then(|v| v.parse().ok()))
+        .or_else(threads_from_env)
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         .max(1)
 }
 
+/// Maps `f` over `items` on a work-stealing pool of up to `threads`
+/// workers and returns the results in input order.
+///
+/// `threads` resolves like [`RunOptions::threads`] (`None` reads
+/// `GR_THREADS`, then the core count). When it resolves to 1, or there is
+/// at most one item, `f` runs inline on the calling thread and no thread
+/// is spawned. Otherwise the calling thread and `threads - 1` scoped
+/// threads claim items from a shared atomic counter and write each result
+/// into that item's slot, so a slow item never holds up the rest and the
+/// output order never depends on scheduling. A panic in `f` is re-raised
+/// on the calling thread after every worker has stopped.
+pub fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: Option<usize>,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let threads = resolve_threads(threads).min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    // `Relaxed` suffices: the counter only hands out indices, and results
+    // reach the caller through the slot mutexes and the joins.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        let out = f(item);
+        *slots[i].lock().expect("fan-out slot poisoned") = Some(out);
+    };
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (1..threads).map(|_| s.spawn(worker)).collect();
+        worker();
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner().expect("fan-out slot poisoned").expect("worker left a slot unfilled")
+        })
+        .collect()
+}
+
+/// Replays every `(policy, frames, frame)` cell exactly as
+/// [`simulate_cell`] would, fanned over `opts.threads` workers by
+/// [`fan_out`], and returns the results in input order.
+///
+/// This is the one multi-cell entry point: [`run_workload`], the daemon's
+/// job execution and the artifact pipeline all build their grid as a list
+/// of cells and fold the results back in their own canonical order, so
+/// every byte they report is the same at any thread count.
+///
+/// # Panics
+///
+/// As [`simulate_cell`], for any cell.
+pub fn simulate_cells(
+    cells: &[(&str, Frames<'_>, u32)],
+    opts: &RunOptions,
+    cfg: &ExperimentConfig,
+) -> Vec<CellResult> {
+    let llc_cfg = cfg.llc(opts.llc_paper_mb);
+    fan_out(cells, opts.threads, |&(policy, frames, frame)| {
+        run_cell(frames, frame, policy, llc_cfg, opts, cfg)
+    })
+}
+
 /// Runs the 52-frame workload (or the `GR_FRAMES`-limited subset) through
-/// every requested policy, fanning cells across worker threads.
+/// every requested policy, fanning cells across worker threads with
+/// [`simulate_cells`].
 ///
 /// Frames are synthesized at most once per process (see
 /// [`crate::framecache`]); Belady next-use annotations are computed once
@@ -408,39 +480,19 @@ fn resolve_threads(explicit: Option<usize>) -> usize {
 /// thread count — see the module docs for the determinism argument.
 pub fn run_workload(opts: &RunOptions, cfg: &ExperimentConfig) -> WorkloadResults {
     let started = Instant::now();
-    let llc_cfg = cfg.llc(opts.llc_paper_mb);
     let apps = AppProfile::all();
     let frames: Vec<u32> = apps.iter().map(|a| cfg.frames_for(a.frames)).collect();
 
     let mut cells = Vec::new();
-    for (ai, &nframes) in frames.iter().enumerate() {
+    for (app, &nframes) in apps.iter().zip(&frames) {
         for frame in 0..nframes {
-            for pi in 0..opts.policies.len() {
-                cells.push(Cell { app: ai, frame, policy: pi });
+            for policy in &opts.policies {
+                cells.push((policy.as_str(), Frames::App(app), frame));
             }
         }
     }
-
     let threads = resolve_threads(opts.threads).min(cells.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellResult>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(cell) = cells.get(i) else { break };
-        let frames = Frames::App(&apps[cell.app]);
-        let out = run_cell(frames, cell.frame, &opts.policies[cell.policy], llc_cfg, opts, cfg);
-        *slots[i].lock().expect("cell slot poisoned") = Some(out);
-    };
-    if threads == 1 {
-        worker();
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(worker);
-            }
-        });
-    }
+    let results = simulate_cells(&cells, opts, cfg);
 
     // Deterministic merge: cells are laid out app-major then frame then
     // policy, so the flat index of (policy, app, frame) is computable from
@@ -461,12 +513,7 @@ pub fn run_workload(opts: &RunOptions, cfg: &ExperimentConfig) -> WorkloadResult
         for (ai, &nframes) in frames.iter().enumerate() {
             let agg = &mut data[pi * apps.len() + ai];
             for frame in 0..nframes as usize {
-                let idx = app_base[ai] + frame * opts.policies.len() + pi;
-                let out = slots[idx]
-                    .lock()
-                    .expect("cell slot poisoned")
-                    .take()
-                    .expect("worker left a cell unfilled");
+                let out = &results[app_base[ai] + frame * opts.policies.len() + pi];
                 agg.frames += 1;
                 agg.frame_ns_total += out.frame_ns;
                 agg.stats.merge(&out.stats);
@@ -890,6 +937,53 @@ mod tests {
             seq[1].total_misses() < cold,
             "warm LLC must save misses versus per-frame cold starts"
         );
+    }
+
+    /// The fan-out returns cells in input order even when an expensive
+    /// cell is claimed first and cheap ones finish long before it.
+    #[test]
+    fn simulate_cells_returns_input_order() {
+        let cfg = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(2) };
+        let apps = AppProfile::all();
+        let graph = grsynth::graph_profile("cpu-like").expect("builtin profile").graph();
+        let annotated = registry::ALL_POLICIES.iter().find(|e| e.needs_next_use());
+        let slow = annotated.expect("the registry has an annotated policy").name;
+        // An annotated replay of a whole app frame first, then a run of
+        // small graph frames over the registry's policies, then another
+        // app frame.
+        let mut cells: Vec<(&str, Frames<'_>, u32)> = vec![(slow, (&apps[0]).into(), 1)];
+        for (frame, entry) in registry::ALL_POLICIES.iter().take(7).enumerate() {
+            cells.push((entry.name, (&graph).into(), frame as u32 % 3));
+        }
+        cells.push((registry::ALL_POLICIES[0].name, (&apps[5]).into(), 0));
+        let opts = RunOptions { characterize: true, ..RunOptions::misses(&[]) };
+        let fanned = simulate_cells(&cells, &RunOptions { threads: Some(4), ..opts.clone() }, &cfg);
+        assert_eq!(fanned.len(), cells.len());
+        for (&(policy, frames, frame), got) in cells.iter().zip(&fanned) {
+            let want = simulate_cell(policy, frames, frame, &opts, &cfg);
+            assert_eq!(got.stats, want.stats, "{policy} frame {frame} out of place");
+            assert_eq!(got.accesses, want.accesses);
+        }
+    }
+
+    /// `fan_out` keeps input order for any worker count, runs nothing on
+    /// an empty list, and re-raises a worker's panic with its message.
+    #[test]
+    fn fan_out_keeps_order_and_propagates_panics() {
+        let items: Vec<u64> = (0..50).collect();
+        for threads in [1, 3, 8] {
+            let out = fan_out(&items, Some(threads), |&n| {
+                std::thread::sleep(std::time::Duration::from_micros((50 - n) * 20));
+                n * n
+            });
+            assert_eq!(out, items.iter().map(|n| n * n).collect::<Vec<_>>());
+        }
+        assert!(fan_out(&[] as &[u64], Some(4), |&n| n).is_empty());
+        let err = std::panic::catch_unwind(|| {
+            fan_out(&items, Some(4), |&n| if n == 17 { panic!("cell {n} failed") } else { n })
+        })
+        .expect_err("a worker panic reaches the caller");
+        assert_eq!(err.downcast_ref::<String>().map(String::as_str), Some("cell 17 failed"));
     }
 
     /// The boxed fallback and the monomorphized visitor path must agree

@@ -13,7 +13,9 @@
 //!    byte** against an offline [`grserve::execute`] run of the same spec
 //!    (the shared replay/aggregation path used by the export tools), for
 //!    an app grid covering plain, Belady-annotated and parameterized
-//!    policies and for a frame-graph profile;
+//!    policies and for a frame-graph profile. A spawned daemon fans each
+//!    job over `GR_THREADS=4` workers while the offline run is serial, so
+//!    the check also spans thread counts;
 //! 2. resubmit the identical job and verify it is answered from the
 //!    result cache (cache-hit counter up, execution counter unchanged);
 //! 3. submit N identical jobs while the single worker is busy and verify
@@ -118,9 +120,9 @@ struct Daemon {
     addr: String,
 }
 
-/// Spawns `grserved` with the given extra args, waiting for its port
-/// file.
-fn spawn_daemon(binary: &str, extra: &[String]) -> Daemon {
+/// Spawns `grserved` with the given extra args and environment, waiting
+/// for its port file.
+fn spawn_daemon(binary: &str, extra: &[String], env: &[(&str, &str)]) -> Daemon {
     let port_file = std::env::temp_dir().join(format!("grload-port-{}.txt", std::process::id()));
     let _ = std::fs::remove_file(&port_file);
     let child = Command::new(binary)
@@ -128,6 +130,7 @@ fn spawn_daemon(binary: &str, extra: &[String]) -> Daemon {
         .args(["--port-file"])
         .arg(&port_file)
         .env("GR_SCALE", "tiny")
+        .envs(env.iter().copied())
         .stdout(Stdio::inherit())
         .stderr(Stdio::inherit())
         .spawn()
@@ -218,7 +221,8 @@ fn served_matches_offline(addr: &str, body: &str, what: &str) {
     check(status == 200, "raw result fetch returns 200");
     let offline_spec = JobSpec::parse(body, Scale::Tiny).expect("spec parses offline");
     check(offline_spec.id() == id, "client and server agree on the canonical job id");
-    let offline = grserve::execute(&offline_spec, &RunOptions::from_env(&[]));
+    let serial = RunOptions { threads: Some(1), ..RunOptions::from_env(&[]) };
+    let offline = grserve::execute(&offline_spec, &serial);
     check(
         served == offline.payload,
         &format!("{what} payload is bit-identical to the offline run"),
@@ -257,6 +261,7 @@ fn smoke(argv_tail: &[String]) {
                 "2500",
                 "--allow-http-shutdown",
             ]),
+            &[("GR_THREADS", "4")],
         )),
         (None, Some(_)) => None,
         _ => cli::usage_error(USAGE),
@@ -554,6 +559,7 @@ fn bench(argv_tail: &[String]) {
                 "4000",
                 "--allow-http-shutdown",
             ]),
+            &[],
         )),
         (None, Some(_)) => None,
         _ => cli::usage_error(USAGE),

@@ -22,8 +22,14 @@
 //!
 //! Execution knobs come from the environment once, at startup
 //! (`GR_THREADS`, `GR_STREAMED`, `GR_CHECK`, `GR_SCALE`,
-//! `GR_RESULT_CACHE_MAX`) via [`grbench::RunOptions::from_env`]; per-job
-//! fields come from each request.
+//! `GR_RESULT_CACHE_MAX`); per-job fields come from each request.
+//!
+//! Each of the `--workers` workers runs one job at a time and fans that
+//! job's cells (its frames, apps and policies) over a per-job thread
+//! count: `GR_THREADS` when set, else `max(1, available_parallelism /
+//! workers)`. The default daemon is therefore not oversubscribed, and
+//! `--workers 1` gives its one job every core. Payloads are
+//! byte-identical at any thread count.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -2,19 +2,19 @@
 //!
 //! This is the one function both the daemon's worker pool and `grload`'s
 //! offline verification call, so "service result == direct run" is
-//! bit-for-bit checkable: same [`grbench::simulate_cell`] replay path,
+//! bit-for-bit checkable: same [`grbench::simulate_cells`] replay path,
 //! same canonical (policy, app) aggregation order, same [`grjson`]
-//! serialization. The payload deliberately carries **no wall-clock
-//! fields** — every byte is a pure function of the spec, which is what
-//! makes content-addressed caching sound.
+//! serialization, whatever the thread count. The payload deliberately
+//! carries **no wall-clock fields** — every byte is a pure function of the
+//! spec, which is what makes content-addressed caching sound.
 
-use grbench::{simulate_cell, simulate_trace_cell, RunOptions};
+use grbench::{fan_out, simulate_cells, simulate_trace_cell, RunOptions};
 use grcache::{CharReport, LlcStats};
 use grjson::Json;
 use grsynth::{AppProfile, Frames};
-use grtrace::{PolicyClass, StreamId};
+use grtrace::{PolicyClass, StreamId, Trace};
 
-use crate::spec::JobSpec;
+use crate::spec::{JobSpec, TraceRef};
 
 /// The result of executing one job.
 #[derive(Debug, Clone)]
@@ -31,8 +31,20 @@ pub struct JobOutput {
 
 /// Executes `spec` and builds its payload. `base` supplies the execution
 /// knobs the spec does not own (threads, streamed/boxed/check) — the
-/// daemon snapshots these once at startup via [`RunOptions::from_env`].
-pub fn execute(spec: &JobSpec, base: &RunOptions) -> JobOutput {
+/// daemon snapshots these once at startup.
+///
+/// The job's cells (policy × app × frame, policy × profile frame, or one
+/// per policy for a trace job) run together through grbench's cell
+/// fan-out over `base.threads` workers and are folded back in canonical
+/// (policy, workload, frame) order, so the payload is byte-identical at
+/// any thread count.
+///
+/// # Errors
+///
+/// A trace job whose `.gtrace` file no longer holds the bytes the spec's
+/// digest names (rewritten, truncated or deleted since submission) fails
+/// with "trace file … changed between submit and execute".
+pub fn try_execute(spec: &JobSpec, base: &RunOptions) -> Result<JobOutput, String> {
     let cfg = spec.config();
     let opts = RunOptions {
         policies: Vec::new(),
@@ -47,19 +59,11 @@ pub fn execute(spec: &JobSpec, base: &RunOptions) -> JobOutput {
     let mut per_policy = Json::obj();
     if let Some(trace_ref) = &spec.trace {
         // Imported `.gtrace` workload: one frame, replayed per policy.
-        // The canonical id covers the *content digest*, so re-verify it —
-        // serving results for bytes that changed since submission would
-        // poison the content-addressed cache.
-        let bytes = std::fs::read(&trace_ref.path).expect("trace file readable at execute time");
-        assert_eq!(
-            crate::hash::sha256_hex(&bytes),
-            trace_ref.digest,
-            "trace file {} changed between submit and execute",
-            trace_ref.path
-        );
-        let trace = grtrace::import(&bytes[..]).expect("trace was validated at parse time");
-        for policy in &spec.policies {
-            let cell = simulate_trace_cell(policy, &trace, &opts, &cfg);
+        let trace = load_trace(trace_ref)?;
+        let cells = fan_out(&spec.policies, opts.threads, |policy| {
+            simulate_trace_cell(policy, &trace, &opts, &cfg)
+        });
+        for (policy, cell) in spec.policies.iter().zip(&cells) {
             accesses += cell.accesses;
             replay_seconds += cell.replay_seconds;
             let mut stats = LlcStats::new();
@@ -88,26 +92,36 @@ pub fn execute(spec: &JobSpec, base: &RunOptions) -> JobOutput {
             (name, profile.graph_with_coherence(coherence), profile.frames)
         });
         let workloads: Vec<(&str, Frames<'_>, u32)> = match &graph {
-            Some((name, graph, nframes)) => vec![(*name, graph.into(), *nframes)],
-            None => apps.iter().map(|app| (app.abbrev, app.into(), app.frames)).collect(),
+            Some((name, graph, nframes)) => {
+                vec![(*name, graph.into(), cfg.frames_for(*nframes))]
+            }
+            None => apps
+                .iter()
+                .map(|app| (app.abbrev, app.into(), cfg.frames_for(app.frames)))
+                .collect(),
         };
+        let mut cells = Vec::new();
+        for policy in &spec.policies {
+            for &(_, frames, nframes) in &workloads {
+                cells.extend((0..nframes).map(|frame| (policy.as_str(), frames, frame)));
+            }
+        }
+        let results = simulate_cells(&cells, &opts, &cfg);
+        let mut results = results.iter();
         for policy in &spec.policies {
             let mut workload_obj = Json::obj();
-            for &(label, frames, nframes) in &workloads {
+            for &(label, _, nframes) in &workloads {
                 let mut stats = LlcStats::new();
                 let mut chars = CharReport::default();
-                let mut count = 0u64;
-                for frame in 0..cfg.frames_for(nframes) {
-                    let cell = simulate_cell(policy, frames, frame, &opts, &cfg);
+                for cell in results.by_ref().take(nframes as usize) {
                     stats.merge(&cell.stats);
                     if let Some(c) = &cell.chars {
                         chars.merge(c);
                     }
-                    count += 1;
                     accesses += cell.accesses;
                     replay_seconds += cell.replay_seconds;
                 }
-                let entry = stats_entry(&stats, &chars, count, spec.characterize);
+                let entry = stats_entry(&stats, &chars, nframes.into(), spec.characterize);
                 workload_obj.set(label, entry);
             }
             per_policy.set(policy.clone(), workload_obj);
@@ -117,7 +131,30 @@ pub fn execute(spec: &JobSpec, base: &RunOptions) -> JobOutput {
     let mut doc = Json::obj();
     doc.set("id", spec.id()).set("spec", spec.canonical_json()).set("results", per_policy);
 
-    JobOutput { payload: doc.to_string_pretty(), accesses, replay_seconds }
+    Ok(JobOutput { payload: doc.to_string_pretty(), accesses, replay_seconds })
+}
+
+/// [`try_execute`] for callers that treat a failed job as a bug: offline
+/// verification and benchmarks, whose specs name no file that can change.
+///
+/// # Panics
+///
+/// Panics with the error [`try_execute`] returns.
+pub fn execute(spec: &JobSpec, base: &RunOptions) -> JobOutput {
+    try_execute(spec, base).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Reads and decodes a trace job's `.gtrace` file. The canonical id covers
+/// the *content digest*, so the bytes are re-verified here: serving
+/// results for bytes that changed since submission would poison the
+/// content-addressed cache.
+fn load_trace(trace_ref: &TraceRef) -> Result<Trace, String> {
+    let changed = || format!("trace file {} changed between submit and execute", trace_ref.path);
+    let bytes = std::fs::read(&trace_ref.path).map_err(|_| changed())?;
+    if crate::hash::sha256_hex(&bytes) != trace_ref.digest {
+        return Err(changed());
+    }
+    grtrace::import(&bytes[..]).map_err(|_| changed())
 }
 
 /// The per-workload result entry every workload kind shares, so payload
@@ -143,6 +180,7 @@ fn stats_entry(stats: &LlcStats, chars: &CharReport, frames: u64, characterize: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grbench::simulate_cell;
     use grsynth::Scale;
 
     fn spec(body: &str) -> JobSpec {
@@ -247,23 +285,33 @@ mod tests {
         }
     }
 
+    /// Writes frame `frame` of the `cpu-like` profile at tiny scale to
+    /// `name` in a test temp dir; returns the path and the trace.
+    fn write_trace(name: &str, frame: u32) -> (std::path::PathBuf, Trace) {
+        let dir = std::env::temp_dir().join("grserve-job-tests");
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let path = dir.join(name);
+        let graph = grsynth::graph_profile("cpu-like").unwrap().graph();
+        let trace = grsynth::GraphRenderer::new(&graph, frame, grsynth::Scale::Tiny).render();
+        let file = std::fs::File::create(&path).expect("create trace file");
+        let mut writer = std::io::BufWriter::new(file);
+        grtrace::io::write(&mut writer, &trace).expect("write trace");
+        std::io::Write::flush(&mut writer).expect("flush trace");
+        (path, trace)
+    }
+
+    /// A trace job spec over `policies` replaying the file at `path`.
+    fn trace_spec(policies: &[&str], path: &std::path::Path) -> JobSpec {
+        spec(&body(policies, &[("trace", path.to_str().unwrap().into())]))
+    }
+
     /// A trace job replays the imported bytes and keys the result by the
     /// app name recorded in the trace header; two executions are
     /// byte-identical.
     #[test]
     fn trace_payload_is_deterministic_and_matches_direct_replay() {
-        let dir = std::env::temp_dir().join("grserve-job-tests");
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        let path = dir.join("job.gtrace");
-        let graph = grsynth::graph_profile("cpu-like").unwrap().graph();
-        let trace = grsynth::GraphRenderer::new(&graph, 0, grsynth::Scale::Tiny).render();
-        let file = std::fs::File::create(&path).expect("create trace file");
-        let mut writer = std::io::BufWriter::new(file);
-        grtrace::io::write(&mut writer, &trace).expect("write trace");
-        std::io::Write::flush(&mut writer).expect("flush trace");
-
-        let s =
-            spec(&format!(r#"{{"policies": ["DRRIP"], "trace": {:?}}}"#, path.to_str().unwrap()));
+        let (path, trace) = write_trace("job.gtrace", 0);
+        let s = trace_spec(&["DRRIP"], &path);
         let base = RunOptions::from_env(&[]);
         let a = execute(&s, &base);
         let b = execute(&s, &base);
@@ -297,5 +345,52 @@ mod tests {
         assert!(entry.get("rt_consumption").is_none());
         assert!(entry.get("misses").is_some());
         assert!(entry.get("work").is_none(), "payload entries carry no work counters");
+    }
+
+    /// `execute` at `threads: Some(1)` and `Some(4)` must produce the same
+    /// bytes: the fan-out returns cells in input order and the fold is
+    /// sequential.
+    fn assert_thread_invariant(s: &JobSpec, what: &str) {
+        let base = RunOptions::from_env(&[]);
+        let serial = execute(s, &RunOptions { threads: Some(1), ..base.clone() });
+        let fanned = execute(s, &RunOptions { threads: Some(4), ..base });
+        assert_eq!(serial.payload, fanned.payload, "{what}: payload depends on threads");
+        assert_eq!(serial.accesses, fanned.accesses, "{what}: access count depends on threads");
+    }
+
+    /// An app grid over a plain, a Belady-annotated and a parameterized
+    /// policy, several apps and two frames each.
+    #[test]
+    fn app_grid_payload_is_thread_count_invariant() {
+        let apps = Json::Arr(["HAWX", "BioShock", "Dirt"].map(Json::from).to_vec());
+        let extra = [("apps", apps), ("frames", 2u64.into()), ("characterize", true.into())];
+        assert_thread_invariant(&spec(&body(&covered_policies(), &extra)), "app grid");
+    }
+
+    #[test]
+    fn profile_payload_is_thread_count_invariant() {
+        let extra = [("profile", "postfx".into()), ("frames", 2u64.into())];
+        assert_thread_invariant(&spec(&body(&covered_policies(), &extra)), "profile");
+    }
+
+    #[test]
+    fn trace_payload_is_thread_count_invariant() {
+        let (path, _) = write_trace("threads.gtrace", 1);
+        assert_thread_invariant(&trace_spec(&covered_policies(), &path), "trace");
+    }
+
+    /// A `.gtrace` file rewritten after its spec was parsed (the digest in
+    /// the id no longer matches) is a typed error, not a panic.
+    #[test]
+    fn changed_trace_file_is_a_typed_error() {
+        let (path, _) = write_trace("changed.gtrace", 0);
+        let s = trace_spec(&covered_policies()[..1], &path);
+        write_trace("changed.gtrace", 1);
+        let err = try_execute(&s, &RunOptions::from_env(&[])).expect_err("digest mismatch");
+        let want = format!("trace file {} changed between submit and execute", path.display());
+        assert_eq!(err, want);
+        std::fs::remove_file(&path).expect("remove trace file");
+        let err = try_execute(&s, &RunOptions::from_env(&[])).expect_err("missing file");
+        assert_eq!(err, want);
     }
 }

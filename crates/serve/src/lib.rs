@@ -54,6 +54,6 @@ pub mod resultcache;
 pub mod server;
 pub mod spec;
 
-pub use job::{execute, JobOutput};
-pub use server::{start, ExecuteFn, ServerConfig, ServerHandle};
+pub use job::{execute, try_execute, JobOutput};
+pub use server::{default_executor, start, ExecuteFn, ServerConfig, ServerHandle};
 pub use spec::JobSpec;

@@ -22,10 +22,14 @@
 //!
 //! # Threads and locks
 //!
-//! One event-loop thread (all sockets), `workers` executor threads. Two
-//! mutexes — the job table and the queue state — always taken in that
-//! order; workers take them one at a time, never nested. Counters live in
-//! [`Metrics`] atomics.
+//! One event-loop thread (all sockets), `workers` executor threads. Each
+//! worker runs one job at a time and fans that job's cells over the
+//! per-job thread count (`RunOptions::threads`, resolved once in
+//! [`start`]) through grbench's cell fan-out; those scoped threads live
+//! only as long as the job and touch no server state. Two mutexes — the
+//! job table and the queue state — always taken in that order; workers
+//! take them one at a time, never nested. Counters live in [`Metrics`]
+//! atomics.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -49,9 +53,9 @@ use crate::metrics::{CacheTier, Endpoint, Metrics, ServerSnapshot};
 use crate::resultcache::ResultCache;
 use crate::spec::JobSpec;
 
-/// The execution hook: maps a spec to its output. The default wraps
-/// [`job::execute`]; tests inject blocking stand-ins to make coalescing,
-/// 429, and drain behavior deterministic.
+/// The execution hook: maps a spec to its output. The default is
+/// [`default_executor`]; tests inject blocking stand-ins to make
+/// coalescing, 429, and drain behavior deterministic.
 pub type ExecuteFn = Arc<dyn Fn(&JobSpec) -> Result<JobOutput, String> + Send + Sync>;
 
 /// Server construction parameters.
@@ -82,7 +86,11 @@ pub struct ServerConfig {
     /// Open-connection cap enforced at accept time.
     pub max_conns: usize,
     /// Execution knobs shared by every job (threads, streamed, boxed,
-    /// check); per-spec fields are overridden per job.
+    /// check); per-spec fields are overridden per job. `threads: None`
+    /// (the default) gives each job `GR_THREADS` threads when that is
+    /// set, else `max(1, available_parallelism / workers)`, so the
+    /// workers' jobs together use every core once; [`start`] resolves it
+    /// once.
     pub run: RunOptions,
     /// Execution hook override; `None` uses the real replay path.
     pub executor: Option<ExecuteFn>,
@@ -102,7 +110,7 @@ impl Default for ServerConfig {
             read_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
             max_conns: 16 * 1024,
-            run: RunOptions::from_env(&[]),
+            run: RunOptions::misses(&[]),
             executor: None,
         }
     }
@@ -214,13 +222,9 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
 
-    let base = cfg.run.clone();
-    let executor = cfg.executor.unwrap_or_else(|| {
-        Arc::new(move |spec: &JobSpec| {
-            catch_unwind(AssertUnwindSafe(|| job::execute(spec, &base)))
-                .map_err(|_| "execution panicked".to_string())
-        })
-    });
+    let workers = cfg.workers.max(1);
+    let base = RunOptions { threads: Some(job_threads(cfg.run.threads, workers)), ..cfg.run };
+    let executor = cfg.executor.unwrap_or_else(|| default_executor(base));
 
     let cache = match cfg.result_cache_max {
         Some(budget) => ResultCache::with_budget(cfg.result_cache_dir, budget),
@@ -240,7 +244,7 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
         gauges: Arc::clone(&gauges),
     });
 
-    let workers = (0..cfg.workers.max(1))
+    let workers = (0..workers)
         .map(|_| {
             let inner = Arc::clone(&inner);
             thread::spawn(move || worker_loop(&inner))
@@ -264,6 +268,25 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
     })?;
 
     Ok(ServerHandle { inner, addr, event_loop: Some(event_loop), workers })
+}
+
+/// The per-job thread count: `explicit` when set, else `GR_THREADS`, else
+/// the cores left to each of `workers` workers (at least 1).
+fn job_threads(explicit: Option<usize>, workers: usize) -> usize {
+    explicit
+        .or_else(grbench::runner::threads_from_env)
+        .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()) / workers)
+        .max(1)
+}
+
+/// The executor a server uses when [`ServerConfig::executor`] is `None`:
+/// [`job::try_execute`] with `base`, its typed error passed through
+/// unchanged, and a panic reported as "execution panicked".
+pub fn default_executor(base: RunOptions) -> ExecuteFn {
+    Arc::new(move |spec: &JobSpec| {
+        catch_unwind(AssertUnwindSafe(|| job::try_execute(spec, &base)))
+            .unwrap_or_else(|_| Err("execution panicked".to_string()))
+    })
 }
 
 /// The event-loop handler of the daemon. Every endpoint here is

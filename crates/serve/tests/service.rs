@@ -229,6 +229,73 @@ fn served_trace_job_is_bit_identical_to_offline_execution() {
     server.shutdown_and_join();
 }
 
+/// A trace file rewritten between submit and execute fails the job with
+/// the default executor's typed message, reported by `GET /v1/jobs/{id}`,
+/// instead of the untyped "execution panicked". The gate holds the worker
+/// until the file has changed.
+#[test]
+fn trace_changed_after_submit_fails_with_typed_error() {
+    let dir = temp_dir("changed-trace");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("changed.gtrace");
+    let graph = grsynth::graph_profile("cpu-like").expect("builtin").graph();
+    let write = |frame: u32| {
+        let trace = grsynth::GraphRenderer::new(&graph, frame, Scale::Tiny).render();
+        let mut bytes = Vec::new();
+        grtrace::io::write(&mut bytes, &trace).expect("encode trace");
+        std::fs::write(&path, bytes).expect("write trace file");
+    };
+    write(0);
+
+    let gate = Gate::new();
+    let held = Arc::clone(&gate);
+    let execute = grserve::default_executor(RunOptions::from_env(&[]));
+    let server = grserve::start(ServerConfig {
+        workers: 1,
+        default_scale: Scale::Tiny,
+        result_cache_dir: None,
+        linger: Duration::from_millis(500),
+        executor: Some(Arc::new(move |spec: &JobSpec| {
+            let mut open = held.open.lock().expect("gate lock");
+            while !*open {
+                open = held.cv.wait(open).expect("gate lock");
+            }
+            drop(open);
+            execute(spec)
+        })),
+        ..ServerConfig::default()
+    })
+    .expect("server start");
+    let addr = server.addr().to_string();
+
+    let policy = gspc::registry::ALL_POLICIES[0].name;
+    let body = format!(r#"{{"policies": [{policy:?}], "trace": {:?}}}"#, path.to_str().unwrap());
+    let (status, doc) = post_job(&addr, &body);
+    assert_eq!(status, 202, "{doc:?}");
+    let id = doc.get("id").and_then(Json::as_str).expect("id").to_string();
+    write(1);
+    gate.release();
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let doc = loop {
+        let (status, _, body) = http(&addr, "GET", &format!("/v1/jobs/{id}"), None);
+        assert_eq!(status, 200, "job poll: {body}");
+        let doc = Json::parse(&body).expect("status JSON");
+        match doc.get("state").and_then(Json::as_str) {
+            Some("failed") => break doc,
+            Some("done") => panic!("a changed trace file must not produce a result: {body}"),
+            _ => {}
+        }
+        assert!(Instant::now() < deadline, "job {id} never finished");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let want = format!("trace file {} changed between submit and execute", path.display());
+    assert_eq!(doc.get("error").and_then(Json::as_str), Some(want.as_str()));
+    assert_eq!(metric(&addr, "grserve_jobs_failed_total"), 1);
+
+    server.shutdown_and_join();
+}
+
 /// A completed job resubmitted is answered from the result cache: no new
 /// execution, cache-hit counter up, `cached: true`.
 #[test]
