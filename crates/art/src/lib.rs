@@ -23,8 +23,7 @@
 //! CI.
 //!
 //! Every artifact is computed in-process from `grbench`, through the
-//! same `run_workload` and `simulate_cell` replays the harness's own
-//! tests pin.
+//! same `run_grid` sweeps the harness's own tests pin.
 
 pub mod artifact;
 pub mod diff;

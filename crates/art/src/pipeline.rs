@@ -7,18 +7,19 @@
 //! characterizing run; each Figure 15–17 FPS panel is one timed
 //! `run_workload` ([`PerfConfig::run`]), every frame's own memory log
 //! going through the DDR3 and GPU interval models on the same exact
-//! path the frame-time tests pin. The stream mix (Figure 4), the
-//! ablations and the frame-graph profiles read the shared frame cache
-//! and [`simulate_cell`] directly.
+//! path the frame-time tests pin. The frame-graph profiles and the cold
+//! column of the inter-frame ablation are one [`run_grid`] each; the
+//! stream mix (Figure 4) and the other ablations read the shared frame
+//! cache directly.
 //!
-//! Every run merges its cells in canonical order, so the artifacts are
-//! byte-identical at any `GR_THREADS` and with or without the streamed
-//! disk tier.
+//! Every grid folds its cells in `run_grid`'s one canonical order, so the
+//! artifacts are byte-identical at any `GR_THREADS` and with or without
+//! the streamed disk tier.
 
 use grbench::figures::{self, PerfConfig};
 use grbench::{
-    framecache, run_frame_sequence, run_workload, simulate_cells, ExperimentConfig, RunOptions,
-    WorkloadResults,
+    framecache, run_frame_sequence, run_grid, run_workload, ExperimentConfig, GridSource,
+    RunOptions, WorkloadResults,
 };
 use grcache::{CharReport, Llc, LlcConfig, LlcStats};
 use grcheck::conform;
@@ -498,10 +499,15 @@ const SEQUENCE_FRAMES: u32 = 3;
 /// persistent LLC (warm) against a fresh LLC per frame (cold, the
 /// paper's methodology), on the first four apps.
 fn interframe(tier: &Tier) -> Artifact {
-    let cfg = tier.config();
-    let misses = |policy: &str, app: &AppProfile, frames: std::ops::Range<u32>| {
-        run_frame_sequence(policy, app, frames, 8, &cfg).last().map_or(0, LlcStats::total_misses)
-    };
+    const POLICIES: [&str; 2] = ["DRRIP", "GSPC+UCD"];
+    let (cfg, opts) = (tier.config(), RunOptions::from_env(&POLICIES));
+    let apps = &AppProfile::all()[..4];
+    let sequence_len = |app: &AppProfile| app.frames.min(SEQUENCE_FRAMES);
+    let workloads: Vec<_> = apps
+        .iter()
+        .map(|app| (app.abbrev, GridSource::Frames(app.into(), sequence_len(app))))
+        .collect();
+    let cold = run_grid(&workloads, &opts, &cfg);
     let mut table = Table::new(
         "Ablation: inter-frame reuse (one LLC across a frame sequence)",
         "policy",
@@ -517,13 +523,13 @@ fn interframe(tier: &Tier) -> Artifact {
         ];
         table.row(policy, cells);
     };
-    for policy in ["DRRIP", "GSPC+UCD"] {
+    for policy in POLICIES {
         let (mut frames_total, mut cold_total, mut warm_total) = (0, 0, 0);
-        for app in AppProfile::all().iter().take(4) {
-            let frames = app.frames.min(SEQUENCE_FRAMES);
-            let warm = misses(policy, app, 0..frames);
-            // A fresh one-frame sequence is exactly the cold-LLC methodology.
-            let cold = (0..frames).map(|f| misses(policy, app, f..f + 1)).sum();
+        for app in apps {
+            let frames = sequence_len(app);
+            let warm = run_frame_sequence(policy, app, 0..frames, &opts, &cfg);
+            let warm = warm.last().map_or(0, LlcStats::total_misses);
+            let cold = cold.misses(policy, app.abbrev);
             row(policy, app.abbrev, frames, cold, warm);
             (frames_total, cold_total, warm_total) =
                 (frames_total + frames, cold_total + cold, warm_total + warm);
@@ -569,26 +575,22 @@ fn sample_density(tier: &Tier) -> Artifact {
 /// each at its default coherence over the tier's frames.
 fn profiles(tier: &Tier) -> Artifact {
     const POLICIES: [&str; 2] = ["DRRIP", "GSPC"];
-    let (cfg, opts) = (tier.config(), RunOptions::from_env(&[]));
+    let (cfg, opts) = (tier.config(), RunOptions::from_env(&POLICIES));
     let keys = POLICIES.map(|policy| format!("{policy}_hit_rate"));
     let mut table = Table::new("Frame-graph profiles: overall hit rates", "profile", &keys)
         .headings(&["profile", "DRRIP", "GSPC"]);
     let graphs: Vec<_> = GRAPH_PROFILES.iter().map(|profile| profile.graph()).collect();
-    let mut cells = Vec::new();
-    for (profile, graph) in GRAPH_PROFILES.iter().zip(&graphs) {
-        for policy in POLICIES {
-            let frames = 0..cfg.frames_for(profile.frames);
-            cells.extend(frames.map(|frame| (policy, graph.into(), frame)));
-        }
-    }
-    let results = simulate_cells(&cells, &opts, &cfg);
-    let mut results = results.iter();
+    let workloads: Vec<_> = GRAPH_PROFILES
+        .iter()
+        .zip(&graphs)
+        .map(|(profile, graph)| {
+            (profile.name, GridSource::Frames(graph.into(), cfg.frames_for(profile.frames)))
+        })
+        .collect();
+    let r = run_grid(&workloads, &opts, &cfg);
     for profile in GRAPH_PROFILES {
-        let row = POLICIES.map(|_| {
-            let mut stats = LlcStats::new();
-            for cell in results.by_ref().take(cfg.frames_for(profile.frames) as usize) {
-                stats.merge(&cell.stats);
-            }
+        let row = POLICIES.map(|policy| {
+            let stats = &r.get(policy, profile.name).stats;
             Fixed(ratio(stats.total_hits(), stats.total_accesses()), 4)
         });
         table.row(profile.name, row.into());

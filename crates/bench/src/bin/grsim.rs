@@ -27,7 +27,10 @@
 use std::fs::File;
 use std::io::BufWriter;
 
-use grbench::{cli, framecache, run_workload, table, ExperimentConfig, RunOptions};
+use grbench::{
+    cli, framecache, run_grid, run_workload, table, AppAgg, ExperimentConfig, GridSource,
+    RunOptions,
+};
 use grsynth::{AppProfile, FrameGraph, FrameStream, Frames, GRAPH_PROFILES};
 use grtrace::{StreamId, Trace};
 use gspc::registry;
@@ -273,9 +276,10 @@ fn sequence_table(
     nframes: u32,
     title: &str,
 ) {
-    let warm = grbench::run_frame_sequence(policy, frames, 0..nframes, 8, cfg);
+    let opts = RunOptions::misses(&[]);
+    let warm = grbench::run_frame_sequence(policy, frames, 0..nframes, &opts, cfg);
     let cells: Vec<_> = (0..nframes).map(|frame| (policy, frames, frame)).collect();
-    let cold_runs = grbench::simulate_cells(&cells, &RunOptions::misses(&[]), cfg);
+    let cold_runs = grbench::simulate_cells(&cells, &opts, cfg);
     let mut rows = Vec::new();
     let mut prev = 0u64;
     let mut cold_total = 0u64;
@@ -317,14 +321,15 @@ fn replay(cfg: &ExperimentConfig, path: &str, policies: &[&str], llc_mb: u64) {
         trace.frame(),
         trace.len()
     );
+    let opts = RunOptions { llc_paper_mb: llc_mb, ..RunOptions::misses(policies) };
+    let r = run_grid(&[(trace.app(), GridSource::Trace(&trace))], &opts, cfg);
     let mut rows = Vec::new();
     for p in policies {
-        let opts = RunOptions { llc_paper_mb: llc_mb, ..RunOptions::misses(&[p]) };
-        let cell = grbench::simulate_trace_cell(p, &trace, &opts, cfg);
+        let stats = &r.get(p, trace.app()).stats;
         rows.push(vec![
             p.to_string(),
-            format!("{}", cell.stats.total_misses()),
-            table::pct(cell.stats.total_hits() as f64 / cell.stats.total_accesses().max(1) as f64),
+            format!("{}", stats.total_misses()),
+            table::pct(stats.total_hits() as f64 / stats.total_accesses().max(1) as f64),
         ]);
     }
     table::print(&["policy", "misses", "hit rate"], &rows);
@@ -345,16 +350,12 @@ fn characterize(cfg: &ExperimentConfig, app_name: &str) {
     const ORACLE: &str = "OPT";
     let app = require_app(app_name);
     let opts = RunOptions { characterize: true, ..RunOptions::misses(&[ORACLE]) };
-    let frames = 0..cfg.frames_for(app.frames);
-    let cells: Vec<_> = frames.map(|frame| (ORACLE, Frames::from(&app), frame)).collect();
-    let results = grbench::simulate_cells(&cells, &opts, cfg);
-    let mut stats = grcache::LlcStats::new();
-    let mut chars = grcache::CharReport::default();
+    let count = cfg.frames_for(app.frames);
+    let r = run_grid(&[(app.abbrev, GridSource::Frames((&app).into(), count))], &opts, cfg);
+    let AppAgg { stats, chars, .. } = r.get(ORACLE, app.abbrev);
     let mut mix = grtrace::StreamStats::new();
-    for (&(_, _, frame), cell) in cells.iter().zip(&results) {
+    for frame in 0..count {
         mix.merge(framecache::frame_data(&app, frame, cfg.scale).trace.stats());
-        stats.merge(&cell.stats);
-        chars.merge(cell.chars.as_ref().expect("characterization requested"));
     }
     println!("{} — reuse profile under Belady's OPT", app.name);
     println!();

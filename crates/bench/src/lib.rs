@@ -1,8 +1,9 @@
 //! The experiment runner behind the paper's tables and figures.
 //!
 //! This crate replays synthesized frames through the LLC, DRAM and GPU
-//! models: [`run_workload`] sweeps the (app, frame, policy) grid,
-//! [`simulate_cell`] replays one cell for the `grserve` daemon, the
+//! models: [`run_grid`] sweeps any (policy, workload, frame) grid and
+//! [`run_workload`] is that sweep over the paper's twelve applications,
+//! [`simulate_cell`] replays one cell, the
 //! [`framecache`] synthesizes each frame once, and [`figures`] holds the
 //! Figure 15–17 machine specs. Frames come from a [`grsynth::Frames`]
 //! source — an application profile or a frame graph — and every entry
@@ -31,10 +32,9 @@
 //!
 //! # Parallelism & caching
 //!
-//! [`run_workload`] fans the (app, frame, policy) grid across `GR_THREADS`
-//! workers (default: all cores) through [`simulate_cells`], the one cell
-//! fan-out every multi-cell caller shares, and merges results in a
-//! canonical order, so results are byte-identical for any thread count. Frames are
+//! [`run_grid`] fans its cells across `GR_THREADS` workers (default: all
+//! cores) and folds them in one canonical order, so results are
+//! byte-identical for any thread count. Frames are
 //! synthesized once per process in the shared [`framecache`];
 //! `GR_TRACE_CACHE=<dir>` adds an on-disk tier that survives across
 //! processes and regenerates any file it finds damaged.
@@ -48,6 +48,6 @@ pub mod table;
 
 pub use config::ExperimentConfig;
 pub use runner::{
-    fan_out, run_frame_sequence, run_workload, simulate_cell, simulate_cells, simulate_graph_cell,
-    simulate_trace_cell, AppAgg, CellResult, RunOptions, RunPerf, WorkloadResults,
+    run_frame_sequence, run_grid, run_workload, simulate_cell, simulate_cells, simulate_graph_cell,
+    simulate_trace_cell, AppAgg, CellResult, GridSource, RunOptions, RunPerf, WorkloadResults,
 };

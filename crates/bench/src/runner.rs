@@ -1,30 +1,26 @@
-//! The shared experiment runner: a work-stealing parallel sweep over the
-//! (app, frame, policy) grid.
+//! The shared experiment runner: every (policy, workload, frame) grid runs
+//! through [`run_grid`].
 //!
 //! Each cell of the grid — one policy replaying one frame — is an
 //! independent LLC simulation: policies are per-LLC-instance state machines
 //! with no cross-frame coupling, so the grid is embarrassingly parallel.
-//! [`fan_out`] is the one worker pool: workers claim cells from a shared
-//! atomic counter and write results into per-cell slots, and
-//! [`simulate_cells`] runs any list of cells through it. Frames come from
-//! the process-wide [`crate::framecache`], so each trace is synthesized
-//! once no matter how many policies replay it or how many runners re-use
-//! it.
+//! A workload ([`GridSource`]) is frames from the process-wide
+//! [`crate::framecache`], each synthesized once no matter how many
+//! policies or runs replay it, or one imported trace.
 //!
 //! # Determinism
 //!
-//! Cell results come back in input order, and every caller folds them
-//! into its aggregates sequentially, in its canonical order (for
-//! [`run_workload`], (policy, app, frame)), after all workers finish.
-//! Floating-point accumulation order therefore never depends on thread
-//! scheduling: `GR_THREADS=1` and `GR_THREADS=64` produce byte-identical
-//! figure output.
+//! Cell results come back in input order, and [`run_grid`], the only
+//! fold, sums each (policy, workload) aggregate in ascending frame order
+//! after all workers finish. Floating-point accumulation order therefore
+//! never depends on thread scheduling: `GR_THREADS=1` and `GR_THREADS=64`
+//! produce byte-identical figure output.
 
 use std::collections::HashMap;
 use std::io;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use grcache::{
@@ -33,7 +29,7 @@ use grcache::{
 };
 use grdram::TimingParams;
 use grgpu::{GpuConfig, Workload};
-use grsynth::{AppProfile, FrameGraph, FrameWork, Frames, Scale};
+use grsynth::{AppProfile, FrameGraph, FrameWork, Frames};
 use grtrace::Trace;
 use gspc::registry;
 use gspc::registry::PolicyVisitor;
@@ -75,8 +71,8 @@ pub struct RunOptions {
     /// LLC capacity at native scale, in megabytes (8 or 16 in the paper).
     pub llc_paper_mb: u64,
     /// Worker thread count of every multi-cell entry point
-    /// ([`run_workload`], [`simulate_cells`], and through them the
-    /// daemon's jobs and the artifact pipeline). `None` falls back to
+    /// ([`run_grid`], [`simulate_cells`], and through them the daemon's
+    /// jobs and the artifact pipeline). `None` falls back to
     /// `GR_THREADS`, then to `std::thread::available_parallelism()`.
     /// Results are byte-identical at any value.
     pub threads: Option<usize>,
@@ -136,9 +132,9 @@ impl RunOptions {
             timing: None,
             llc_paper_mb: 8,
             threads: Some(resolve_threads(None)),
-            streamed: streamed_from_env(),
+            streamed: env_flag("GR_STREAMED"),
             boxed: false,
-            check: check_from_env(),
+            check: env_flag("GR_CHECK"),
             probe: None,
         }
     }
@@ -149,18 +145,8 @@ pub fn threads_from_env() -> Option<usize> {
     std::env::var("GR_THREADS").ok().and_then(|v| v.parse().ok())
 }
 
-/// `true` when `GR_STREAMED` requests disk-tier streaming replay (any
-/// value other than unset, empty, or `0`).
-pub fn streamed_from_env() -> bool {
-    env_flag("GR_STREAMED")
-}
-
-/// `true` when `GR_CHECK` requests invariant-checked replay (any value
-/// other than unset, empty, or `0`).
-pub fn check_from_env() -> bool {
-    env_flag("GR_CHECK")
-}
-
+/// `true` when the environment variable `name` is set to anything other
+/// than empty or `0`.
 fn env_flag(name: &str) -> bool {
     std::env::var(name).map(|v| !v.is_empty() && v != "0").unwrap_or(false)
 }
@@ -178,10 +164,10 @@ pub struct AppAgg {
     pub frames: u32,
 }
 
-/// Throughput accounting for one `run_workload` call.
+/// Throughput accounting for one [`run_grid`] call.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunPerf {
-    /// LLC accesses simulated across every (app, frame, policy) cell.
+    /// LLC accesses simulated across every (policy, workload, frame) cell.
     pub llc_accesses: u64,
     /// Wall-clock duration of the whole run, in seconds. This includes
     /// first-run trace synthesis, Belady annotation, and the merge phase —
@@ -199,10 +185,11 @@ pub struct RunPerf {
     pub threads: usize,
 }
 
-/// Results of a workload run, indexed by policy then application.
+/// Results of a grid run, indexed by policy then workload.
 #[derive(Debug, Clone, Default)]
 pub struct WorkloadResults {
-    /// Application abbreviations, in Table 1 order.
+    /// Workload labels, in the order given to [`run_grid`] (for
+    /// [`run_workload`], the application abbreviations in Table 1 order).
     pub apps: Vec<String>,
     /// Policy names, in the order requested.
     pub policies: Vec<String>,
@@ -210,7 +197,7 @@ pub struct WorkloadResults {
     /// non-deterministic; everything else in the results is not).
     pub perf: RunPerf,
     /// Aggregates, laid out `policy-major`: `policy_idx * apps.len() +
-    /// app_idx`. Dense indexing avoids the per-lookup key allocation a
+    /// workload_idx`. Dense indexing avoids the per-lookup key allocation a
     /// string-keyed map would need.
     data: Vec<AppAgg>,
     /// Precomputed name → index maps, so the figure-generation loops
@@ -242,7 +229,7 @@ impl WorkloadResults {
         self.policy_index.get(policy).copied()
     }
 
-    /// Index of `app` in [`WorkloadResults::apps`], if it ran.
+    /// Index of the workload labelled `app`, if it ran.
     pub fn app_index(&self, app: &str) -> Option<usize> {
         self.app_index.get(app).copied()
     }
@@ -285,9 +272,9 @@ impl WorkloadResults {
 
 /// What one grid cell produces — one policy replaying one frame.
 ///
-/// `run_workload` merges these into per-(policy, app) aggregates; the
-/// `grserve` daemon consumes them directly via [`simulate_cells`], doing
-/// its own canonical-order aggregation per job.
+/// [`run_grid`] folds these into per-(policy, workload) aggregates;
+/// [`simulate_cell`], [`simulate_cells`] and [`simulate_trace_cell`]
+/// return them raw.
 #[derive(Debug, Clone)]
 pub struct CellResult {
     /// LLC statistics of the replay.
@@ -303,12 +290,32 @@ pub struct CellResult {
     pub replay_seconds: f64,
 }
 
+/// Where one grid workload's frames come from.
+#[derive(Debug, Clone, Copy)]
+pub enum GridSource<'a> {
+    /// Frames `0..count` of a Table 1 application or a frame graph, served
+    /// by the shared [`crate::framecache`] (streamed or in-memory per
+    /// `opts.streamed`).
+    Frames(Frames<'a>, u32),
+    /// One external trace (e.g. an imported `.gtrace` file) as one frame.
+    /// It carries no synthesis work counters, so timing runs report zero
+    /// shading work (the LLC access count still feeds the memory model).
+    Trace(&'a Trace),
+}
+
+/// One cell's input: a frame of a frame source, or an external trace
+/// together with the next-use slot every annotated policy over it shares.
+#[derive(Clone, Copy)]
+enum CellSource<'a> {
+    Frame(Frames<'a>, u32),
+    Trace(&'a Trace, &'a OnceLock<Vec<u64>>),
+}
+
 /// Replays one `(policy, frames, frame)` cell — a Table 1 application or
-/// a frame graph — through the same monomorphized path as
-/// [`run_workload`]: [`gspc::registry::with_policy`] dispatch, shared
-/// [`crate::framecache`] traces, streamed or in-memory per
-/// `opts.streamed`. Returns the raw cell result. Callers with more than
-/// one cell use [`simulate_cells`], which fans them over `opts.threads`.
+/// a frame graph — through the same path as every [`run_grid`] cell:
+/// [`gspc::registry::with_policy`] dispatch, shared [`crate::framecache`]
+/// traces, streamed or in-memory per `opts.streamed`. Returns the raw cell
+/// result.
 ///
 /// # Panics
 ///
@@ -322,7 +329,7 @@ pub fn simulate_cell<'a>(
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
-    run_cell(frames.into(), frame, policy_name, cfg.llc(opts.llc_paper_mb), opts, cfg)
+    run_cell(policy_name, CellSource::Frame(frames.into(), frame), opts, cfg)
 }
 
 /// [`simulate_cell`] on a frame graph. It exists only so the benchmark's
@@ -338,14 +345,10 @@ pub fn simulate_graph_cell(
     simulate_cell(policy_name, graph, frame, opts, cfg)
 }
 
-/// Replays an externally supplied trace — e.g. one imported from a
-/// `.gtrace` file via [`grtrace::import_file`] — through one policy with
-/// the same observer composition as every other cell. The trace carries no
-/// synthesis work counters, so timing runs report zero shading work (the
-/// LLC access count still feeds the memory model).
-///
-/// Belady-annotated policies get their next-use annotation computed inline
-/// per call; there is no cross-call cache for external traces.
+/// Replays an external trace through one policy, exactly as a
+/// [`GridSource::Trace`] cell of [`run_grid`]. A Belady-annotated policy
+/// gets the trace's next-use annotation computed for this call alone; a
+/// grid over several annotated policies computes it once.
 ///
 /// # Panics
 ///
@@ -356,15 +359,7 @@ pub fn simulate_trace_cell(
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
-    let llc_cfg = cfg.llc(opts.llc_paper_mb);
-    let work = FrameWork { raw_accesses: trace.len() as u64, ..FrameWork::default() };
-    let out = if registry::needs_next_use(policy_name) {
-        let ann = grcache::annotate_next_use(trace.accesses());
-        replay_cell(policy_name, llc_cfg, &mut trace.source_annotated(&ann), &work, opts)
-    } else {
-        replay_cell(policy_name, llc_cfg, &mut trace.source(), &work, opts)
-    };
-    out.expect("in-memory replay cannot fail")
+    run_cell(policy_name, CellSource::Trace(trace, &OnceLock::new()), opts, cfg)
 }
 
 /// Builds the named policy and hands it to `visitor`: the concrete type
@@ -411,7 +406,7 @@ fn resolve_threads(explicit: Option<usize>) -> usize {
 /// into that item's slot, so a slow item never holds up the rest and the
 /// output order never depends on scheduling. A panic in `f` is re-raised
 /// on the calling thread after every worker has stopped.
-pub fn fan_out<T: Sync, R: Send>(
+fn fan_out<T: Sync, R: Send>(
     items: &[T],
     threads: Option<usize>,
     f: impl Fn(&T) -> R + Sync,
@@ -448,13 +443,8 @@ pub fn fan_out<T: Sync, R: Send>(
 }
 
 /// Replays every `(policy, frames, frame)` cell exactly as
-/// [`simulate_cell`] would, fanned over `opts.threads` workers by
-/// [`fan_out`], and returns the results in input order.
-///
-/// This is the one multi-cell entry point: [`run_workload`], the daemon's
-/// job execution and the artifact pipeline all build their grid as a list
-/// of cells and fold the results back in their own canonical order, so
-/// every byte they report is the same at any thread count.
+/// [`simulate_cell`] would, fanned over `opts.threads` workers, and
+/// returns the results unfolded, in input order.
 ///
 /// # Panics
 ///
@@ -464,88 +454,101 @@ pub fn simulate_cells(
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> Vec<CellResult> {
-    let llc_cfg = cfg.llc(opts.llc_paper_mb);
     fan_out(cells, opts.threads, |&(policy, frames, frame)| {
-        run_cell(frames, frame, policy, llc_cfg, opts, cfg)
+        run_cell(policy, CellSource::Frame(frames, frame), opts, cfg)
     })
 }
 
-/// Runs the 52-frame workload (or the `GR_FRAMES`-limited subset) through
-/// every requested policy, fanning cells across worker threads with
-/// [`simulate_cells`].
+/// Replays every policy of `opts.policies` over every frame of every
+/// labelled workload and folds the cells into per-(policy, workload)
+/// aggregates, indexed by policy and label (labels must be distinct).
 ///
-/// Frames are synthesized at most once per process (see
-/// [`crate::framecache`]); Belady next-use annotations are computed once
-/// per frame and shared by every OPT replay. Results are identical for any
-/// thread count — see the module docs for the determinism argument.
-pub fn run_workload(opts: &RunOptions, cfg: &ExperimentConfig) -> WorkloadResults {
+/// This is the one place that owns the grid's layout and fold order.
+/// Workers take the cells policy, workload, frame, so a cold grid
+/// synthesizes different frames side by side; one worker takes them
+/// workload by workload, which keeps a serial sweep's peak memory down.
+/// Each aggregate sums its cells in ascending frame order, so results are
+/// byte-identical at any thread count. Annotated policies share each
+/// workload's next-use annotation: a frame's from the
+/// [`crate::framecache`], a trace's computed once per call.
+///
+/// # Panics
+///
+/// As [`simulate_cell`], for any cell.
+pub fn run_grid(
+    workloads: &[(&str, GridSource<'_>)],
+    opts: &RunOptions,
+    cfg: &ExperimentConfig,
+) -> WorkloadResults {
     let started = Instant::now();
-    let apps = AppProfile::all();
-    let frames: Vec<u32> = apps.iter().map(|a| cfg.frames_for(a.frames)).collect();
-
+    let next_use: Vec<OnceLock<Vec<u64>>> = workloads.iter().map(|_| OnceLock::new()).collect();
+    // (aggregate index, policy, cell) in policy, workload, frame order.
     let mut cells = Vec::new();
-    for (app, &nframes) in apps.iter().zip(&frames) {
-        for frame in 0..nframes {
-            for policy in &opts.policies {
-                cells.push((policy.as_str(), Frames::App(app), frame));
+    for (pi, policy) in opts.policies.iter().enumerate() {
+        for (wi, ((_, source), slot)) in workloads.iter().zip(&next_use).enumerate() {
+            let cell = |source| (pi * workloads.len() + wi, policy.as_str(), source);
+            match *source {
+                GridSource::Frames(frames, count) => {
+                    cells.extend((0..count).map(|frame| cell(CellSource::Frame(frames, frame))))
+                }
+                GridSource::Trace(trace) => cells.push(cell(CellSource::Trace(trace, slot))),
             }
         }
     }
     let threads = resolve_threads(opts.threads).min(cells.len().max(1));
-    let results = simulate_cells(&cells, opts, cfg);
+    if threads == 1 {
+        // A stable sort: workload, policy, frame.
+        cells.sort_by_key(|&(ai, ..)| ai % workloads.len());
+    }
+    let results =
+        fan_out(&cells, Some(threads), |&(_, policy, source)| run_cell(policy, source, opts, cfg));
 
-    // Deterministic merge: cells are laid out app-major then frame then
-    // policy, so the flat index of (policy, app, frame) is computable from
-    // per-app base offsets. Per (policy, app) pair, frames are folded in
-    // ascending order — the same accumulation order as a serial sweep.
+    // Each aggregate meets its cells in ascending frame order.
     let merge_started = Instant::now();
-    let app_base: Vec<usize> = frames
-        .iter()
-        .scan(0usize, |acc, &n| {
-            let base = *acc;
-            *acc += n as usize * opts.policies.len();
-            Some(base)
-        })
-        .collect();
-    let mut data = vec![AppAgg::default(); opts.policies.len() * apps.len()];
+    let mut data = vec![AppAgg::default(); opts.policies.len() * workloads.len()];
     let mut perf = RunPerf { threads, ..RunPerf::default() };
-    for pi in 0..opts.policies.len() {
-        for (ai, &nframes) in frames.iter().enumerate() {
-            let agg = &mut data[pi * apps.len() + ai];
-            for frame in 0..nframes as usize {
-                let out = &results[app_base[ai] + frame * opts.policies.len() + pi];
-                agg.frames += 1;
-                agg.frame_ns_total += out.frame_ns;
-                agg.stats.merge(&out.stats);
-                if let Some(chars) = &out.chars {
-                    agg.chars.merge(chars);
-                }
-                perf.llc_accesses += out.accesses;
-                perf.replay_seconds += out.replay_seconds;
-            }
+    for (&(ai, _, _), out) in cells.iter().zip(&results) {
+        let agg = &mut data[ai];
+        agg.frames += 1;
+        agg.frame_ns_total += out.frame_ns;
+        agg.stats.merge(&out.stats);
+        if let Some(chars) = &out.chars {
+            agg.chars.merge(chars);
         }
+        perf.llc_accesses += out.accesses;
+        perf.replay_seconds += out.replay_seconds;
     }
     perf.merge_seconds = merge_started.elapsed().as_secs_f64();
     perf.wall_seconds = started.elapsed().as_secs_f64();
 
-    WorkloadResults::new(
-        apps.iter().map(|a| a.abbrev.to_string()).collect(),
-        opts.policies.clone(),
-        perf,
-        data,
-    )
+    let labels = workloads.iter().map(|(label, _)| label.to_string()).collect();
+    WorkloadResults::new(labels, opts.policies.clone(), perf, data)
 }
 
+/// Runs the 52-frame workload (or the `GR_FRAMES`-limited subset) through
+/// every requested policy: [`run_grid`] over the twelve Table 1
+/// applications, labelled by abbreviation.
+pub fn run_workload(opts: &RunOptions, cfg: &ExperimentConfig) -> WorkloadResults {
+    let apps = AppProfile::all();
+    let workloads: Vec<_> = apps
+        .iter()
+        .map(|app| (app.abbrev, GridSource::Frames(app.into(), cfg.frames_for(app.frames))))
+        .collect();
+    run_grid(&workloads, opts, cfg)
+}
+
+/// Replays one cell. Frame cells try the streaming disk tier first when
+/// `opts.streamed` asks for it; every other replay runs over an in-memory
+/// trace, annotated when the policy needs next-use distances.
 fn run_cell(
-    frames: Frames<'_>,
-    frame: u32,
     policy_name: &str,
-    llc_cfg: LlcConfig,
+    source: CellSource<'_>,
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
+    let llc_cfg = cfg.llc(opts.llc_paper_mb);
     let needs_nu = registry::needs_next_use(policy_name);
-    if opts.streamed {
+    if let (true, CellSource::Frame(frames, frame)) = (opts.streamed, source) {
         let disk = framecache::disk_source(frames, frame, cfg.scale, needs_nu)
             .expect("streaming disk tier failed");
         // `None`: `GR_TRACE_CACHE` unset, so the in-memory trace below
@@ -560,12 +563,23 @@ fn run_cell(
             }
         }
     }
-    let data = framecache::frame_data(frames, frame, cfg.scale);
-    let out = if needs_nu {
-        let ann = data.next_use().clone();
-        replay_cell(policy_name, llc_cfg, &mut data.trace.source_annotated(&ann), &data.work, opts)
-    } else {
-        replay_cell(policy_name, llc_cfg, &mut data.trace.source(), &data.work, opts)
+    let (data, trace_work);
+    let (trace, work, next_use): (&Trace, &FrameWork, Option<&[u64]>) = match source {
+        CellSource::Frame(frames, frame) => {
+            data = framecache::frame_data(frames, frame, cfg.scale);
+            (&*data.trace, &data.work, needs_nu.then(|| data.next_use().as_slice()))
+        }
+        CellSource::Trace(trace, slot) => {
+            trace_work = FrameWork { raw_accesses: trace.len() as u64, ..FrameWork::default() };
+            let annotate = || grcache::annotate_next_use(trace.accesses());
+            (trace, &trace_work, needs_nu.then(|| slot.get_or_init(annotate).as_slice()))
+        }
+    };
+    let out = match next_use {
+        Some(ann) => {
+            replay_cell(policy_name, llc_cfg, &mut trace.source_annotated(ann), work, opts)
+        }
+        None => replay_cell(policy_name, llc_cfg, &mut trace.source(), work, opts),
     };
     out.expect("in-memory replay cannot fail")
 }
@@ -700,30 +714,32 @@ fn finish_cell<P: Policy, O: LlcObserver>(
 /// Belady-annotated policies receive per-frame annotations: the horizon of
 /// each "next use" ends at its frame boundary, a conservative model of
 /// cross-frame OPT.
+///
+/// Reads `opts.llc_paper_mb`, `opts.check` and `opts.boxed`; the other
+/// options do not apply.
 pub fn run_frame_sequence<'a>(
     policy_name: &str,
     frames: impl Into<Frames<'a>>,
     range: Range<u32>,
-    llc_paper_mb: u64,
+    opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> Vec<LlcStats> {
     struct Visit<'a> {
         policy_name: &'a str,
         frames: Frames<'a>,
         range: Range<u32>,
-        llc_cfg: LlcConfig,
-        scale: Scale,
+        opts: &'a RunOptions,
+        cfg: &'a ExperimentConfig,
     }
     impl PolicyVisitor for Visit<'_> {
         type Output = Vec<LlcStats>;
         fn visit<P: Policy + 'static>(self, policy: P) -> Vec<LlcStats> {
-            if check_from_env() {
-                let inv = InvariantObserver::new(&self.llc_cfg, policy.state_bits_per_block());
-                let llc = Llc::with_observer(self.llc_cfg, policy, (inv, NullObserver));
-                self.run(llc)
+            let llc_cfg = self.cfg.llc(self.opts.llc_paper_mb);
+            if self.opts.check {
+                let inv = InvariantObserver::new(&llc_cfg, policy.state_bits_per_block());
+                self.run(Llc::with_observer(llc_cfg, policy, (inv, NullObserver)))
             } else {
-                let llc = Llc::new(self.llc_cfg, policy);
-                self.run(llc)
+                self.run(Llc::new(llc_cfg, policy))
             }
         }
     }
@@ -732,10 +748,9 @@ pub fn run_frame_sequence<'a>(
             let needs_nu = registry::needs_next_use(self.policy_name);
             let mut snapshots = Vec::with_capacity(self.range.len());
             for frame in self.range {
-                let data = framecache::frame_data(self.frames, frame, self.scale);
+                let data = framecache::frame_data(self.frames, frame, self.cfg.scale);
                 let served = if needs_nu {
-                    let ann = data.next_use().clone();
-                    llc.run_source(&mut data.trace.source_annotated(&ann))
+                    llc.run_source(&mut data.trace.source_annotated(data.next_use()))
                 } else {
                     llc.run_source(&mut data.trace.source())
                 };
@@ -745,9 +760,8 @@ pub fn run_frame_sequence<'a>(
             snapshots
         }
     }
-    let llc_cfg = cfg.llc(llc_paper_mb);
-    let visit = Visit { policy_name, frames: frames.into(), range, llc_cfg, scale: cfg.scale };
-    dispatch(policy_name, &llc_cfg, false, visit)
+    let visit = Visit { policy_name, frames: frames.into(), range, opts, cfg };
+    dispatch(policy_name, &cfg.llc(opts.llc_paper_mb), opts.boxed, visit)
 }
 
 #[cfg(test)]
@@ -923,7 +937,7 @@ mod tests {
     fn graph_sequence_warm_llc_saves_misses() {
         let cfg = tiny_cfg();
         let graph = grsynth::graph_profile("postfx").expect("builtin profile").graph();
-        let seq = run_frame_sequence("DRRIP", &graph, 0..2, 8, &cfg);
+        let seq = run_frame_sequence("DRRIP", &graph, 0..2, &RunOptions::misses(&[]), &cfg);
         assert_eq!(seq.len(), 2);
         assert!(seq[1].total_misses() > seq[0].total_misses(), "snapshots are cumulative");
         let cold: u64 = (0..2)

@@ -13,9 +13,11 @@
 //!    byte** against an offline [`grserve::execute`] run of the same spec
 //!    (the shared replay/aggregation path used by the export tools), for
 //!    an app grid covering plain, Belady-annotated and parameterized
-//!    policies and for a frame-graph profile. A spawned daemon fans each
-//!    job over `GR_THREADS=4` workers while the offline run is serial, so
-//!    the check also spans thread counts;
+//!    policies, for a frame-graph profile and, against a spawned daemon
+//!    (which reads the same local files), for an imported `.gtrace` trace
+//!    over a plain and an annotated policy. A spawned daemon fans each job
+//!    over `GR_THREADS=4` workers while the offline run is serial, so the
+//!    check also spans thread counts;
 //! 2. resubmit the identical job and verify it is answered from the
 //!    result cache (cache-hit counter up, execution counter unchanged);
 //! 3. submit N identical jobs while the single worker is busy and verify
@@ -271,13 +273,13 @@ fn smoke(argv_tail: &[String]) {
 
     // Phase 1: correctness — the service answer must be bit-identical to
     // the offline execution of the same canonical spec: an app grid over
-    // a plain, a Belady-annotated and a parameterized policy (the latter
-    // two drawn from the registry), and a frame-graph profile.
-    let annotated = registry::ALL_POLICIES
-        .iter()
-        .find(|e| e.needs_next_use())
-        .expect("the registry has an annotated policy")
-        .name;
+    // plain, Belady-annotated and parameterized policies, a frame-graph
+    // profile and an imported trace.
+    let first = |annotated: bool| {
+        registry::ALL_POLICIES.iter().find(|e| e.needs_next_use() == annotated).map(|e| e.name)
+    };
+    let plain = first(false).expect("the registry has a plain policy");
+    let annotated = first(true).expect("the registry has an annotated policy");
     let parameterized = registry::PARAMETERIZED[0].fuzz_spellings[0];
     let spec_body = format!(
         r#"{{"policies": ["DRRIP", "NRU", {annotated:?}, {parameterized:?}], "apps": ["HAWX"], "scale": "tiny"}}"#
@@ -287,6 +289,22 @@ fn smoke(argv_tail: &[String]) {
         r#"{{"policies": [{annotated:?}, {parameterized:?}], "profile": "deferred", "scale": "tiny"}}"#
     );
     served_matches_offline(&addr, &profile_body, "profile");
+    if daemon.is_some() {
+        // A trace job names a daemon-local file: only a spawned daemon
+        // shares this process's filesystem.
+        let path = std::env::temp_dir().join(format!("grload-smoke-{}.gtrace", std::process::id()));
+        let graph = grsynth::graph_profile("cpu-like").expect("builtin profile").graph();
+        let trace = grsynth::GraphRenderer::new(&graph, 0, Scale::Tiny).render();
+        grtrace::io::write_atomic(&path, |w| grtrace::io::write(w, &trace))
+            .unwrap_or_else(|e| cli::user_error(&format!("cannot write {}: {e}", path.display())));
+        let path = path.to_str().unwrap_or_else(|| cli::user_error("temp dir is not UTF-8"));
+        let path_json = Json::from(path).to_string_pretty();
+        let trace_body = format!(
+            r#"{{"policies": [{plain:?}, {annotated:?}], "trace": {path_json}, "scale": "tiny"}}"#
+        );
+        served_matches_offline(&addr, &trace_body, "trace");
+        let _ = std::fs::remove_file(path);
+    }
 
     // Phase 2: content-addressed caching — resubmission never re-executes.
     let before = scrape(&addr);

@@ -2,16 +2,16 @@
 //!
 //! This is the one function both the daemon's worker pool and `grload`'s
 //! offline verification call, so "service result == direct run" is
-//! bit-for-bit checkable: same [`grbench::simulate_cells`] replay path,
-//! same canonical (policy, app) aggregation order, same [`grjson`]
-//! serialization, whatever the thread count. The payload deliberately
-//! carries **no wall-clock fields** — every byte is a pure function of the
-//! spec, which is what makes content-addressed caching sound.
+//! bit-for-bit checkable: every job is one [`grbench::run_grid`] — the
+//! same replay path and (policy, workload, frame) fold order as the
+//! offline tools — serialized by the same [`grjson`] code, whatever the
+//! thread count. The payload deliberately carries **no wall-clock
+//! fields** — every byte is a pure function of the spec, which is what
+//! makes content-addressed caching sound.
 
-use grbench::{fan_out, simulate_cells, simulate_trace_cell, RunOptions};
-use grcache::{CharReport, LlcStats};
+use grbench::{run_grid, AppAgg, GridSource, RunOptions};
 use grjson::Json;
-use grsynth::{AppProfile, Frames};
+use grsynth::AppProfile;
 use grtrace::{PolicyClass, StreamId, Trace};
 
 use crate::spec::{JobSpec, TraceRef};
@@ -33,11 +33,11 @@ pub struct JobOutput {
 /// knobs the spec does not own (threads, streamed/boxed/check) — the
 /// daemon snapshots these once at startup.
 ///
-/// The job's cells (policy × app × frame, policy × profile frame, or one
-/// per policy for a trace job) run together through grbench's cell
-/// fan-out over `base.threads` workers and are folded back in canonical
-/// (policy, workload, frame) order, so the payload is byte-identical at
-/// any thread count.
+/// The spec's workloads — its apps, its frame-graph profile, or its
+/// imported trace — go through one [`grbench::run_grid`] over the spec's
+/// policies on `base.threads` workers, and the aggregates are serialized
+/// per policy, then per workload, so the payload is byte-identical at any
+/// thread count.
 ///
 /// # Errors
 ///
@@ -47,90 +47,52 @@ pub struct JobOutput {
 pub fn try_execute(spec: &JobSpec, base: &RunOptions) -> Result<JobOutput, String> {
     let cfg = spec.config();
     let opts = RunOptions {
-        policies: Vec::new(),
+        policies: spec.policies.clone(),
         characterize: spec.characterize,
         timing: None,
         llc_paper_mb: spec.llc_mb,
         ..base.clone()
     };
 
-    let mut accesses = 0u64;
-    let mut replay_seconds = 0.0f64;
-    let mut per_policy = Json::obj();
-    if let Some(trace_ref) = &spec.trace {
-        // Imported `.gtrace` workload: one frame, replayed per policy.
-        let trace = load_trace(trace_ref)?;
-        let cells = fan_out(&spec.policies, opts.threads, |policy| {
-            simulate_trace_cell(policy, &trace, &opts, &cfg)
-        });
-        for (policy, cell) in spec.policies.iter().zip(&cells) {
-            accesses += cell.accesses;
-            replay_seconds += cell.replay_seconds;
-            let mut stats = LlcStats::new();
-            stats.merge(&cell.stats);
-            let mut chars = CharReport::default();
-            if let Some(c) = &cell.chars {
-                chars.merge(c);
-            }
-            let mut workload_obj = Json::obj();
-            let entry = stats_entry(&stats, &chars, 1, spec.characterize);
-            workload_obj.set(trace_ref.app.clone(), entry);
-            per_policy.set(policy.clone(), workload_obj);
+    let trace = spec.trace.as_ref().map(load_trace).transpose()?;
+    let apps: Vec<AppProfile> = spec
+        .apps
+        .iter()
+        .map(|a| AppProfile::by_abbrev(a).expect("spec apps were validated"))
+        .collect();
+    let graph = spec.profile.as_deref().map(|name| {
+        let profile = grsynth::graph_profile(name).expect("spec profile was validated");
+        let coherence = spec.coherence_milli.unwrap_or(1000) as f64 / 1000.0;
+        (name, profile.graph_with_coherence(coherence), profile.frames)
+    });
+    // Imported traces are keyed by the app name in their header, profiles
+    // by profile name, apps by abbreviation.
+    let workloads: Vec<(&str, GridSource<'_>)> = match (&trace, &graph) {
+        (Some(trace), _) => vec![(trace.app(), GridSource::Trace(trace))],
+        (None, Some((name, graph, nframes))) => {
+            vec![(*name, GridSource::Frames(graph.into(), cfg.frames_for(*nframes)))]
         }
-    } else {
-        // Application grid or frame-graph profile: one per-frame
-        // aggregation over (label, frames, frame count), keyed by the app
-        // abbreviation or the profile name.
-        let apps: Vec<AppProfile> = spec
-            .apps
+        (None, None) => apps
             .iter()
-            .map(|a| AppProfile::by_abbrev(a).expect("spec apps were validated"))
-            .collect();
-        let graph = spec.profile.as_deref().map(|name| {
-            let profile = grsynth::graph_profile(name).expect("spec profile was validated");
-            let coherence = spec.coherence_milli.unwrap_or(1000) as f64 / 1000.0;
-            (name, profile.graph_with_coherence(coherence), profile.frames)
-        });
-        let workloads: Vec<(&str, Frames<'_>, u32)> = match &graph {
-            Some((name, graph, nframes)) => {
-                vec![(*name, graph.into(), cfg.frames_for(*nframes))]
-            }
-            None => apps
-                .iter()
-                .map(|app| (app.abbrev, app.into(), cfg.frames_for(app.frames)))
-                .collect(),
-        };
-        let mut cells = Vec::new();
-        for policy in &spec.policies {
-            for &(_, frames, nframes) in &workloads {
-                cells.extend((0..nframes).map(|frame| (policy.as_str(), frames, frame)));
-            }
+            .map(|app| (app.abbrev, GridSource::Frames(app.into(), cfg.frames_for(app.frames))))
+            .collect(),
+    };
+    let r = run_grid(&workloads, &opts, &cfg);
+
+    let mut per_policy = Json::obj();
+    for (pi, policy) in r.policies.iter().enumerate() {
+        let mut workload_obj = Json::obj();
+        for (wi, label) in r.apps.iter().enumerate() {
+            let entry = stats_entry(r.get_indexed(pi, wi), spec.characterize);
+            workload_obj.set(label.clone(), entry);
         }
-        let results = simulate_cells(&cells, &opts, &cfg);
-        let mut results = results.iter();
-        for policy in &spec.policies {
-            let mut workload_obj = Json::obj();
-            for &(label, _, nframes) in &workloads {
-                let mut stats = LlcStats::new();
-                let mut chars = CharReport::default();
-                for cell in results.by_ref().take(nframes as usize) {
-                    stats.merge(&cell.stats);
-                    if let Some(c) = &cell.chars {
-                        chars.merge(c);
-                    }
-                    accesses += cell.accesses;
-                    replay_seconds += cell.replay_seconds;
-                }
-                let entry = stats_entry(&stats, &chars, nframes.into(), spec.characterize);
-                workload_obj.set(label, entry);
-            }
-            per_policy.set(policy.clone(), workload_obj);
-        }
+        per_policy.set(policy.clone(), workload_obj);
     }
 
     let mut doc = Json::obj();
     doc.set("id", spec.id()).set("spec", spec.canonical_json()).set("results", per_policy);
 
+    let (accesses, replay_seconds) = (r.perf.llc_accesses, r.perf.replay_seconds);
     Ok(JobOutput { payload: doc.to_string_pretty(), accesses, replay_seconds })
 }
 
@@ -159,11 +121,12 @@ fn load_trace(trace_ref: &TraceRef) -> Result<Trace, String> {
 
 /// The per-workload result entry every workload kind shares, so payload
 /// consumers see one shape regardless of where the accesses came from:
-/// the LLC counters summed over `frames` frames.
-fn stats_entry(stats: &LlcStats, chars: &CharReport, frames: u64, characterize: bool) -> Json {
+/// the LLC counters summed over the aggregate's frames.
+fn stats_entry(agg: &AppAgg, characterize: bool) -> Json {
+    let stats = &agg.stats;
     let mut entry = Json::obj();
     entry
-        .set("frames", frames)
+        .set("frames", u64::from(agg.frames))
         .set("accesses", stats.total_accesses())
         .set("hits", stats.total_hits())
         .set("misses", stats.total_misses())
@@ -172,7 +135,7 @@ fn stats_entry(stats: &LlcStats, chars: &CharReport, frames: u64, characterize: 
         .set("rt_hit_rate", stats.hit_rate(StreamId::RenderTarget))
         .set("z_hit_rate", stats.hit_rate(StreamId::Z));
     if characterize {
-        entry.set("rt_consumption", chars.rt_consumption_rate());
+        entry.set("rt_consumption", agg.chars.rt_consumption_rate());
     }
     entry
 }
@@ -180,7 +143,8 @@ fn stats_entry(stats: &LlcStats, chars: &CharReport, frames: u64, characterize: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grbench::simulate_cell;
+    use grbench::{simulate_cell, simulate_trace_cell};
+    use grcache::LlcStats;
     use grsynth::Scale;
 
     fn spec(body: &str) -> JobSpec {
