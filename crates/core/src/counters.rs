@@ -134,15 +134,16 @@ impl GspcCounters {
     }
 
     /// `true` when the Z-stream reuse probability in the samples is below
-    /// `1/(t+1)`, i.e. `FILL(Z) > t·HIT(Z)`.
+    /// `1/(t+1)`, i.e. `FILL(Z) > t·HIT(Z)`. The product saturates, which
+    /// is exact: `FILL` never exceeds 255.
     pub fn z_reuse_below(&self, t: u32) -> bool {
-        self.fill_z.get() > t * self.hit_z.get()
+        self.fill_z.get() > self.hit_z.get().saturating_mul(t)
     }
 
     /// `true` when the epoch-`e` texture reuse probability is below
     /// `1/(t+1)`, i.e. `FILL(e,TEX) > t·HIT(e,TEX)`.
     pub fn tex_reuse_below(&self, e: usize, t: u32) -> bool {
-        self.fill_tex[e].get() > t * self.hit_tex[e].get()
+        self.fill_tex[e].get() > self.hit_tex[e].get().saturating_mul(t)
     }
 
     /// Total replacement-state storage of this counter file in bits
@@ -159,6 +160,15 @@ impl Default for GspcCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An 8-bit counter incremented `n` times.
+    fn counted(n: u32) -> SatCounter {
+        let mut c = SatCounter::new(8);
+        for _ in 0..n {
+            c.inc();
+        }
+        c
+    }
 
     #[test]
     fn saturation() {
@@ -189,10 +199,7 @@ mod tests {
 
     #[test]
     fn halve_rounds_down() {
-        let mut c = SatCounter::new(8);
-        for _ in 0..5 {
-            c.inc();
-        }
+        let mut c = counted(5);
         c.halve();
         assert_eq!(c.get(), 2);
     }
@@ -282,24 +289,40 @@ mod tests {
         }
     }
 
+    /// Thresholds for the boundary properties: the Figure 11 sweep plus
+    /// the largest values `GSPZTC(t=N)` accepts, where `t·HIT` leaves `u32`.
+    const THRESHOLDS: [u32; 8] = [1, 2, 4, 8, 16, 64, 1 << 25, 1 << 31];
+
+    /// `below(FILL, HIT)` at the extremes must match `FILL > t·HIT`
+    /// computed without overflow: a saturated `HIT` is never below, and a
+    /// bank with fills but no hits always is.
+    fn assert_extremes(t: u32, below: impl Fn(u32, u32) -> bool) {
+        for (fill, hits) in [(255u32, 0u32), (255, 1), (255, 2), (255, 255), (1, 0)] {
+            let expect = u64::from(fill) > u64::from(t) * u64::from(hits);
+            assert_eq!(below(fill, hits), expect, "t={t} FILL={fill} HIT={hits}");
+        }
+    }
+
     /// Property: `z_reuse_below(t)` flips exactly when `FILL(Z)` crosses
     /// `t*HIT(Z)` — the paper's `1/(t+1)` reuse-probability threshold —
     /// for every power-of-two `t` the registry accepts.
     #[test]
     fn z_threshold_flips_exactly_at_the_boundary() {
-        for t in [1u32, 2, 4, 8, 16, 64] {
+        for t in THRESHOLDS {
+            assert_extremes(t, |fill, hits| {
+                let mut f = GspcCounters::new();
+                f.fill_z = counted(fill);
+                f.hit_z = counted(hits);
+                f.z_reuse_below(t)
+            });
             for hits in 0u32..5 {
-                if t * hits + 1 > 255 {
+                if t.saturating_mul(hits) >= 255 {
                     // FILL(Z) is 8-bit; the boundary must stay representable.
                     continue;
                 }
                 let mut f = GspcCounters::new();
-                for _ in 0..hits {
-                    f.hit_z.inc();
-                }
-                for _ in 0..t * hits {
-                    f.fill_z.inc();
-                }
+                f.hit_z = counted(hits);
+                f.fill_z = counted(t * hits);
                 assert!(!f.z_reuse_below(t), "t={t} hits={hits}: FILL == t*HIT is not below");
                 f.fill_z.inc();
                 assert!(f.z_reuse_below(t), "t={t} hits={hits}: FILL == t*HIT+1 is below");
@@ -311,15 +334,21 @@ mod tests {
     /// at exactly the same `FILL > t*HIT` boundary as Z.
     #[test]
     fn tex_threshold_flips_exactly_at_the_boundary() {
-        for t in [2u32, 8, 16] {
+        for t in THRESHOLDS {
             for e in 0..2usize {
+                assert_extremes(t, |fill, hits| {
+                    let mut f = GspcCounters::new();
+                    f.fill_tex[e] = counted(fill);
+                    f.hit_tex[e] = counted(hits);
+                    f.tex_reuse_below(e, t)
+                });
+                if t.saturating_mul(3) >= 255 {
+                    // FILL is 8-bit; the boundary must stay representable.
+                    continue;
+                }
                 let mut f = GspcCounters::new();
-                for _ in 0..3 {
-                    f.hit_tex[e].inc();
-                }
-                for _ in 0..3 * t {
-                    f.fill_tex[e].inc();
-                }
+                f.hit_tex[e] = counted(3);
+                f.fill_tex[e] = counted(3 * t);
                 assert!(!f.tex_reuse_below(e, t));
                 f.fill_tex[e].inc();
                 assert!(f.tex_reuse_below(e, t));
@@ -337,12 +366,8 @@ mod tests {
         for cons in 1u32..4 {
             for factor in [8u32, 16] {
                 let mut f = GspcCounters::new();
-                for _ in 0..cons {
-                    f.cons.inc();
-                }
-                for _ in 0..factor * cons {
-                    f.prod.inc();
-                }
+                f.cons = counted(cons);
+                f.prod = counted(factor * cons);
                 assert!(f.prod.get() <= factor * f.cons.get());
                 f.prod.inc();
                 assert!(f.prod.get() > factor * f.cons.get());

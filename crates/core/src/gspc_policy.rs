@@ -28,7 +28,6 @@ use crate::{GspcCounters, DEFAULT_T};
 #[derive(Debug, Clone)]
 pub struct Gspc {
     core: TseCore,
-    bypass_dead_tex: bool,
 }
 
 impl Gspc {
@@ -43,17 +42,7 @@ impl Gspc {
     ///
     /// Panics unless `t` is a power of two.
     pub fn with_threshold(cfg: &LlcConfig, t: u32) -> Self {
-        Gspc { core: TseCore::new(cfg, t, true), bypass_dead_tex: false }
-    }
-
-    /// An extension beyond the paper (in the spirit of the authors' prior
-    /// bypass work for exclusive LLCs): texture fills whose predicted
-    /// reuse probability is below the threshold *bypass* the LLC entirely
-    /// instead of being inserted at the distant RRPV, so they displace
-    /// nothing at all. Sample sets still take every fill (they must keep
-    /// learning).
-    pub fn with_dead_texture_bypass(cfg: &LlcConfig) -> Self {
-        Gspc { core: TseCore::new(cfg, DEFAULT_T, true), bypass_dead_tex: true }
+        Gspc { core: TseCore::new(cfg, t, true) }
     }
 
     /// The per-bank counter files (for inspection).
@@ -64,19 +53,7 @@ impl Gspc {
 
 impl Policy for Gspc {
     fn name(&self) -> &str {
-        if self.bypass_dead_tex {
-            "GSPC+BYP"
-        } else {
-            "GSPC"
-        }
-    }
-
-    fn should_bypass(&mut self, a: &AccessInfo) -> bool {
-        self.bypass_dead_tex
-            && !a.is_sample
-            && !a.write
-            && a.class == grtrace::PolicyClass::Tex
-            && self.core.banks[a.bank].tex_reuse_below(0, self.core.t)
+        "GSPC"
     }
 
     fn state_bits_per_block(&self) -> u32 {
@@ -232,31 +209,6 @@ mod tests {
             p.on_fill(&info(StreamId::Other, true), &mut set, 0);
         }
         assert_eq!(p.counters()[0].prod.get(), 5);
-    }
-
-    #[test]
-    fn bypass_variant_skips_dead_textures_only() {
-        let mut p = Gspc::with_dead_texture_bypass(&cfg());
-        let mut set = one_way_set();
-        // Untrained counters: no bypass.
-        assert!(!p.should_bypass(&info(StreamId::Texture, false)));
-        // Train textures dead.
-        for _ in 0..5 {
-            p.on_fill(&info(StreamId::Texture, true), &mut set, 0);
-        }
-        assert!(p.should_bypass(&info(StreamId::Texture, false)));
-        // Sample sets, writes, and other streams never bypass.
-        assert!(!p.should_bypass(&info(StreamId::Texture, true)));
-        assert!(!p.should_bypass(&info(StreamId::RenderTarget, false)));
-        let mut w = info(StreamId::Texture, false);
-        w.write = true;
-        assert!(!p.should_bypass(&w));
-        // The plain policy never bypasses.
-        let mut plain = Gspc::new(&cfg());
-        for _ in 0..5 {
-            plain.on_fill(&info(StreamId::Texture, true), &mut set, 0);
-        }
-        assert!(!plain.should_bypass(&info(StreamId::Texture, false)));
     }
 
     #[test]

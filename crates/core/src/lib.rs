@@ -33,7 +33,6 @@
 
 mod belady;
 mod counters;
-mod dip;
 mod duel;
 mod gopt;
 mod gs_drrip;
@@ -46,13 +45,11 @@ mod partition;
 pub mod registry;
 mod rrip;
 mod ship;
-mod slru;
 mod tse;
 mod ucd;
 
 pub use belady::Belady;
 pub use counters::{GspcCounters, SatCounter};
-pub use dip::{Bip, Dip, Lip, RandomRepl};
 pub use duel::{Duel, Leader};
 pub use gopt::{Gopt, GoptModel, RegionCounts, Reuse};
 pub use gs_drrip::GsDrrip;
@@ -63,7 +60,6 @@ pub use nru::Nru;
 pub use partition::{StaticWayPartition, UcpLite};
 pub use rrip::{Brrip, Drrip, RripMeta, Srrip};
 pub use ship::ShipMem;
-pub use slru::Slru;
 pub use tse::GspztcTse;
 pub use ucd::Ucd;
 

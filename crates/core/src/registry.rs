@@ -41,8 +41,8 @@ use grcache::{LlcConfig, Policy};
 use grtrace::StreamId;
 
 use crate::{
-    Belady, Bip, Dip, Drrip, Gopt, GsDrrip, Gspc, Gspztc, GspztcTse, Lip, Lru, Nru, RandomRepl,
-    ShipMem, Slru, Srrip, StaticWayPartition, Ucd, UcpLite,
+    Belady, Drrip, Gopt, GsDrrip, Gspc, Gspztc, GspztcTse, Lru, Nru, ShipMem, Srrip,
+    StaticWayPartition, Ucd, UcpLite,
 };
 
 /// How grcheck verifies a policy differentially.
@@ -445,26 +445,6 @@ define_registry! { cfg;
             .ceilings(&[("SRRIP", 1.00)])
     },
     {
-        "DIP" => "Dynamic insertion policy (LRU/BIP dueling)",
-        Dip::new(),
-        PolicyMeta::new().no_oracle(CLONE_ONLY)
-    },
-    {
-        "LIP" => "LRU-insertion policy",
-        Lip::new(),
-        PolicyMeta::new().no_oracle(CLONE_ONLY)
-    },
-    {
-        "BIP" => "Bimodal insertion policy",
-        Bip::new(),
-        PolicyMeta::new().no_oracle(CLONE_ONLY)
-    },
-    {
-        "Random" => "Random replacement",
-        RandomRepl::new(),
-        PolicyMeta::new().no_oracle(CLONE_ONLY)
-    },
-    {
         "WayPart" => "Static per-stream way partitioning (Z:2 TEX:6 RT:6 other:2)",
         StaticWayPartition::proportional(cfg),
         PolicyMeta::new().no_oracle(CLONE_ONLY)
@@ -472,16 +452,6 @@ define_registry! { cfg;
     {
         "UCP-lite" => "Utility-based way repartitioning",
         UcpLite::new(cfg),
-        PolicyMeta::new().no_oracle(CLONE_ONLY)
-    },
-    {
-        "GSPC+BYP" => "GSPC with dead-texture LLC bypass (extension)",
-        Gspc::with_dead_texture_bypass(cfg),
-        PolicyMeta::new().oracle("gspc+byp")
-    },
-    {
-        "SLRU" => "Segmented LRU (scan-resistant baseline)",
-        Slru::new(cfg.ways as u32 / 2),
         PolicyMeta::new().no_oracle(CLONE_ONLY)
     },
 }
@@ -621,6 +591,8 @@ mod tests {
         assert_eq!(p.name(), "GSPZTC(t=2)");
         // t=8 is the default and prints the bare name.
         assert_eq!(create("GSPZTC(t=8)", &cfg).unwrap().name(), "GSPZTC");
+        // The largest power of two in `u32` is accepted too.
+        assert_eq!(create("GSPZTC(t=2147483648)", &cfg).unwrap().name(), "GSPZTC(t=2147483648)");
         assert!(create("GSPZTC(t=3)", &cfg).is_none(), "non-power-of-two t");
         assert!(create("GSPZTC(t=x)", &cfg).is_none());
     }

@@ -14,7 +14,24 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-NAMES='DRRIP|DRRIP-2|DRRIP-4|SRRIP|SRRIP-2|NRU|LRU|SHiP-mem|GS-DRRIP|GS-DRRIP-2|GS-DRRIP-4|GSPZTC|GSPZTC\+TSE|GSPC|GSPC\+UCD|GSPC\+BYP|DRRIP\+UCD|NRU\+UCD|GS-DRRIP\+UCD|OPT|GOPT|DIP|LIP|BIP|Random|WayPart|UCP-lite|SLRU|GSPZTC\(t=[0-9]+\)'
+REGISTRY=crates/core/src/registry.rs
+
+# The vocabulary is read from the `"Name" | "Alias" =>` rows of the
+# `define_registry!` invocation, so a new row is audited without editing
+# this script. Regex metacharacters in names (the `+` of `GSPC+UCD`) are
+# escaped; the parameterized `GSPZTC(t=N)` family has no row of its own.
+NAMES=$(awk '/^define_registry! \{/ { on = 1; next } on && /^\}/ { on = 0 } on' "$REGISTRY" |
+  grep -E '^[[:space:]]*"[^"]+"([[:space:]]*\|[[:space:]]*"[^"]+")*[[:space:]]*=>' |
+  sed 's/=>.*//' | grep -oE '"[^"]+"' | tr -d '"' |
+  sed 's/[][\.*^$+?(){}|]/\\&/g' | paste -sd'|' -)
+case "|$NAMES|" in
+  *'|GSPC|'*) ;;
+  *)
+    echo "registry-audit: no GSPC among the names read from $REGISTRY's define_registry! rows" >&2
+    exit 1
+    ;;
+esac
+NAMES="${NAMES}|GSPZTC\\(t=[0-9]+\\)"
 PATTERN="\"(${NAMES})\""
 SCOPE="crates/art crates/bench crates/serve crates/check"
 ALLOWLIST=tools/registry_audit_allowlist.txt
