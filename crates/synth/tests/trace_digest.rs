@@ -1,8 +1,10 @@
 //! Pins the synthesized LLC traces bit for bit.
 //!
-//! Each case renders frames at tiny scale and folds every LLC access
-//! (`addr`, stream, write) plus the four [`FrameWork`] counters into one
-//! FNV-1a digest. The goldens see synthesis only through LLC statistics;
+//! Each case renders frames and folds every LLC access (`addr`, stream,
+//! write) plus the four [`FrameWork`] counters into one FNV-1a digest.
+//! Every application and every built-in graph profile is pinned at tiny
+//! scale; one full-scale frame covers the paths only large frames reach
+//! (the texture-revisit history fills and evicts). The goldens see synthesis only through LLC statistics;
 //! these digests move on any change to the generators or to the render-cache
 //! filter (`grcache::RenderCaches`, `grcache::LruCache`) that alters a single
 //! access, its order, or a counter.
@@ -28,9 +30,9 @@ fn digest(h: u64, trace: &Trace, work: FrameWork) -> u64 {
     h
 }
 
-fn frames_digest(frames: Frames<'_>, count: u32) -> u64 {
+fn frames_digest(frames: Frames<'_>, count: u32, scale: Scale) -> u64 {
     (0..count).fold(FNV_OFFSET, |h, f| {
-        let (trace, work) = frames.render(f, Scale::Tiny);
+        let (trace, work) = frames.render(f, scale);
         digest(h, &trace, work)
     })
 }
@@ -48,19 +50,39 @@ fn check(cases: Vec<(String, u64, u64)>) {
 #[test]
 fn app_traces_are_pinned() {
     let expected = [
-        ("BioShock", 0x4fe8_82d4_7edb_172e),
-        ("HAWX", 0x1d34_193d_8590_628a),
+        ("3DMarkVAGT1", 0x0b7b_624c_9f65_655b),
+        ("3DMarkVAGT2", 0xe970_e7a0_7b20_33b5),
         ("AssnCreed", 0xe606_f46e_1601_4c15),
+        ("BioShock", 0x4fe8_82d4_7edb_172e),
+        ("DMC", 0x1a60_16e0_ad31_269a),
+        ("Civilization", 0x63d3_bfe8_727e_82ac),
+        ("Dirt", 0x4819_dc58_44c8_519d),
+        ("HAWX", 0x1d34_193d_8590_628a),
+        ("Heaven", 0x3c72_757e_8176_80fe),
+        ("LostPlanet", 0x22fb_6b67_7508_0693),
+        ("StalkerCOP", 0xead4_038c_40e9_8d3c),
+        ("Unigine", 0x981b_9a8c_bdee_c599),
     ];
+    assert_eq!(expected.len(), AppProfile::all().len(), "every application is pinned");
     check(
         expected
             .into_iter()
             .map(|(abbrev, want)| {
                 let app = AppProfile::by_abbrev(abbrev).unwrap();
-                (format!("{abbrev} frames 0-1"), frames_digest(Frames::from(&app), 2), want)
+                let got = frames_digest(Frames::from(&app), 2, Scale::Tiny);
+                (format!("{abbrev} frames 0-1"), got, want)
             })
             .collect(),
     );
+}
+
+/// Full scale is the only scale at which the static-texture revisit
+/// history fills and starts evicting its oldest entries.
+#[test]
+fn full_scale_app_frame_is_pinned() {
+    let app = AppProfile::by_abbrev("Civilization").unwrap();
+    let got = frames_digest(Frames::from(&app), 1, Scale::Full);
+    check(vec![("Civilization full-scale frame 0".into(), got, 0x7075_135f_729c_f8cf)]);
 }
 
 #[test]
@@ -78,7 +100,7 @@ fn graph_traces_are_pinned() {
         let profile = graph_profile(name).unwrap();
         for (coherence, want) in [0.2, 0.8].into_iter().zip(wants) {
             let graph = profile.graph_with_coherence(coherence);
-            let got = frames_digest(Frames::from(&graph), 2);
+            let got = frames_digest(Frames::from(&graph), 2, Scale::Tiny);
             cases.push((format!("{name} coherence {coherence} frames 0-1"), got, want));
         }
     }
