@@ -33,7 +33,7 @@ fn mixed_policies() -> [&'static str; 3] {
 /// stream and imported back.
 fn imported_trace(frame: u32) -> Trace {
     let graph = grsynth::graph_profile("cpu-like").expect("builtin profile").graph();
-    let rendered = grsynth::GraphRenderer::new(&graph, frame, Scale::Tiny).render();
+    let rendered = grsynth::Frames::from(&graph).render(frame, Scale::Tiny).0;
     let mut bytes = Vec::new();
     grtrace::io::write(&mut bytes, &rendered).expect("write trace");
     grtrace::import(&bytes[..]).expect("import trace")

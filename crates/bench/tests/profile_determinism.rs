@@ -8,7 +8,7 @@
 
 use std::process::Command;
 
-use grsynth::{GraphRenderer, Scale, GRAPH_PROFILES};
+use grsynth::{Frames, Scale, GRAPH_PROFILES};
 
 fn dump(profile: &str, threads: &str, path: &std::path::Path) -> Vec<u8> {
     let out = Command::new(env!("CARGO_BIN_EXE_grsim"))
@@ -40,7 +40,7 @@ fn every_profile_dumps_identical_bytes_across_threads_and_paths() {
         // Materialized path: render the whole frame in memory, then
         // serialize. Must match the banded streaming writer bit for bit.
         let graph = profile.graph_with_coherence(0.5);
-        let trace = GraphRenderer::new(&graph, 0, Scale::Tiny).render();
+        let trace = Frames::from(&graph).render(0, Scale::Tiny).0;
         let mut materialized = Vec::new();
         grtrace::io::write(&mut materialized, &trace).expect("serialize in memory");
         assert_eq!(one, materialized, "{}: streamed vs materialized bytes differ", profile.name);

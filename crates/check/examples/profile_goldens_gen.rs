@@ -12,7 +12,7 @@
 
 use grbench::ExperimentConfig;
 use grcache::Llc;
-use grsynth::{GraphRenderer, Scale, GRAPH_PROFILES};
+use grsynth::{Frames, Scale, GRAPH_PROFILES};
 use grtrace::StreamId;
 use gspc::registry;
 
@@ -20,7 +20,7 @@ fn main() {
     let cfg = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) };
     let llc = cfg.llc(8);
     for p in GRAPH_PROFILES {
-        let trace = GraphRenderer::new(&p.graph(), 0, Scale::Tiny).render();
+        let trace = Frames::from(&p.graph()).render(0, Scale::Tiny).0;
         print!("{}: ", p.name);
         for s in StreamId::ALL {
             let n = trace.accesses().iter().filter(|a| a.stream == s).count();

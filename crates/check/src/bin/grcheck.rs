@@ -201,11 +201,11 @@ fn run_invariants() {
 /// agree across mono/boxed dispatch.
 fn run_profile_invariants(cfg: &ExperimentConfig, policies: &[String]) {
     use grbench::simulate_cell;
-    use grsynth::{FrameStream, GraphRenderer, GRAPH_PROFILES};
+    use grsynth::{FrameStream, Frames, GRAPH_PROFILES};
 
     for profile in GRAPH_PROFILES {
         let graph = profile.graph();
-        let trace = GraphRenderer::new(&graph, 0, cfg.scale).render();
+        let trace = Frames::from(&graph).render(0, cfg.scale).0;
 
         // Export the streamed generator and import it back through the
         // validating reader: one comparison covers both guarantees.

@@ -26,7 +26,7 @@
 
 use grbench::{figures, framecache, ExperimentConfig};
 use grcache::{Llc, LlcConfig, LlcStats};
-use grsynth::{AppProfile, GraphRenderer, Scale, GRAPH_PROFILES};
+use grsynth::{AppProfile, Frames, Scale, GRAPH_PROFILES};
 use grtrace::StreamId;
 use gspc::registry::{self, PolicyEntry};
 
@@ -268,7 +268,7 @@ pub fn run_profiles(paper_mb: u64) -> ConformanceReport {
         let Some(profile) = grsynth::graph_profile(golden.profile) else {
             continue; // already flagged by the sync check above
         };
-        let trace = GraphRenderer::new(&profile.graph(), 0, Scale::Tiny).render();
+        let trace = Frames::from(&profile.graph()).render(0, Scale::Tiny).0;
 
         for stream in StreamId::ALL {
             let got = trace.accesses().iter().filter(|a| a.stream == stream).count() as u64;

@@ -142,7 +142,7 @@ fn graph_trace(rng: &mut FrameRng, len: usize) -> Vec<Access> {
     let coherence = [0.0, 0.25, 0.5, 0.75, 1.0][(rng.next_u64() % 5) as usize];
     let frame = (rng.next_u64() % 4) as u32;
     let graph = profile.graph_with_coherence(coherence);
-    let trace = grsynth::GraphRenderer::new(&graph, frame, grsynth::Scale::Tiny).render();
+    let trace = grsynth::Frames::from(&graph).render(frame, grsynth::Scale::Tiny).0;
     let rendered = trace.accesses();
     (0..len).map(|i| rendered[i % rendered.len()]).collect()
 }

@@ -294,7 +294,7 @@ fn smoke(argv_tail: &[String]) {
         // shares this process's filesystem.
         let path = std::env::temp_dir().join(format!("grload-smoke-{}.gtrace", std::process::id()));
         let graph = grsynth::graph_profile("cpu-like").expect("builtin profile").graph();
-        let trace = grsynth::GraphRenderer::new(&graph, 0, Scale::Tiny).render();
+        let trace = grsynth::Frames::from(&graph).render(0, Scale::Tiny).0;
         grtrace::io::write_atomic(&path, |w| grtrace::io::write(w, &trace))
             .unwrap_or_else(|e| cli::user_error(&format!("cannot write {}: {e}", path.display())));
         let path = path.to_str().unwrap_or_else(|| cli::user_error("temp dir is not UTF-8"));

@@ -256,7 +256,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("create temp dir");
         let path = dir.join(name);
         let graph = grsynth::graph_profile("cpu-like").unwrap().graph();
-        let trace = grsynth::GraphRenderer::new(&graph, frame, grsynth::Scale::Tiny).render();
+        let trace = grsynth::Frames::from(&graph).render(frame, grsynth::Scale::Tiny).0;
         let file = std::fs::File::create(&path).expect("create trace file");
         let mut writer = std::io::BufWriter::new(file);
         grtrace::io::write(&mut writer, &trace).expect("write trace");

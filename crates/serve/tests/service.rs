@@ -192,7 +192,7 @@ fn served_trace_job_is_bit_identical_to_offline_execution() {
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join("import.gtrace");
     let graph = grsynth::graph_profile("cpu-like").expect("builtin").graph();
-    let trace = grsynth::GraphRenderer::new(&graph, 0, Scale::Tiny).render();
+    let trace = grsynth::Frames::from(&graph).render(0, Scale::Tiny).0;
     let file = std::fs::File::create(&path).expect("create trace file");
     let mut writer = std::io::BufWriter::new(file);
     grtrace::io::write(&mut writer, &trace).expect("write trace");
@@ -240,7 +240,7 @@ fn trace_changed_after_submit_fails_with_typed_error() {
     let path = dir.join("changed.gtrace");
     let graph = grsynth::graph_profile("cpu-like").expect("builtin").graph();
     let write = |frame: u32| {
-        let trace = grsynth::GraphRenderer::new(&graph, frame, Scale::Tiny).render();
+        let trace = grsynth::Frames::from(&graph).render(frame, Scale::Tiny).0;
         let mut bytes = Vec::new();
         grtrace::io::write(&mut bytes, &trace).expect("encode trace");
         std::fs::write(&path, bytes).expect("write trace file");

@@ -18,11 +18,13 @@
 //! dynamic-texturing inter-stream reuse of Figure 6, and the epoch death
 //! ratios of Figures 7 and 9.
 //!
-//! Two generators produce frames: [`FrameRenderer`] for the application
-//! profiles and [`GraphRenderer`] for composable [`FrameGraph`] workloads.
-//! [`Frames`] names either one, and it is what every layer below synthesis
-//! takes: it carries the cache key and the name its traces carry, and renders
-//! a frame whole or, through [`FrameStream`], band by band.
+//! One staged renderer produces every frame. The application profiles and
+//! composable [`FrameGraph`] workloads are two pass sets over one emission
+//! kit (raw access emission, tile and band addressing, geometry, texture
+//! region walks, present) and one driver of eight render bands plus a tail.
+//! [`Frames`] names either source, and it is what every layer below
+//! synthesis takes: it carries the cache key and the name its traces carry,
+//! and renders a frame whole or, through [`FrameStream`], band by band.
 //!
 //! # Example
 //!
@@ -42,14 +44,16 @@ mod frame;
 mod graph;
 mod profile;
 mod profiles;
+mod render;
 pub mod rng;
 mod stream;
 mod surface;
 
-pub use frame::{generate_frame, FrameRenderer, FrameWork};
-pub use graph::{FrameGraph, GraphRenderer, PassKind};
+pub use frame::generate_frame;
+pub use graph::{FrameGraph, PassKind};
 pub use profile::{AppProfile, Scale};
 pub use profiles::{graph_profile, GraphProfile, GRAPH_PROFILES};
+pub use render::{FrameWork, GraphRenderer};
 pub use stream::{FrameStream, Frames, GraphStream};
 pub use surface::{Surface, SurfaceAllocator, SurfaceKind};
 

@@ -1,12 +1,12 @@
 //! The one frame source and its band-by-band stream.
 //!
 //! [`Frames`] names where a keyed sequence of synthesized frames comes
-//! from — a Table 1 application or a frame graph — and owns the only facts
-//! that differ between the two: the cache key, the name every trace of it
-//! carries, and which generator renders a frame. Every layer below synthesis takes a
-//! `Frames` instead of keeping one copy per workload kind.
+//! from — a Table 1 application or a frame graph — and owns the facts that
+//! differ between the two outside the renderer: the cache key and the name
+//! every trace of it carries. Every layer below synthesis takes a `Frames`
+//! instead of keeping one copy per workload kind.
 //!
-//! [`FrameStream`] drives either generator one pipeline stage at a time
+//! [`FrameStream`] drives the renderer one pipeline stage at a time
 //! and hands each stage's accesses out through the [`AccessSource`] chunk
 //! protocol, so a frame is never materialized as one giant `Vec`. Peak
 //! memory is bounded by the largest single stage's emission (roughly one
@@ -20,8 +20,8 @@ use std::io;
 
 use grtrace::{Access, AccessSource, Chunk, Trace};
 
-use crate::frame::{FrameRenderer, FrameWork};
-use crate::{AppProfile, FrameGraph, GraphRenderer, Scale};
+use crate::render::{Renderer, STAGES};
+use crate::{AppProfile, FrameGraph, FrameWork, Scale};
 
 /// Where a sequence of synthesized frames comes from.
 ///
@@ -69,11 +69,12 @@ impl<'a> Frames<'a> {
     /// Renders frame `frame` whole, returning the LLC trace (named
     /// [`Frames::name`]) and the work counters; [`FrameStream::new`]
     /// renders it band by band instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a frame graph fails [`FrameGraph::validate`].
     pub fn render(self, frame: u32, scale: Scale) -> (Trace, FrameWork) {
-        match self {
-            Frames::App(app) => FrameRenderer::new(app, frame, scale).render_with_work(),
-            Frames::Graph(graph) => GraphRenderer::new(graph, frame, scale).render_with_work(),
-        }
+        Renderer::new(self, frame, scale).render_with_work()
     }
 }
 
@@ -86,40 +87,6 @@ impl<'a> From<&'a AppProfile> for Frames<'a> {
 impl<'a> From<&'a FrameGraph> for Frames<'a> {
     fn from(graph: &'a FrameGraph) -> Self {
         Frames::Graph(graph)
-    }
-}
-
-/// The stage count both generators share: eight render bands plus the
-/// tail (final lighting or deferred resolve, present, cache flush).
-const STAGES: u32 = FrameRenderer::STAGES;
-const _: () = assert!(FrameRenderer::STAGES == GraphRenderer::STAGES);
-
-/// The generator behind a [`FrameStream`].
-enum Renderer<'a> {
-    App(FrameRenderer<'a>),
-    Graph(GraphRenderer<'a>),
-}
-
-impl Renderer<'_> {
-    fn run_stage(&mut self, s: u32) {
-        match self {
-            Renderer::App(r) => r.run_stage(s),
-            Renderer::Graph(r) => r.run_stage(s),
-        }
-    }
-
-    fn take_emitted(&mut self) -> Vec<Access> {
-        match self {
-            Renderer::App(r) => r.take_emitted(),
-            Renderer::Graph(r) => r.take_emitted(),
-        }
-    }
-
-    fn work(&self) -> FrameWork {
-        match self {
-            Renderer::App(r) => r.work(),
-            Renderer::Graph(r) => r.work(),
-        }
     }
 }
 
@@ -159,10 +126,7 @@ impl<'a> FrameStream<'a> {
     ///
     /// Panics if a frame graph fails [`FrameGraph::validate`].
     pub fn new(frames: impl Into<Frames<'a>>, frame_idx: u32, scale: Scale) -> Self {
-        let renderer = match frames.into() {
-            Frames::App(app) => Renderer::App(FrameRenderer::new(app, frame_idx, scale)),
-            Frames::Graph(graph) => Renderer::Graph(GraphRenderer::new(graph, frame_idx, scale)),
-        };
+        let renderer = Renderer::new(frames, frame_idx, scale);
         FrameStream { renderer, next_stage: 0, buf: Vec::new(), emitted: 0 }
     }
 
@@ -233,6 +197,45 @@ mod tests {
         // Exhausted stream stays exhausted.
         assert!(!stream.advance().unwrap());
         assert!(stream.chunk().accesses.is_empty());
+    }
+
+    /// Every application and frame-graph profile renders the same frame
+    /// twice alike, a different frame differently, and every major stream
+    /// unless its passes are all stream-free compute.
+    #[test]
+    fn every_source_is_deterministic_and_complete() {
+        use crate::PassKind;
+        use grtrace::StreamId;
+
+        let apps = AppProfile::all();
+        let graphs: Vec<FrameGraph> =
+            crate::GRAPH_PROFILES.iter().map(|p| p.graph_with_coherence(1.0)).collect();
+        for frames in apps.iter().map(Frames::from).chain(graphs.iter().map(Frames::from)) {
+            let name = frames.name();
+            let (trace, work) = frames.render(0, Scale::Tiny);
+            assert!(
+                frames.render(0, Scale::Tiny) == (trace.clone(), work),
+                "{name} not deterministic"
+            );
+            let next = frames.render(1, Scale::Tiny).0;
+            assert!(trace.accesses() != next.accesses(), "{name}: frames 0 and 1 are identical");
+            let stream_free = matches!(frames, Frames::Graph(g)
+                if g.passes().iter().all(|p| matches!(p, PassKind::Compute { .. })));
+            if stream_free {
+                continue;
+            }
+            let stats = trace.stats();
+            for stream in [
+                StreamId::Vertex,
+                StreamId::HiZ,
+                StreamId::Z,
+                StreamId::RenderTarget,
+                StreamId::Texture,
+                StreamId::Display,
+            ] {
+                assert!(stats.accesses(stream) > 0, "{name} is missing stream {stream}");
+            }
+        }
     }
 
     /// Every application and frame-graph profile streams exactly the

@@ -1,12 +1,12 @@
 //! Integration tests on the synthesized workload's structural invariants.
 
-use grsynth::{AppProfile, FrameRenderer, Scale};
+use grsynth::{AppProfile, Frames, Scale};
 use grtrace::{StreamId, BLOCK_BYTES};
 
 #[test]
 fn work_counters_are_populated_and_consistent() {
     let app = AppProfile::by_abbrev("Civilization").unwrap();
-    let (trace, work) = FrameRenderer::new(&app, 0, Scale::Tiny).render_with_work();
+    let (trace, work) = Frames::from(&app).render(0, Scale::Tiny);
     assert!(work.shaded_pixels > 0);
     assert!(work.texel_samples > 0);
     assert!(work.vertices > 0);

@@ -9,12 +9,12 @@ use gpu_llc_repro::cache::{Llc, LlcConfig};
 use gpu_llc_repro::dram::TimingParams;
 use gpu_llc_repro::gpu::{GpuConfig, Workload};
 use gpu_llc_repro::policies::registry;
-use gpu_llc_repro::synth::{AppProfile, FrameRenderer, Scale};
+use gpu_llc_repro::synth::{AppProfile, Frames, Scale};
 
 fn main() {
     let app = AppProfile::by_abbrev("LostPlanet").expect("known app");
     let scale = Scale::Quarter;
-    let (trace, work) = FrameRenderer::new(&app, 0, scale).render_with_work();
+    let (trace, work) = Frames::from(&app).render(0, scale);
     let cfg = LlcConfig { size_bytes: 512 * 1024, ways: 16, banks: 4, sample_period: 64 };
     let gpu = GpuConfig::baseline();
     let dram = TimingParams::ddr3_1600();

@@ -5,7 +5,7 @@ use gpu_llc_repro::cache::{annotate_next_use, Llc, LlcConfig};
 use gpu_llc_repro::dram::TimingParams;
 use gpu_llc_repro::gpu::{GpuConfig, Workload};
 use gpu_llc_repro::policies::registry;
-use gpu_llc_repro::synth::{AppProfile, FrameRenderer, Scale};
+use gpu_llc_repro::synth::{AppProfile, Frames, Scale};
 use gpu_llc_repro::trace::StreamId;
 
 fn tiny_llc() -> LlcConfig {
@@ -90,7 +90,7 @@ fn memory_log_matches_miss_and_writeback_counts() {
 fn end_to_end_timing_rewards_fewer_misses() {
     let cfg = tiny_llc();
     let app = AppProfile::by_abbrev("AssnCreed").unwrap();
-    let (trace, work) = FrameRenderer::new(&app, 0, Scale::Tiny).render_with_work();
+    let (trace, work) = Frames::from(&app).render(0, Scale::Tiny);
     let gpu = GpuConfig::baseline();
     let dram = TimingParams::ddr3_1600();
     let workload = Workload {
