@@ -163,6 +163,18 @@ pub fn frame_data<'a>(frames: impl Into<Frames<'a>>, frame: u32, scale: Scale) -
     }))
 }
 
+/// The in-memory data of `(frames, frame, scale)` if [`frame_data`] has
+/// already produced it; never renders or loads (tests use this to check
+/// that a streamed path left nothing resident).
+pub fn resident<'a>(
+    frames: impl Into<Frames<'a>>,
+    frame: u32,
+    scale: Scale,
+) -> Option<Arc<FrameData>> {
+    let key: Key = (frames.into().cache_key(), frame, scale);
+    cache().lock().expect("frame cache poisoned").get(&key)?.get().cloned()
+}
+
 /// Reads a disk-tier frame back whole, when its files are whole and the
 /// trace decodes.
 fn load_frame(trace_path: &Path, frames: Frames<'_>, frame: u32) -> Option<(Trace, FrameWork)> {
@@ -182,7 +194,7 @@ fn store_frame(trace_path: &Path, trace: &Trace, work: &FrameWork) {
 
 /// Chunk capacity (accesses per read) for streaming replay, from
 /// `GR_STREAM_CHUNK` (default 65536). Bounds the streaming tier's peak
-/// memory: roughly 34 bytes per chunk slot.
+/// memory: roughly 26 bytes per chunk slot.
 pub fn stream_chunk() -> usize {
     std::env::var("GR_STREAM_CHUNK")
         .ok()
@@ -263,8 +275,14 @@ pub struct DiskSource {
 /// Opens frame `(frames, frame, scale)` as a streaming
 /// [`grtrace::AccessSource`] from the disk tier, synthesizing it first if
 /// absent or damaged (see [`ensure_on_disk`]). With `with_next_use` the
-/// `.nu` Belady sidecar is attached — computed and persisted on first use.
-/// Returns `None` when `GR_TRACE_CACHE` is unset.
+/// `.nu` Belady sidecar is attached — computed and persisted on first use
+/// from a decode of the `.grtr` that is dropped afterwards. Returns `None` when
+/// `GR_TRACE_CACHE` is unset.
+///
+/// # Errors
+///
+/// An `InvalidData` error means a disk-tier file failed to decode (see
+/// [`discard`]); any other error is the disk tier's I/O failing.
 pub fn disk_source<'a>(
     frames: impl Into<Frames<'a>>,
     frame: u32,
@@ -279,11 +297,12 @@ pub fn disk_source<'a>(
     if with_next_use {
         let nu = trace_path.with_extension("nu");
         if !nu_sidecar_valid(&nu, reader.remaining()) {
-            // Missing, truncated, or stale sidecar: recompute from the
-            // whole trace and rewrite it explicitly — the in-memory
-            // annotation may already exist, in which case `next_use()`
-            // alone would not re-persist it.
-            store_next_use(&nu, frame_data(frames, frame, scale).next_use());
+            // Missing, truncated, or stale sidecar: annotate a decode of
+            // the `.grtr` and drop it, so a streamed cell never pins the
+            // whole frame in the process-wide cache.
+            let file = io::BufReader::new(File::open(&trace_path)?);
+            let trace = ChunkedReader::new(file, stream_chunk())?.read_trace()?;
+            store_next_use(&nu, &annotate_next_use(trace.accesses()));
         }
         reader = reader.with_next_use(io::BufReader::new(File::open(&nu)?))?;
     }
@@ -291,7 +310,7 @@ pub fn disk_source<'a>(
 }
 
 /// Deletes the disk-tier files of frame `(frames, frame, scale)` — for a
-/// trace that failed to decode mid-replay, which the whole-file checks of
+/// trace that failed to decode, which the whole-file checks of
 /// [`ensure_on_disk`] cannot see — so the next lookup regenerates them.
 /// Missing files are not an error.
 pub fn discard<'a>(frames: impl Into<Frames<'a>>, frame: u32, scale: Scale) {

@@ -466,7 +466,9 @@ pub fn simulate_cells(
 /// This is the one place that owns the grid's layout and fold order.
 /// Workers take the cells policy, workload, frame, so a cold grid
 /// synthesizes different frames side by side; one worker takes them
-/// workload by workload, which keeps a serial sweep's peak memory down.
+/// workload by workload, so every policy replays a workload's frames
+/// before the next workload's are rendered. The order does not bound
+/// memory: the [`crate::framecache`] keeps every frame it renders.
 /// Each aggregate sums its cells in ascending frame order, so results are
 /// byte-identical at any thread count. Annotated policies share each
 /// workload's next-use annotation: a frame's from the
@@ -549,18 +551,25 @@ fn run_cell(
     let llc_cfg = cfg.llc(opts.llc_paper_mb);
     let needs_nu = registry::needs_next_use(policy_name);
     if let (true, CellSource::Frame(frames, frame)) = (opts.streamed, source) {
-        let disk = framecache::disk_source(frames, frame, cfg.scale, needs_nu)
-            .expect("streaming disk tier failed");
-        // `None`: `GR_TRACE_CACHE` unset, so the in-memory trace below
+        // `Ok(None)`: `GR_TRACE_CACHE` unset, so the in-memory trace below
         // serves the cell (the results are identical either way).
-        if let Some(mut src) = disk {
-            match replay_cell(policy_name, llc_cfg, &mut src.reader, &src.work, opts) {
-                Ok(out) => return out,
-                // The file passed the tier's whole-file checks but a record
-                // failed to decode (or to read): drop the frame's files and
-                // replay the cell from a fresh render on a fresh LLC.
-                Err(_) => framecache::discard(frames, frame, cfg.scale),
+        match framecache::disk_source(frames, frame, cfg.scale, needs_nu) {
+            Ok(None) => {}
+            Ok(Some(mut src)) => {
+                match replay_cell(policy_name, llc_cfg, &mut src.reader, &src.work, opts) {
+                    Ok(out) => return out,
+                    // The file passed the tier's whole-file checks but a
+                    // record failed to decode (or to read): drop the frame's
+                    // files and replay the cell from a fresh render on a
+                    // fresh LLC.
+                    Err(_) => framecache::discard(frames, frame, cfg.scale),
+                }
             }
+            // A record failed to decode while the `.nu` sidecar was built.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                framecache::discard(frames, frame, cfg.scale)
+            }
+            Err(e) => panic!("streaming disk tier failed: {e}"),
         }
     }
     let (data, trace_work);

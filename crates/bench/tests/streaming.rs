@@ -189,3 +189,66 @@ fn corrupt_cached_trace_is_replaced_not_fatal() {
         assert_ne!(healed[stream_byte], 200, "{policy}: the damaged file was kept");
     }
 }
+
+/// A cold streamed OPT cell builds the frame's `.nu` sidecar from a
+/// decode of the `.grtr` it drops afterwards: the frame is not left
+/// resident in the process-wide cache, and the sidecar is the annotation
+/// of the trace on disk.
+#[test]
+fn cold_streamed_opt_cell_leaves_no_resident_frame() {
+    init_disk_cache();
+    // Frame 4 lies outside every other workload in this file.
+    const COLD_FRAME: u32 = 4;
+    let tiny = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) };
+    let app = AppProfile::by_abbrev("Dirt").expect("profile");
+    framecache::discard(&app, COLD_FRAME, Scale::Tiny);
+    let streamed = RunOptions { streamed: true, ..RunOptions::misses(&["OPT"]) };
+    let got = grbench::simulate_cell("OPT", &app, COLD_FRAME, &streamed, &tiny);
+    assert!(
+        framecache::resident(&app, COLD_FRAME, Scale::Tiny).is_none(),
+        "the streamed cell pinned its frame in memory"
+    );
+
+    let path = framecache::ensure_on_disk(&app, COLD_FRAME, Scale::Tiny)
+        .expect("disk tier I/O")
+        .expect("GR_TRACE_CACHE is set by init_disk_cache");
+    let file = std::io::BufReader::new(std::fs::File::open(&path).expect("open trace"));
+    let trace = ChunkedReader::new(file, 4096).expect("header").read_trace().expect("decode");
+    let nu = std::fs::File::open(path.with_extension("nu")).expect("sidecar written");
+    let nu = grtrace::io::read_next_use(std::io::BufReader::new(nu)).expect("sidecar decodes");
+    assert_eq!(nu, annotate_next_use(trace.accesses()));
+
+    let in_memory = RunOptions { streamed: false, ..streamed };
+    let expected = grbench::simulate_cell("OPT", &app, COLD_FRAME, &in_memory, &tiny);
+    assert_eq!(got.stats, expected.stats);
+}
+
+/// A cached `.grtr` record whose address no access can hold fails the
+/// decode that builds a missing `.nu` sidecar; the streamed OPT cell must
+/// then drop the frame's files and replay from a fresh render, not panic.
+#[test]
+fn unpackable_address_while_annotating_is_replaced_not_fatal() {
+    init_disk_cache();
+    // Frame 5 lies outside every other workload in this file.
+    const DAMAGED_FRAME: u32 = 5;
+    let tiny = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) };
+    let app = AppProfile::by_abbrev("HAWX").expect("profile");
+    let opts = RunOptions { streamed: false, ..RunOptions::misses(&["OPT"]) };
+    let expected = grbench::simulate_cell("OPT", &app, DAMAGED_FRAME, &opts, &tiny).stats;
+    framecache::clear();
+    let path = framecache::ensure_on_disk(&app, DAMAGED_FRAME, Scale::Tiny)
+        .expect("disk tier I/O")
+        .expect("GR_TRACE_CACHE is set by init_disk_cache");
+    let _ = std::fs::remove_file(path.with_extension("nu"));
+    let mut bytes = std::fs::read(&path).expect("read cached trace");
+    // The last record's address: its top byte sets bit 63.
+    let top = bytes.len() - 3;
+    bytes[top] = 0x80;
+    std::fs::write(&path, &bytes).expect("damage cached trace");
+
+    let streamed = RunOptions { streamed: true, ..opts };
+    let got = grbench::simulate_cell("OPT", &app, DAMAGED_FRAME, &streamed, &tiny);
+    assert_eq!(got.stats, expected);
+    let healed = std::fs::read(&path).expect("read regenerated trace");
+    assert_ne!(healed[top], 0x80, "the damaged file was kept");
+}

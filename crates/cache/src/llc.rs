@@ -307,8 +307,8 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
             set_in_bank: set,
             set_idx,
             base,
-            stream: access.stream,
-            write: access.write,
+            stream: access.stream(),
+            write: access.write(),
         }
     }
 

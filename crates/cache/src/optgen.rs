@@ -181,8 +181,9 @@ mod tests {
             let trace: Vec<Access> = (0..len)
                 .map(|_| {
                     let r = next();
+                    // Block addresses stay below `Access::ADDR_LIMIT / 64`.
                     let block = match r % 10 {
-                        0 => r >> 8,
+                        0 => r >> 11,
                         1 => (r % hot) << 40,
                         _ => r % hot,
                     };

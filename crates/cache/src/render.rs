@@ -110,7 +110,7 @@ impl RenderCaches {
     /// handed to the display engine), so every display access reaches the
     /// LLC directly.
     pub fn filter(&mut self, access: Access, llc_trace: &mut Trace) {
-        let stream = access.stream;
+        let stream = access.stream();
         match stream {
             StreamId::Display => {
                 llc_trace.push(access);
@@ -132,7 +132,7 @@ impl RenderCaches {
             }
             _ => {
                 let cache = self.cache_for(stream);
-                match cache.access(access.block(), access.write) {
+                match cache.access(access.block(), access.write()) {
                     Lookup::Hit => {}
                     Lookup::Miss { writeback } => {
                         llc_trace.push(access);
@@ -216,7 +216,7 @@ mod tests {
         for k in 0..25u64 {
             rc.filter(Access::store(k * 16 * 64, StreamId::RenderTarget), &mut out);
         }
-        let wb = out.iter().filter(|a| a.write && a.stream == StreamId::RenderTarget).count();
+        let wb = out.iter().filter(|a| a.write() && a.stream() == StreamId::RenderTarget).count();
         // 25 store misses + at least 1 dirty writeback.
         assert!(wb > 25, "expected stores plus writebacks, got {wb}");
     }
@@ -229,8 +229,8 @@ mod tests {
         let before = out.len();
         rc.flush(&mut out);
         assert_eq!(out.len(), before + 1);
-        assert!(out.accesses()[before].write);
-        assert_eq!(out.accesses()[before].stream, StreamId::Z);
+        assert!(out.accesses()[before].write());
+        assert_eq!(out.accesses()[before].stream(), StreamId::Z);
     }
 
     #[test]

@@ -46,9 +46,9 @@ impl<P: Policy> ReferenceLlc<P> {
             block,
             bank,
             set_in_bank: set,
-            stream: access.stream,
-            class: access.stream.policy_class(),
-            write: access.write,
+            stream: access.stream(),
+            class: access.stream().policy_class(),
+            write: access.write(),
             is_sample: self.cfg.is_sample_set(set),
             next_use,
         };

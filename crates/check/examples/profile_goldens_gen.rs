@@ -23,7 +23,7 @@ fn main() {
         let trace = Frames::from(&p.graph()).render(0, Scale::Tiny).0;
         print!("{}: ", p.name);
         for s in StreamId::ALL {
-            let n = trace.accesses().iter().filter(|a| a.stream == s).count();
+            let n = trace.accesses().iter().filter(|a| a.stream() == s).count();
             if n > 0 {
                 print!("({s:?}, {n}), ");
             }

@@ -271,7 +271,7 @@ pub fn run_profiles(paper_mb: u64) -> ConformanceReport {
         let trace = Frames::from(&profile.graph()).render(0, Scale::Tiny).0;
 
         for stream in StreamId::ALL {
-            let got = trace.accesses().iter().filter(|a| a.stream == stream).count() as u64;
+            let got = trace.accesses().iter().filter(|a| a.stream() == stream).count() as u64;
             let expected =
                 golden.accesses.iter().find(|(s, _)| *s == stream).map_or(0, |(_, n)| *n);
             report.check(got == expected, || {

@@ -394,7 +394,7 @@ mod tests {
     fn traces_mix_streams_and_hit_the_llc() {
         let accesses = synth_trace(11, 3, 6000);
         let streams: std::collections::HashSet<StreamId> =
-            accesses.iter().map(|a| a.stream).collect();
+            accesses.iter().map(|a| a.stream()).collect();
         assert!(streams.len() >= 2, "fuzz trace uses a single stream");
         let stats = differential_replay(&fuzz_llc(), "DRRIP", &accesses, Fault::None).unwrap();
         assert!(stats.evictions > 0, "trace never filled a set");
@@ -419,7 +419,7 @@ mod tests {
         let mut accesses = synth_trace(5, 0, 3000);
         // Ensure the first block recurs later in the trace.
         let first = accesses[0];
-        accesses.push(Access::load(first.addr, first.stream));
+        accesses.push(Access::load(first.addr(), first.stream()));
         let d = differential_replay(&cfg, "DRRIP", &accesses, Fault::MirrorDesyncAfterFirst)
             .expect_err("mirror desync must diverge");
         assert!(d.index > 0);
@@ -457,7 +457,7 @@ mod tests {
             .unwrap_or_else(|d| panic!("GOPT diverged on alt geometry: {} @{}", d.detail, d.index));
 
         let first = accesses[0];
-        accesses.push(Access::load(first.addr, first.stream));
+        accesses.push(Access::load(first.addr(), first.stream()));
         let d = differential_replay(&cfg, "GOPT", &accesses, Fault::MirrorDesyncAfterFirst)
             .expect_err("mirror desync must diverge under GOPT too");
         assert!(d.index > 0);
@@ -477,7 +477,7 @@ mod tests {
         assert_eq!(a.len(), 2500, "profile-backed case must honor len");
         let c = synth_trace(8, 2, 2500);
         assert_ne!(a, c, "different seeds sample different profile traces");
-        let streams: std::collections::HashSet<StreamId> = a.iter().map(|x| x.stream).collect();
+        let streams: std::collections::HashSet<StreamId> = a.iter().map(|x| x.stream()).collect();
         assert!(!streams.is_empty());
     }
 
@@ -493,7 +493,7 @@ mod tests {
             .unwrap_or_else(|d| panic!("clean profile trace diverged: {} @{}", d.detail, d.index));
 
         let first = accesses[0];
-        accesses.push(Access::load(first.addr, first.stream));
+        accesses.push(Access::load(first.addr(), first.stream()));
         let d = differential_replay(&cfg, "GSPC", &accesses, Fault::MirrorDesyncAfterFirst)
             .expect_err("mirror desync must diverge on a profile trace");
         assert!(d.index > 0);

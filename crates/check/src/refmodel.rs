@@ -144,9 +144,9 @@ impl<P: Policy> RefLlc<P> {
             block,
             bank,
             set_in_bank,
-            stream: access.stream,
-            class: access.stream.policy_class(),
-            write: access.write,
+            stream: access.stream(),
+            class: access.stream().policy_class(),
+            write: access.write(),
             is_sample: self.cfg.is_sample_set(set_in_bank),
             next_use,
         };

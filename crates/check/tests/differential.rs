@@ -67,7 +67,7 @@ fn injected_mirror_desync_is_caught_shrunk_and_dumped() {
     // Guarantee a re-probe of the corrupted block so the desync is
     // reachable even if the generator never revisits it.
     let first = accesses[0];
-    accesses.push(Access { addr: first.addr, stream: first.stream, write: false });
+    accesses.push(Access::load(first.addr(), first.stream()));
 
     let divergence = differential_replay(&llc, "DRRIP", &accesses, Fault::MirrorDesyncAfterFirst)
         .expect_err("corrupted mirror tag must diverge");

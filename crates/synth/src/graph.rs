@@ -744,7 +744,7 @@ mod tests {
         let (t, _) = Frames::from(&g).render(0, Scale::Tiny);
         assert!(!t.is_empty());
         for a in t.accesses() {
-            assert_eq!(a.stream, StreamId::Other, "compute graphs emit only Other");
+            assert_eq!(a.stream(), StreamId::Other, "compute graphs emit only Other");
         }
     }
 
@@ -765,7 +765,7 @@ mod tests {
                 .0
                 .accesses()
                 .iter()
-                .filter(|a| a.stream == StreamId::Texture)
+                .filter(|a| a.stream() == StreamId::Texture)
                 .map(|a| a.block())
                 .collect()
         };

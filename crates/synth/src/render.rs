@@ -102,6 +102,9 @@ impl<'a> Renderer<'a> {
         for s in 0..STAGES {
             self.run_stage(s);
         }
+        // The trace was reserved for the largest frame; callers such as the
+        // frame cache keep it for the life of the process.
+        self.kit.trace.shrink_to_fit();
         (self.kit.trace, self.kit.work)
     }
 

@@ -36,12 +36,12 @@ fn every_app_produces_dynamic_texturing_potential() {
         let trace = grsynth::generate_frame(&app, 0, Scale::Tiny);
         let rt_blocks: std::collections::HashSet<u64> = trace
             .iter()
-            .filter(|a| a.stream == StreamId::RenderTarget)
+            .filter(|a| a.stream() == StreamId::RenderTarget)
             .map(|a| a.block())
             .collect();
         let consumed = trace
             .iter()
-            .filter(|a| a.stream == StreamId::Texture && rt_blocks.contains(&a.block()))
+            .filter(|a| a.stream() == StreamId::Texture && rt_blocks.contains(&a.block()))
             .count();
         assert!(consumed > 0, "{} has no render-to-texture reuse", app.abbrev);
     }
@@ -54,7 +54,7 @@ fn addresses_stay_within_allocated_surfaces() {
     let app = AppProfile::by_abbrev("Dirt").unwrap();
     let trace = grsynth::generate_frame(&app, 0, Scale::Tiny);
     for a in trace.iter().take(50_000) {
-        assert!(a.addr >= BLOCK_BYTES, "address below allocator base");
+        assert!(a.addr() >= BLOCK_BYTES, "address below allocator base");
     }
 }
 
@@ -64,7 +64,7 @@ fn display_stream_is_unique_blocks() {
     let app = AppProfile::by_abbrev("BioShock").unwrap();
     let trace = grsynth::generate_frame(&app, 0, Scale::Tiny);
     let display: Vec<u64> =
-        trace.iter().filter(|a| a.stream == StreamId::Display).map(|a| a.block()).collect();
+        trace.iter().filter(|a| a.stream() == StreamId::Display).map(|a| a.block()).collect();
     let unique: std::collections::HashSet<&u64> = display.iter().collect();
     assert_eq!(display.len(), unique.len(), "display blocks rewritten");
 }
@@ -78,12 +78,12 @@ fn consumption_rate_tracks_profile_knob() {
         let trace = grsynth::generate_frame(&app, 0, Scale::Tiny);
         let rt_blocks: std::collections::HashSet<u64> = trace
             .iter()
-            .filter(|a| a.stream == StreamId::RenderTarget)
+            .filter(|a| a.stream() == StreamId::RenderTarget)
             .map(|a| a.block())
             .collect();
         let consumed: std::collections::HashSet<u64> = trace
             .iter()
-            .filter(|a| a.stream == StreamId::Texture && rt_blocks.contains(&a.block()))
+            .filter(|a| a.stream() == StreamId::Texture && rt_blocks.contains(&a.block()))
             .map(|a| a.block())
             .collect();
         consumed.len() as f64 / rt_blocks.len() as f64

@@ -21,8 +21,8 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// Digest of one rendered frame: its accesses in order, then its counters.
 fn digest(h: u64, trace: &Trace, work: FrameWork) -> u64 {
     let mut h = trace.iter().fold(h, |h, a| {
-        let h = fnv1a(h, &a.addr.to_le_bytes());
-        fnv1a(h, &[a.stream.index() as u8, u8::from(a.write)])
+        let h = fnv1a(h, &a.addr().to_le_bytes());
+        fnv1a(h, &[a.stream().index() as u8, u8::from(a.write())])
     });
     for v in [work.shaded_pixels, work.texel_samples, work.vertices, work.raw_accesses] {
         h = fnv1a(h, &v.to_le_bytes());

@@ -162,9 +162,9 @@ pub fn import<R: Read>(reader: R) -> Result<Trace, ImportError> {
         return Err(ImportError::ZeroAccesses);
     }
     let trace = source.read_trace()?;
-    let out_of_range = |a: &Access| a.addr == 0 || a.addr >= MAX_IMPORT_ADDR;
+    let out_of_range = |a: &Access| a.addr() == 0 || a.addr() >= MAX_IMPORT_ADDR;
     if let Some(index) = trace.iter().position(out_of_range) {
-        let addr = trace.accesses()[index].addr;
+        let addr = trace.accesses()[index].addr();
         return Err(ImportError::AddressOutOfRange { index: index as u64, addr });
     }
     match source.into_inner().read_exact(&mut [0u8; 1]) {

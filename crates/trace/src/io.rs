@@ -49,12 +49,8 @@ const NU_VERSION: u32 = 1;
 const RECORD_BYTES: usize = 10;
 
 /// Default [`ChunkedReader`] chunk capacity, in accesses (64 Ki accesses
-/// ≈ 1 MiB resident once decoded).
+/// ≈ 512 KiB resident once decoded).
 pub const DEFAULT_CHUNK: usize = 1 << 16;
-
-fn stream_code(s: StreamId) -> u8 {
-    s.index() as u8
-}
 
 fn stream_from_code(code: u8) -> Option<StreamId> {
     StreamId::ALL.get(usize::from(code)).copied()
@@ -73,8 +69,14 @@ fn write_header<W: Write>(writer: &mut W, app: &str, frame: u32, count: u64) -> 
 
 #[inline]
 fn write_record<W: Write>(writer: &mut W, a: &Access) -> io::Result<()> {
-    writer.write_all(&a.addr.to_le_bytes())?;
-    writer.write_all(&[stream_code(a.stream), u8::from(a.write)])
+    // The stream and write bytes go in as one 16-bit store: two byte
+    // stores that the copy into the buffer reads back as one 16-bit load
+    // cannot be store-forwarded, which stalls every record.
+    let tail = u16::from(a.stream_code()) | u16::from(a.write()) << 8;
+    let mut record = [0u8; RECORD_BYTES];
+    record[..8].copy_from_slice(&a.addr().to_le_bytes());
+    record[8..].copy_from_slice(&tail.to_le_bytes());
+    writer.write_all(&record)
 }
 
 /// Writes `trace` to `writer` in the binary format.
@@ -342,7 +344,7 @@ pub fn write_atomic(
 /// The header is parsed eagerly (so [`ChunkedReader::app`] and friends work
 /// before the first chunk); records are then decoded `chunk_capacity`
 /// accesses at a time. Peak resident memory is
-/// `chunk_capacity × (10 raw + 16 decoded [+ 8 annotation]) bytes`
+/// `chunk_capacity × (10 raw + 8 decoded [+ 8 annotation]) bytes`
 /// regardless of the trace length — this is what lets full-scale
 /// (`GR_SCALE=1`) frames replay on small machines.
 ///
@@ -482,9 +484,11 @@ impl<R: Read> ChunkedReader<R> {
 impl<R: Read> AccessSource for ChunkedReader<R> {
     /// # Errors
     ///
-    /// A truncated body or an unknown stream code is an `InvalidData`
-    /// error carrying [`ImportError::TruncatedBody`] (with the whole
-    /// records present) or [`ImportError::BadStreamCode`].
+    /// A truncated body, an unknown stream code or an address no
+    /// [`Access`] can hold (at or above [`Access::ADDR_LIMIT`]) is an
+    /// `InvalidData` error carrying [`ImportError::TruncatedBody`] (with
+    /// the whole records present), [`ImportError::BadStreamCode`] or
+    /// [`ImportError::AddressOutOfRange`].
     fn advance(&mut self) -> io::Result<bool> {
         let n = self.remaining().min(self.chunk_cap as u64) as usize;
         if n == 0 {
@@ -503,7 +507,11 @@ impl<R: Read> AccessSource for ChunkedReader<R> {
                 return Err(ImportError::BadStreamCode { index, code: rec[8] }.into());
             };
             let addr = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-            self.accesses.push(Access { addr, stream, write: rec[9] != 0 });
+            if addr >= Access::ADDR_LIMIT {
+                let index = self.consumed + i as u64;
+                return Err(ImportError::AddressOutOfRange { index, addr }.into());
+            }
+            self.accesses.push(Access::new(addr, stream, rec[9] != 0));
         }
         if whole < n {
             let got = self.consumed + whole as u64;
@@ -560,7 +568,7 @@ mod tests {
     fn sample() -> Trace {
         let mut t = Trace::new("Röntgen", 42);
         for (i, s) in StreamId::ALL.iter().enumerate() {
-            t.push(Access { addr: i as u64 * 1000, stream: *s, write: i % 2 == 0 });
+            t.push(Access::new(i as u64 * 1000, *s, i % 2 == 0));
         }
         t
     }
@@ -693,14 +701,33 @@ mod tests {
         }
     }
 
+    /// A record whose address no `Access` can hold is a typed error
+    /// naming its record, not a panic, wherever the chunk boundaries fall.
+    #[test]
+    fn chunked_reader_rejects_unpackable_addresses() {
+        let mut buf = Vec::new();
+        write(&mut buf, &big_sample(50)).unwrap();
+        let body = buf.len() - 50 * RECORD_BYTES;
+        for addr in [Access::ADDR_LIMIT, u64::MAX] {
+            let mut bad = buf.clone();
+            let rec = body + 23 * RECORD_BYTES;
+            bad[rec..rec + 8].copy_from_slice(&addr.to_le_bytes());
+            for chunk in [1, 7, 64] {
+                let err = first_error(ChunkedReader::new(&bad[..], chunk).unwrap());
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                match ImportError::from(err) {
+                    ImportError::AddressOutOfRange { index: 23, addr: a } if a == addr => {}
+                    other => panic!("chunk {chunk} addr {addr:#x}: {other:?}"),
+                }
+            }
+        }
+    }
+
     fn big_sample(n: u64) -> Trace {
         let mut t = Trace::new("chunky", 9);
         for i in 0..n {
-            t.push(Access {
-                addr: i * 64,
-                stream: StreamId::ALL[(i % StreamId::ALL.len() as u64) as usize],
-                write: i % 3 == 0,
-            });
+            let stream = StreamId::ALL[(i % StreamId::ALL.len() as u64) as usize];
+            t.push(Access::new(i * 64, stream, i % 3 == 0));
         }
         t
     }
@@ -809,6 +836,7 @@ mod tests {
     fn stream_codes_are_stable() {
         // The on-disk format depends on these indices; breaking them
         // breaks old traces.
+        let stream_code = |s| Access::load(0, s).stream_code();
         assert_eq!(stream_code(StreamId::Vertex), 0);
         assert_eq!(stream_code(StreamId::Display), 7);
         assert_eq!(stream_from_code(8), Some(StreamId::Other));

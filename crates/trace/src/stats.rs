@@ -33,9 +33,9 @@ impl StreamStats {
     /// Records one access.
     #[inline]
     pub fn record(&mut self, access: &Access) {
-        let i = access.stream.index();
+        let i = access.stream().index();
         self.accesses[i] += 1;
-        if access.write {
+        if access.write() {
             self.writes[i] += 1;
         }
     }

@@ -83,6 +83,12 @@ impl Trace {
         &self.stats
     }
 
+    /// Drops spare capacity, so a trace kept for the life of a process
+    /// holds exactly its accesses.
+    pub fn shrink_to_fit(&mut self) {
+        self.accesses.shrink_to_fit();
+    }
+
     /// Drains the buffered accesses, leaving the trace empty but keeping
     /// the app/frame identity and the cumulative [`Trace::stats`].
     ///
@@ -152,7 +158,7 @@ mod tests {
         for i in 0..10u64 {
             t.push(Access::load(i * 64, StreamId::Vertex));
         }
-        let addrs: Vec<u64> = t.iter().map(|a| a.addr).collect();
+        let addrs: Vec<u64> = t.iter().map(|a| a.addr()).collect();
         assert_eq!(addrs, (0..10).map(|i| i * 64).collect::<Vec<_>>());
     }
 }

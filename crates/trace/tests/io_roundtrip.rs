@@ -36,11 +36,10 @@ fn roundtrip() {
             .collect();
         let mut t = Trace::new(app, rng.next() as u32);
         for _ in 0..rng.below(300) {
-            t.push(Access {
-                addr: rng.next(),
-                stream: StreamId::ALL[rng.below(9) as usize],
-                write: rng.next() & 1 == 1,
-            });
+            // Any address an access can hold.
+            let addr = rng.below(Access::ADDR_LIMIT);
+            let stream = StreamId::ALL[rng.below(9) as usize];
+            t.push(Access::new(addr, stream, rng.next() & 1 == 1));
         }
         let mut buf = Vec::new();
         trace_io::write(&mut buf, &t).expect("write to Vec cannot fail");

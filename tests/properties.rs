@@ -42,7 +42,7 @@ fn random_trace(rng: &mut Rng, max_len: u64, addr_space_blocks: u64) -> Trace {
         let block = rng.below(addr_space_blocks);
         let stream = STREAMS[rng.below(8) as usize];
         let write = rng.next() & 1 == 1;
-        t.push(Access { addr: block * 64, stream, write });
+        t.push(Access::new(block * 64, stream, write));
     }
     t
 }
@@ -143,7 +143,7 @@ fn writebacks_bounded_by_stores() {
     let cfg = small_llc();
     for _ in 0..32 {
         let trace = random_trace(&mut rng, 600, 128);
-        let stores = trace.iter().filter(|a| a.write).count() as u64;
+        let stores = trace.iter().filter(|a| a.write()).count() as u64;
         let mut llc = Llc::new(cfg, registry::create("DRRIP", &cfg).unwrap());
         llc.run_trace(&trace, None);
         assert!(llc.stats().writebacks <= stores);
@@ -177,7 +177,7 @@ fn bypass_and_cold_miss_bounds() {
     let cfg = small_llc();
     for _ in 0..32 {
         let trace = random_trace(&mut rng, 600, 64);
-        let display = trace.iter().filter(|a| a.stream == StreamId::Display).count() as u64;
+        let display = trace.iter().filter(|a| a.stream() == StreamId::Display).count() as u64;
         let distinct: std::collections::HashSet<u64> = trace.iter().map(|a| a.block()).collect();
 
         let mut plain = Llc::new(cfg, registry::create("GSPC", &cfg).unwrap());
