@@ -21,8 +21,8 @@
 //! `GR_STREAM_CHUNK`, and `GR_STREAMED` (see the grbench crate docs).
 //! `dump` streams the frame band by band straight to the file, so the
 //! trace is never materialized; `info` and `replay` read files through the
-//! validating [`grtrace::import`], so a malformed file is a typed error
-//! (exit 1), never a panic.
+//! validating [`grtrace::import`](fn@grtrace::import), so a malformed file
+//! is a typed error (exit 1), never a panic.
 
 use std::fs::File;
 use std::io::BufWriter;

@@ -1,6 +1,6 @@
 //! Shared command-line exit conventions.
 //!
-//! Every binary in the workspace (`grsim`, `grserved`, `grload`, …) exits
+//! Every binary in the workspace (`grsim`, `grserved`, `grart`, …) exits
 //! through these helpers instead of ad-hoc `eprintln!` + `exit` sites, so
 //! scripts and CI can rely on one stable contract:
 //!

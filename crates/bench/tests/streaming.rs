@@ -14,6 +14,9 @@ use grtrace::io::ChunkedReader;
 use grtrace::{AccessSource, Trace};
 use gspc::registry;
 
+/// The Belady-annotated policy of the annotation and sidecar checks.
+const OPT: &str = "OPT";
+
 /// Routes the disk tier at a per-process temp directory so the streaming
 /// paths are exercised even where `GR_TRACE_CACHE` is not exported.
 /// `Once` synchronizes the write: every test calls this before touching
@@ -103,8 +106,8 @@ fn disk_tier_streams_bit_identically() {
         .expect("disk tier I/O")
         .expect("GR_TRACE_CACHE is set");
     assert!(path.with_extension("nu").exists(), ".nu sidecar must be persisted");
-    let (disk_stats, disk_log) = replay_source("OPT", src.reader);
-    let (base_stats, base_log) = replay_source("OPT", trace.source_annotated(&nu));
+    let (disk_stats, disk_log) = replay_source(OPT, src.reader);
+    let (base_stats, base_log) = replay_source(OPT, trace.source_annotated(&nu));
     assert_eq!(base_stats, disk_stats);
     assert_eq!(base_log, disk_log);
 
@@ -138,7 +141,7 @@ fn synthesis_stream_feeds_llc_identically() {
 fn streamed_workload_matches_materialized() {
     init_disk_cache();
     let cfg = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(2) };
-    let policies = ["OPT", "GSPC", "DRRIP"];
+    let policies = [OPT, "GSPC", "DRRIP"];
     let base = run_workload(&RunOptions { streamed: false, ..RunOptions::misses(&policies) }, &cfg);
     let streamed =
         run_workload(&RunOptions { streamed: true, ..RunOptions::misses(&policies) }, &cfg);
@@ -165,7 +168,7 @@ fn corrupt_cached_trace_is_replaced_not_fatal() {
     const CORRUPT_FRAME: u32 = 3;
     let tiny = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) };
     let app = AppProfile::by_abbrev("HAWX").expect("profile");
-    for policy in ["DRRIP", "OPT"] {
+    for policy in ["DRRIP", OPT] {
         let opts = RunOptions { streamed: false, ..RunOptions::misses(&[policy]) };
         let expected = grbench::simulate_cell(policy, &app, CORRUPT_FRAME, &opts, &tiny).stats;
         let path = framecache::ensure_on_disk(&app, CORRUPT_FRAME, Scale::Tiny)
@@ -202,8 +205,8 @@ fn cold_streamed_opt_cell_leaves_no_resident_frame() {
     let tiny = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) };
     let app = AppProfile::by_abbrev("Dirt").expect("profile");
     framecache::discard(&app, COLD_FRAME, Scale::Tiny);
-    let streamed = RunOptions { streamed: true, ..RunOptions::misses(&["OPT"]) };
-    let got = grbench::simulate_cell("OPT", &app, COLD_FRAME, &streamed, &tiny);
+    let streamed = RunOptions { streamed: true, ..RunOptions::misses(&[OPT]) };
+    let got = grbench::simulate_cell(OPT, &app, COLD_FRAME, &streamed, &tiny);
     assert!(
         framecache::resident(&app, COLD_FRAME, Scale::Tiny).is_none(),
         "the streamed cell pinned its frame in memory"
@@ -219,7 +222,7 @@ fn cold_streamed_opt_cell_leaves_no_resident_frame() {
     assert_eq!(nu, annotate_next_use(trace.accesses()));
 
     let in_memory = RunOptions { streamed: false, ..streamed };
-    let expected = grbench::simulate_cell("OPT", &app, COLD_FRAME, &in_memory, &tiny);
+    let expected = grbench::simulate_cell(OPT, &app, COLD_FRAME, &in_memory, &tiny);
     assert_eq!(got.stats, expected.stats);
 }
 
@@ -233,8 +236,8 @@ fn unpackable_address_while_annotating_is_replaced_not_fatal() {
     const DAMAGED_FRAME: u32 = 5;
     let tiny = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) };
     let app = AppProfile::by_abbrev("HAWX").expect("profile");
-    let opts = RunOptions { streamed: false, ..RunOptions::misses(&["OPT"]) };
-    let expected = grbench::simulate_cell("OPT", &app, DAMAGED_FRAME, &opts, &tiny).stats;
+    let opts = RunOptions { streamed: false, ..RunOptions::misses(&[OPT]) };
+    let expected = grbench::simulate_cell(OPT, &app, DAMAGED_FRAME, &opts, &tiny).stats;
     framecache::clear();
     let path = framecache::ensure_on_disk(&app, DAMAGED_FRAME, Scale::Tiny)
         .expect("disk tier I/O")
@@ -247,7 +250,7 @@ fn unpackable_address_while_annotating_is_replaced_not_fatal() {
     std::fs::write(&path, &bytes).expect("damage cached trace");
 
     let streamed = RunOptions { streamed: true, ..opts };
-    let got = grbench::simulate_cell("OPT", &app, DAMAGED_FRAME, &streamed, &tiny);
+    let got = grbench::simulate_cell(OPT, &app, DAMAGED_FRAME, &streamed, &tiny);
     assert_eq!(got.stats, expected);
     let healed = std::fs::read(&path).expect("read regenerated trace");
     assert_ne!(healed[top], 0x80, "the damaged file was kept");

@@ -309,7 +309,7 @@ const ORDERING_TOLERANCE: f64 = 0.02;
 /// [`figures::fig15`] machine, the exact workload FPS (each frame's own
 /// memory log timed through the DDR3 and interval models) must respect
 /// [`figures::PERF_FPS_ORDER`] — GSPC ≥ GS-DRRIP ≥ DRRIP ≥ NRU — within
-/// [`ORDERING_TOLERANCE`]. Always evaluated at the pinned `Scale::Tiny`
+/// `ORDERING_TOLERANCE`. Always evaluated at the pinned `Scale::Tiny`
 /// configuration regardless of `GR_SCALE`, like [`run_profiles`], so the
 /// golden stays one exact workload.
 pub fn run_figure_ordering() -> ConformanceReport {

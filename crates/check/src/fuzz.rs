@@ -3,9 +3,8 @@
 //! A fuzz case is a seeded synthetic access stream — randomized stream
 //! mix, surface footprints, address locality, and epoch churn — replayed
 //! simultaneously through the production [`Llc`] and the naive
-//! [`RefLlc`](crate::refmodel::RefLlc), once driving a registry clone of
-//! the policy under test and once driving its independent oracle
-//! ([`crate::oracle`]). The first disagreement (per-access result or final
+//! [`RefLlc`], once driving a registry clone of the policy under test and
+//! once driving its independent oracle ([`crate::oracle`]). The first disagreement (per-access result or final
 //! statistics) is a [`Divergence`]; [`shrink`] then reduces the trace to a
 //! minimal reproducer suitable for a `.gtrace` artifact.
 

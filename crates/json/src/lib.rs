@@ -6,9 +6,8 @@
 //! which makes exported `BENCH_*.json` files diffable across runs and
 //! thread counts, and makes the `grserve` daemon's responses byte-stable
 //! for content-addressed caching. The companion [`Json::parse`] reads the
-//! same documents back — the `grload` regression gate uses it to load the
-//! committed `BENCH_serve.json`, and the serving layer uses it to decode
-//! request bodies.
+//! same documents back; the serving layer uses it to decode request
+//! bodies.
 
 use std::fmt::Write as _;
 

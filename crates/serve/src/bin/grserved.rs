@@ -5,7 +5,7 @@
 //!          [--result-cache DIR] [--result-cache-max BYTES]
 //!          [--port-file PATH] [--linger-ms N]
 //!          [--read-deadline-ms N] [--idle-timeout-ms N] [--max-conns N]
-//!          [--allow-http-shutdown] [--exit-on-parent-close]
+//!          [--exit-on-parent-close]
 //! ```
 //!
 //! `--exit-on-parent-close` ties the daemon's lifetime to whoever spawned
@@ -17,8 +17,9 @@
 //! Binds (port 0 = ephemeral), prints `grserved listening on http://ADDR`,
 //! and serves until SIGTERM or ctrl-C, then drains: queued and running
 //! jobs complete, new submissions get 503, and the process exits 0.
-//! `--port-file` writes the resolved `HOST:PORT` so supervisors and the
-//! CI smoke test can discover an ephemeral port without parsing stdout.
+//! `--port-file` writes the resolved `HOST:PORT` so supervisors, the
+//! benchmark and `crates/serve/tests/daemon.rs` can discover an ephemeral
+//! port without parsing stdout.
 //!
 //! Execution knobs come from the environment once, at startup
 //! (`GR_THREADS`, `GR_STREAMED`, `GR_CHECK`, `GR_SCALE`,
@@ -40,8 +41,7 @@ use grserve::ServerConfig;
 
 const USAGE: &str = "grserved [--addr HOST:PORT] [--workers N] [--queue-cap N] \
 [--result-cache DIR] [--result-cache-max BYTES] [--port-file PATH] [--linger-ms N] \
-[--read-deadline-ms N] [--idle-timeout-ms N] [--max-conns N] [--allow-http-shutdown] \
-[--exit-on-parent-close]";
+[--read-deadline-ms N] [--idle-timeout-ms N] [--max-conns N] [--exit-on-parent-close]";
 
 /// Set from the signal handler; polled by the main thread.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -123,7 +123,6 @@ fn main() {
                 Err(_) => cli::user_error("--result-cache-max must be a byte count"),
             },
             "--port-file" => port_file = Some(PathBuf::from(value("--port-file"))),
-            "--allow-http-shutdown" => cfg.allow_http_shutdown = true,
             "--exit-on-parent-close" => exit_on_parent_close = true,
             _ => cli::usage_error(USAGE),
         }
@@ -150,19 +149,13 @@ fn main() {
     }
     println!("grserved listening on http://{addr}");
 
-    // Block until a signal or an HTTP-initiated drain, then wait for the
-    // drain to complete before exiting 0.
-    loop {
+    // Block until a signal or parent close, then wait for the drain to
+    // complete before exiting 0.
+    while !SHUTDOWN.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(25));
-        if SHUTDOWN.load(Ordering::SeqCst) {
-            eprintln!("grserved: draining");
-            server.begin_shutdown();
-            break;
-        }
-        if server.is_drained() {
-            break;
-        }
     }
+    eprintln!("grserved: draining");
+    server.begin_shutdown();
     server.join();
     eprintln!("grserved: drained, exiting");
 }

@@ -22,7 +22,7 @@
 //! gets a 408 and is closed; a fully idle connection older than
 //! `idle_timeout` is dropped silently; head/body size violations are
 //! mapped to 431/413 by the parser. A connection whose outbound buffer
-//! exceeds [`OUT_BUF_CAP`] stops being read (backpressure) until the
+//! exceeds `OUT_BUF_CAP` (4 MiB) stops being read (backpressure) until the
 //! client drains it.
 
 use std::collections::HashMap;
@@ -59,10 +59,10 @@ pub trait Handler: Send + Sync {
     fn handle(&self, request: Request) -> Response;
 }
 
-/// Connection-state gauges, refreshed every [`TICK`] by the loop and read
-/// by the `/metrics` renderer. A connection counts as *writing* if it has
-/// unflushed responses, else *reading* if a request is half-received,
-/// else *idle*.
+/// Connection-state gauges, refreshed every `TICK` (100 ms) by the loop
+/// and read by the `/metrics` renderer. A connection counts as *writing*
+/// if it has unflushed responses, else *reading* if a request is
+/// half-received, else *idle*.
 #[derive(Default)]
 pub struct ConnGauges {
     /// Open connections.

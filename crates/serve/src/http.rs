@@ -13,10 +13,6 @@
 //! [`MAX_BODY_BYTES`] → 413, anything unparseable → 400. The read
 //! *deadline* lives in the event loop (408), since only it owns time.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
-
 /// Upper bound on the request head (request line + headers), bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
@@ -264,77 +260,6 @@ fn status_text(status: u16) -> &'static str {
         503 => "Service Unavailable",
         _ => "Unknown",
     }
-}
-
-/// A fetched response: status code, headers (lowercased names), body.
-pub type FetchResponse = (u16, Vec<(String, String)>, Vec<u8>);
-
-/// One blocking `Connection: close` HTTP exchange — the client `grart`
-/// uses to submit jobs to, poll, and shut down a daemon. Reads the
-/// response body by `Content-Length` (every grserved response carries
-/// one), so it works against keep-alive servers too.
-pub fn fetch(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &[u8],
-    timeout: Duration,
-) -> io::Result<FetchResponse> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut stream = stream;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-         Content-Type: application/json\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-
-    let mut raw = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 4096];
-    let (head_len, content_length, status, headers) = loop {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "EOF before response head"));
-        }
-        raw.extend_from_slice(&chunk[..n]);
-        if let Some(head_len) = find_head_end(&raw) {
-            let head = std::str::from_utf8(&raw[..head_len]).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response head")
-            })?;
-            let mut lines = head.split("\r\n");
-            let status: u16 = lines
-                .next()
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-            let headers: Vec<(String, String)> = lines
-                .filter_map(|line| line.split_once(':'))
-                .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-                .collect();
-            let content_length = headers
-                .iter()
-                .find(|(k, _)| k == "content-length")
-                .and_then(|(_, v)| v.parse::<usize>().ok())
-                .unwrap_or(0);
-            break (head_len, content_length, status, headers);
-        }
-        if raw.len() > MAX_HEAD_BYTES {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "response head too large"));
-        }
-    };
-
-    let total = head_len + 4 + content_length;
-    while raw.len() < total {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "EOF mid-body"));
-        }
-        raw.extend_from_slice(&chunk[..n]);
-    }
-    Ok((status, headers, raw[head_len + 4..total].to_vec()))
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Job execution: turning a canonical [`JobSpec`] into its result payload.
 //!
-//! This is the one function both the daemon's worker pool and `grload`'s
-//! offline verification call, so "service result == direct run" is
-//! bit-for-bit checkable: every job is one [`grbench::run_grid`] — the
-//! same replay path and (policy, workload, frame) fold order as the
-//! offline tools — serialized by the same [`grjson`] code, whatever the
-//! thread count. The payload deliberately carries **no wall-clock
+//! This is the one function both the daemon's worker pool and the offline
+//! side of `crates/serve/tests/daemon.rs` call, so "service result ==
+//! direct run" is bit-for-bit checkable: every job is one
+//! [`grbench::run_grid`] — the same replay path and (policy, workload,
+//! frame) fold order as the offline tools — serialized by the same
+//! [`grjson`] code, whatever the thread count. The payload deliberately carries **no wall-clock
 //! fields** — every byte is a pure function of the spec, which is what
 //! makes content-addressed caching sound.
 

@@ -11,7 +11,6 @@
 //! | `GET /v1/jobs/{id}/result` | Raw payload bytes (bit-for-bit surface) |
 //! | `GET /v1/policies`, `/v1/apps` | Discoverable vocabulary |
 //! | `GET /metrics` | Prometheus text exposition |
-//! | `POST /v1/shutdown` | Graceful drain (opt-in) |
 //!
 //! The connection layer ([`eventloop`]) is a single-threaded epoll
 //! readiness loop ([`poll`]) speaking HTTP/1.1 keep-alive with pipelining
@@ -33,8 +32,8 @@
 //! 3. **Deterministic payloads** ([`job`]): no wall-clock fields, same
 //!    replay path and aggregation order as the offline tools, so the
 //!    service answer is bit-identical to a direct run, whether it was
-//!    executed or read from either cache tier. `grload smoke` asserts
-//!    exactly that.
+//!    executed or read from either cache tier. `tests/daemon.rs` asserts
+//!    exactly that against the spawned binary at four threads.
 //!
 //! Admission control is a bounded queue: beyond `queue_cap` pending jobs
 //! the server answers 429 with `Retry-After` instead of accumulating

@@ -29,21 +29,18 @@ pub enum Endpoint {
     Profiles,
     /// `GET /metrics`
     Metrics,
-    /// `POST /v1/shutdown`
-    Shutdown,
     /// Anything else (404s, bad methods, parse failures).
     Other,
 }
 
 impl Endpoint {
-    const ALL: [Endpoint; 8] = [
+    const ALL: [Endpoint; 7] = [
         Endpoint::SubmitJob,
         Endpoint::GetJob,
         Endpoint::Policies,
         Endpoint::Apps,
         Endpoint::Profiles,
         Endpoint::Metrics,
-        Endpoint::Shutdown,
         Endpoint::Other,
     ];
 
@@ -55,8 +52,7 @@ impl Endpoint {
             Endpoint::Apps => 3,
             Endpoint::Profiles => 4,
             Endpoint::Metrics => 5,
-            Endpoint::Shutdown => 6,
-            Endpoint::Other => 7,
+            Endpoint::Other => 6,
         }
     }
 
@@ -69,7 +65,6 @@ impl Endpoint {
             Endpoint::Apps => "apps",
             Endpoint::Profiles => "profiles",
             Endpoint::Metrics => "metrics",
-            Endpoint::Shutdown => "shutdown",
             Endpoint::Other => "other",
         }
     }
@@ -111,7 +106,7 @@ pub struct ServerSnapshot {
 /// shared by every connection and worker thread.
 #[derive(Default)]
 pub struct Metrics {
-    endpoints: [EndpointStats; 8],
+    endpoints: [EndpointStats; 7],
     /// Jobs accepted into the queue.
     pub jobs_submitted: AtomicU64,
     /// Submissions that joined an already queued/running job.

@@ -74,8 +74,6 @@ pub struct ServerConfig {
     /// Disk-tier byte budget; `None` reads `GR_RESULT_CACHE_MAX` (with
     /// its built-in default).
     pub result_cache_max: Option<u64>,
-    /// Honor `POST /v1/shutdown` (tests and supervised deployments).
-    pub allow_http_shutdown: bool,
     /// How long the listener keeps answering reads after the drain
     /// completes, so clients can collect final states and metrics.
     pub linger: Duration,
@@ -105,7 +103,6 @@ impl Default for ServerConfig {
             default_scale: ExperimentConfig::from_env().scale,
             result_cache_dir: std::env::var_os("GR_RESULT_CACHE").map(PathBuf::from),
             result_cache_max: None,
-            allow_http_shutdown: false,
             linger: Duration::from_millis(300),
             read_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
@@ -149,7 +146,6 @@ struct QueueState {
 struct Inner {
     queue_cap: usize,
     default_scale: Scale,
-    allow_http_shutdown: bool,
     executor: ExecuteFn,
     jobs: Mutex<HashMap<String, Job>>,
     queue: Mutex<QueueState>,
@@ -234,7 +230,6 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
     let inner = Arc::new(Inner {
         queue_cap: cfg.queue_cap,
         default_scale: cfg.default_scale,
-        allow_http_shutdown: cfg.allow_http_shutdown,
         executor,
         jobs: Mutex::new(HashMap::new()),
         queue: Mutex::new(QueueState { queue: VecDeque::new(), running: 0, draining: false }),
@@ -379,10 +374,6 @@ fn route(request: &Request, inner: &Arc<Inner>) -> (Endpoint, Response) {
         "/metrics" => match method {
             "GET" => (Endpoint::Metrics, metrics_response(inner)),
             _ => (Endpoint::Metrics, method_not_allowed("GET")),
-        },
-        "/v1/shutdown" => match method {
-            "POST" => (Endpoint::Shutdown, shutdown_response(inner)),
-            _ => (Endpoint::Shutdown, method_not_allowed("POST")),
         },
         path => {
             if let Some(rest) = path.strip_prefix("/v1/jobs/") {
@@ -577,14 +568,4 @@ fn metrics_response(inner: &Arc<Inner>) -> Response {
         cache_disk_bytes: inner.cache.disk_bytes(),
     };
     Response::new(200).with_text(inner.metrics.render(&snap, &inner.gauges))
-}
-
-fn shutdown_response(inner: &Arc<Inner>) -> Response {
-    if !inner.allow_http_shutdown {
-        return Response::new(404).with_json(error_body("shutdown endpoint disabled"));
-    }
-    inner.begin_shutdown();
-    let mut doc = Json::obj();
-    doc.set("draining", true).set("default_scale", inner.default_scale.name());
-    Response::json(doc.to_string_pretty())
 }

@@ -523,7 +523,7 @@ fn validation_and_routing_statuses() {
     let (status, _, _) = http(&addr, "GET", "/v1/nope", None);
     assert_eq!(status, 404);
 
-    // HTTP shutdown is disabled unless opted into.
+    // There is no HTTP shutdown route.
     let (status, _, _) = http(&addr, "POST", "/v1/shutdown", Some(""));
     assert_eq!(status, 404);
 

@@ -13,9 +13,10 @@
 //!
 //! This module is the only code that knows the layout. One function
 //! encodes the header and one decodes it; records are written by
-//! [`write`] / [`TraceWriter`] and read by one decoder, [`ChunkedReader`]:
+//! [`write`](fn@write) / [`TraceWriter`] and read by one decoder,
+//! [`ChunkedReader`]:
 //!
-//! * [`write`] — a whole, materialized trace,
+//! * [`write`](fn@write) — a whole, materialized trace,
 //! * [`TraceWriter`] — incremental writing (the access count is patched in
 //!   at [`TraceWriter::finish`]) so a trace can be streamed to disk without
 //!   ever existing in memory,
@@ -26,7 +27,8 @@
 //! Every malformation the decoder finds is one of [`ImportError`]'s typed
 //! variants, carried inside an `InvalidData` [`io::Error`] where the
 //! signature is `io::Result`; [`ImportError::from`] recovers the variant.
-//! [`crate::import`] adds the checks that only apply to external files.
+//! [`crate::import`](fn@crate::import) adds the checks that only apply to
+//! external files.
 //!
 //! A trace file may have a *next-use sidecar* (`GRNU` magic, conventionally
 //! a `.nu` file next to the `.grtr`) carrying the Belady next-use
