@@ -78,8 +78,10 @@ pub struct PipelineOutput {
     pub conformance_pass: bool,
 }
 
-/// Builds `tier`'s artifacts, in paper order.
+/// Builds `tier`'s artifacts, in paper order. Every frame stays resident
+/// for the whole tier, since most figures replay the same frames.
 pub fn run(tier: &Tier) -> PipelineOutput {
+    let _hold = framecache::hold();
     let step = |what: &str| eprintln!("grart: [{}] {what}", tier.name);
     let [fig01, fig11, fig12, fig14, partitioning] = miss_figures();
 

@@ -4,6 +4,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use grart::{artifact, diff, pipeline};
+use grbench::framecache;
 use grjson::Json;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -50,6 +51,8 @@ fn tree_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
 /// passes, and a perturbed artifact is caught with a nonzero drift.
 #[test]
 fn kick_tires_is_deterministic_and_diffable() {
+    // The second run replays the first one's frames.
+    let _hold = framecache::hold();
     let a = shared_run();
     let b = temp_dir("det-b");
     let out = run_kick_tires(&b);

@@ -276,6 +276,8 @@ fn sequence_table(
     nframes: u32,
     title: &str,
 ) {
+    // The cold cells replay the frames the warm sequence rendered.
+    let _hold = framecache::hold();
     let opts = RunOptions::misses(&[]);
     let warm = grbench::run_frame_sequence(policy, frames, 0..nframes, &opts, cfg);
     let cells: Vec<_> = (0..nframes).map(|frame| (policy, frames, frame)).collect();
@@ -351,6 +353,8 @@ fn characterize(cfg: &ExperimentConfig, app_name: &str) {
     let app = require_app(app_name);
     let opts = RunOptions { characterize: true, ..RunOptions::misses(&[ORACLE]) };
     let count = cfg.frames_for(app.frames);
+    // The stream mix below reads the frames the grid rendered.
+    let _hold = framecache::hold();
     let r = run_grid(&[(app.abbrev, GridSource::Frames((&app).into(), count))], &opts, cfg);
     let AppAgg { stats, chars, .. } = r.get(ORACLE, app.abbrev);
     let mut mix = grtrace::StreamStats::new();
@@ -439,6 +443,8 @@ fn sweep(cfg: &ExperimentConfig, policy: &str, sizes_mb: &[u64]) {
         require_llc(cfg, mb);
     }
     let capped = ExperimentConfig { frames_per_app: Some(cfg.frames_for(2)), ..*cfg };
+    // Every capacity replays the same frames.
+    let _hold = framecache::hold();
     let mut rows = Vec::new();
     for &mb in sizes_mb {
         let opts = RunOptions { llc_paper_mb: mb, ..RunOptions::misses(&[policy]) };

@@ -1,12 +1,26 @@
-//! Process-wide frame-trace cache.
+//! Frame-trace cache.
 //!
 //! Every figure and table replays the same 52 synthesized frames, and a
 //! `grart` tier chains a dozen runs over them, so the seed harness
-//! re-rendered each frame ~10–15 times. This module synthesizes each
-//! `(app, frame, scale)` exactly once per process and shares the result —
-//! including the Belady next-use annotation, which every OPT replay needs —
-//! behind `Arc`s, so the parallel runner's workers and successive runners
-//! all read the same immutable trace.
+//! re-rendered each frame ~10–15 times. This module shares each rendered
+//! `(app, frame, scale)` — including the Belady next-use annotation, which
+//! every OPT replay needs — behind an `Arc`, so the parallel runner's
+//! workers and successive runs all read the same immutable trace.
+//!
+//! A frame is resident only while something holds it. The cache's map
+//! only dedupes: concurrent callers of [`frame_data`] for one key block on
+//! one render, and a later caller gets the same `Arc` while any
+//! `Arc<FrameData>` to it is alive. Once the last one drops, the trace and
+//! its annotation are freed, and the next lookup renders (or loads) the
+//! frame again. Two kinds of holder exist:
+//!
+//! - a grid ([`crate::run_grid`], [`crate::simulate_cells`]) holds each
+//!   workload's frames from its first cell to its last, so a one-grid run
+//!   frees every frame once its last policy has replayed it;
+//! - a [`Hold`] keeps every frame looked up while it lives resident until
+//!   the last `Hold` drops. Processes that revisit frames across grids
+//!   take one: the `grart` pipeline for a whole tier, `grcheck`, `grsim`,
+//!   and the serving path for the life of the process.
 //!
 //! Frames come from a [`Frames`] source — a Table 1 application or a frame
 //! graph — and one set of functions serves both, keyed by
@@ -42,7 +56,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use grcache::annotate_next_use;
 use grsynth::{FrameStream, FrameWork, Frames, Scale};
@@ -50,7 +64,8 @@ use grtrace::io::{write_atomic, ChunkedReader};
 use grtrace::Trace;
 
 /// One synthesized frame: the LLC trace, the computational work counters,
-/// and the lazily computed Belady next-use annotation.
+/// and the lazily computed Belady next-use annotation. Dropping the last
+/// `Arc` to it frees all three.
 #[derive(Debug)]
 pub struct FrameData {
     /// The LLC access trace.
@@ -63,8 +78,9 @@ pub struct FrameData {
 }
 
 impl FrameData {
-    /// The next-use annotation for Belady's OPT, computed once per frame
-    /// and shared by every OPT replay. With the disk tier active the
+    /// The next-use annotation for Belady's OPT, computed at most once per
+    /// resident frame and shared by every OPT replay that holds it; it lives
+    /// and dies with the `FrameData`. With the disk tier active the
     /// annotation is persisted in a `.nu` sidecar next to the `.grtr`
     /// trace, so fresh processes load it instead of re-running
     /// [`annotate_next_use`].
@@ -112,11 +128,72 @@ fn store_next_use(path: &Path, nu: &[u64]) {
 
 /// Cache key: workload identity ([`Frames::cache_key`]), frame, scale.
 type Key = (String, u32, Scale);
-type Slot = Arc<OnceLock<Arc<FrameData>>>;
 
-fn cache() -> &'static Mutex<HashMap<Key, Slot>> {
-    static CACHE: OnceLock<Mutex<HashMap<Key, Slot>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// One key's entry: a weak pointer to the frame while anything holds it,
+/// and a lock that serializes the key's renders.
+#[derive(Default)]
+struct Slot {
+    frame: Mutex<Weak<FrameData>>,
+    render: Mutex<()>,
+}
+
+impl Slot {
+    fn frame(&self) -> MutexGuard<'_, Weak<FrameData>> {
+        self.frame.lock().expect("frame slot poisoned")
+    }
+
+    /// The frame, if something still holds it.
+    fn get(&self) -> Option<Arc<FrameData>> {
+        self.frame().upgrade()
+    }
+}
+
+#[derive(Default)]
+struct Cache {
+    slots: HashMap<Key, Arc<Slot>>,
+    /// Live [`Hold`]s.
+    holds: usize,
+    /// The frames looked up while a [`Hold`] lived, kept until the last
+    /// one drops.
+    pinned: HashMap<Key, Arc<FrameData>>,
+}
+
+/// The cache, locked. Every update leaves it valid, so a panic elsewhere
+/// while it was locked does not poison it (and [`Hold`]'s `Drop` never
+/// panics).
+fn cache() -> MutexGuard<'static, Cache> {
+    static CACHE: OnceLock<Mutex<Cache>> = OnceLock::new();
+    CACHE.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Keeps every frame [`frame_data`] returns resident, as long as any
+/// `Hold` is alive. For processes that revisit frames across grids; a
+/// one-grid run needs none (see the [module docs](self)). Take one with
+/// [`hold`].
+#[derive(Debug)]
+#[must_use = "frames stay resident only while the Hold lives"]
+pub struct Hold(());
+
+/// Takes a [`Hold`]: from now until the last live `Hold` drops, every frame
+/// [`frame_data`] returns stays resident.
+pub fn hold() -> Hold {
+    cache().holds += 1;
+    Hold(())
+}
+
+impl Drop for Hold {
+    fn drop(&mut self) {
+        let released = {
+            let mut cache = cache();
+            cache.holds -= 1;
+            if cache.holds > 0 {
+                return;
+            }
+            std::mem::take(&mut cache.pinned)
+        };
+        // Freed outside the lock.
+        drop(released);
+    }
 }
 
 fn disk_dir() -> Option<&'static PathBuf> {
@@ -129,14 +206,17 @@ fn disk_dir() -> Option<&'static PathBuf> {
     .as_ref()
 }
 
-/// The synthesized data for `(frames, frame, scale)`, rendered at most
-/// once per process (and per disk cache, when `GR_TRACE_CACHE` is set).
+/// The synthesized data for `(frames, frame, scale)`, rendered (or loaded
+/// from the disk tier, when `GR_TRACE_CACHE` is set) unless a live holder
+/// already has it.
 ///
 /// The cache key is [`Frames::cache_key`], so two frame graphs sharing a
 /// name but differing in any knob (coherence, passes, resolution, seed)
 /// occupy distinct slots, in memory and on disk. Concurrent callers asking
 /// for the same frame block on one render instead of duplicating it;
-/// callers asking for different frames proceed independently.
+/// callers asking for different frames proceed independently. The frame
+/// stays resident while the returned `Arc` (or any clone) lives, and while
+/// a [`Hold`] does.
 ///
 /// With the disk tier active a frame whose files are whole (see
 /// [`ensure_on_disk`]) is read back from them; any other frame is rendered
@@ -145,34 +225,57 @@ pub fn frame_data<'a>(frames: impl Into<Frames<'a>>, frame: u32, scale: Scale) -
     let frames = frames.into();
     let key: Key = (frames.cache_key(), frame, scale);
     let slot = {
-        let mut map = cache().lock().expect("frame cache poisoned");
-        Arc::clone(map.entry(key).or_default())
+        let mut cache = cache();
+        if !cache.slots.contains_key(&key) {
+            // Forget the keys whose frames are gone and nobody is rendering.
+            cache.slots.retain(|_, s| Arc::strong_count(s) > 1 || s.frame().strong_count() > 0);
+        }
+        Arc::clone(cache.slots.entry(key.clone()).or_default())
     };
-    Arc::clone(slot.get_or_init(|| {
-        let path = trace_path(frames, frame, scale);
-        let loaded = path.as_deref().and_then(|p| load_frame(p, frames, frame));
-        let (trace, work) = loaded.unwrap_or_else(|| {
-            let (trace, work) = frames.render(frame, scale);
-            if let Some(path) = &path {
-                store_frame(path, &trace, &work);
-            }
-            (trace, work)
-        });
-        let nu_path = path.map(|p| p.with_extension("nu"));
-        Arc::new(FrameData { trace: Arc::new(trace), work, next_use: OnceLock::new(), nu_path })
-    }))
+    let data = slot.get().unwrap_or_else(|| {
+        // The lock guards no data, so a render that panicked leaves it usable.
+        let _render = slot.render.lock().unwrap_or_else(PoisonError::into_inner);
+        // Another caller may have rendered the frame while this one waited.
+        slot.get().unwrap_or_else(|| {
+            let data = Arc::new(render(frames, frame, scale));
+            *slot.frame() = Arc::downgrade(&data);
+            data
+        })
+    });
+    let mut cache = cache();
+    if cache.holds > 0 {
+        cache.pinned.entry(key).or_insert_with(|| Arc::clone(&data));
+    }
+    data
 }
 
-/// The in-memory data of `(frames, frame, scale)` if [`frame_data`] has
-/// already produced it; never renders or loads (tests use this to check
-/// that a streamed path left nothing resident).
+/// Loads the frame from the disk tier, or renders it (and persists it when
+/// the tier is active).
+fn render(frames: Frames<'_>, frame: u32, scale: Scale) -> FrameData {
+    let path = trace_path(frames, frame, scale);
+    let loaded = path.as_deref().and_then(|p| load_frame(p, frames, frame));
+    let (trace, work) = loaded.unwrap_or_else(|| {
+        let (trace, work) = frames.render(frame, scale);
+        if let Some(path) = &path {
+            store_frame(path, &trace, &work);
+        }
+        (trace, work)
+    });
+    let nu_path = path.map(|p| p.with_extension("nu"));
+    FrameData { trace: Arc::new(trace), work, next_use: OnceLock::new(), nu_path }
+}
+
+/// The in-memory data of `(frames, frame, scale)` if something holds it —
+/// a caller's `Arc`, a running grid or a [`Hold`]; never renders or loads
+/// (tests use this to check residency).
 pub fn resident<'a>(
     frames: impl Into<Frames<'a>>,
     frame: u32,
     scale: Scale,
 ) -> Option<Arc<FrameData>> {
     let key: Key = (frames.into().cache_key(), frame, scale);
-    cache().lock().expect("frame cache poisoned").get(&key)?.get().cloned()
+    let slot = Arc::clone(cache().slots.get(&key)?);
+    slot.get()
 }
 
 /// Reads a disk-tier frame back whole, when its files are whole and the
@@ -298,8 +401,8 @@ pub fn disk_source<'a>(
         let nu = trace_path.with_extension("nu");
         if !nu_sidecar_valid(&nu, reader.remaining()) {
             // Missing, truncated, or stale sidecar: annotate a decode of
-            // the `.grtr` and drop it, so a streamed cell never pins the
-            // whole frame in the process-wide cache.
+            // the `.grtr` and drop it, so a streamed cell never makes the
+            // whole frame resident.
             let file = io::BufReader::new(File::open(&trace_path)?);
             let trace = ChunkedReader::new(file, stream_chunk())?.read_trace()?;
             store_next_use(&nu, &annotate_next_use(trace.accesses()));
@@ -321,9 +424,17 @@ pub fn discard<'a>(frames: impl Into<Frames<'a>>, frame: u32, scale: Scale) {
     }
 }
 
-/// Drops every cached frame (tests use this to exercise cold paths).
+/// Forgets every cached frame and releases the [`Hold`]s' frames (tests use
+/// this to exercise cold paths): afterwards nothing is [`resident`], and
+/// the next lookup of any frame renders it again, even while an `Arc` from
+/// an earlier lookup lives.
 pub fn clear() {
-    cache().lock().expect("frame cache poisoned").clear();
+    let released = {
+        let mut cache = cache();
+        cache.slots.clear();
+        std::mem::take(&mut cache.pinned)
+    };
+    drop(released);
 }
 
 /// The file stem every disk-tier file of a frame shares:

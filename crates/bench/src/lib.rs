@@ -4,7 +4,7 @@
 //! models: [`run_grid`] sweeps any (policy, workload, frame) grid and
 //! [`run_workload`] is that sweep over the paper's twelve applications,
 //! [`simulate_cell`] replays one cell, the
-//! [`framecache`] synthesizes each frame once, and [`figures`] holds the
+//! [`framecache`] shares each frame among its holders, and [`figures`] holds the
 //! Figure 15–17 machine specs. Frames come from a [`grsynth::Frames`]
 //! source — an application profile or a frame graph — and every entry
 //! point takes either kind through the same code. The `grart` pipeline turns its results
@@ -34,8 +34,9 @@
 //!
 //! [`run_grid`] fans its cells across `GR_THREADS` workers (default: all
 //! cores) and folds them in one canonical order, so results are
-//! byte-identical for any thread count. Frames are
-//! synthesized once per process in the shared [`framecache`];
+//! byte-identical for any thread count. A grid synthesizes each frame
+//! once and holds it in the shared [`framecache`] until the frame's
+//! workload is done; a [`framecache::Hold`] keeps frames across grids.
 //! `GR_TRACE_CACHE=<dir>` adds an on-disk tier that survives across
 //! processes and regenerates any file it finds damaged.
 

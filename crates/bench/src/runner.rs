@@ -4,9 +4,11 @@
 //! Each cell of the grid — one policy replaying one frame — is an
 //! independent LLC simulation: policies are per-LLC-instance state machines
 //! with no cross-frame coupling, so the grid is embarrassingly parallel.
-//! A workload ([`GridSource`]) is frames from the process-wide
-//! [`crate::framecache`], each synthesized once no matter how many
-//! policies or runs replay it, or one imported trace.
+//! A workload ([`GridSource`]) is frames from the [`crate::framecache`],
+//! each synthesized once per grid no matter how many policies replay it,
+//! or one imported trace. The grid holds a workload's frames from its
+//! first cell to its last and then lets them go; a process that replays
+//! them again in a later grid takes a [`crate::framecache::Hold`].
 //!
 //! # Determinism
 //!
@@ -20,7 +22,7 @@ use std::collections::HashMap;
 use std::io;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use grcache::{
@@ -34,7 +36,7 @@ use grtrace::Trace;
 use gspc::registry;
 use gspc::registry::PolicyVisitor;
 
-use crate::framecache;
+use crate::framecache::{self, FrameData};
 use crate::ExperimentConfig;
 
 /// What to run and what to collect.
@@ -315,7 +317,9 @@ enum CellSource<'a> {
 /// a frame graph — through the same path as every [`run_grid`] cell:
 /// [`gspc::registry::with_policy`] dispatch, shared [`crate::framecache`]
 /// traces, streamed or in-memory per `opts.streamed`. Returns the raw cell
-/// result.
+/// result. The frame stays resident only if the caller holds it (an
+/// `Arc` from [`framecache::frame_data`] or a [`framecache::Hold`]), so a
+/// loop over one frame should hold it.
 ///
 /// # Panics
 ///
@@ -329,7 +333,7 @@ pub fn simulate_cell<'a>(
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
-    run_cell(policy_name, CellSource::Frame(frames.into(), frame), opts, cfg)
+    run_cell(policy_name, CellSource::Frame(frames.into(), frame), None, opts, cfg)
 }
 
 /// [`simulate_cell`] on a frame graph. It exists only so the benchmark's
@@ -359,7 +363,7 @@ pub fn simulate_trace_cell(
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
-    run_cell(policy_name, CellSource::Trace(trace, &OnceLock::new()), opts, cfg)
+    run_cell(policy_name, CellSource::Trace(trace, &OnceLock::new()), None, opts, cfg)
 }
 
 /// Builds the named policy and hands it to `visitor`: the concrete type
@@ -444,7 +448,8 @@ fn fan_out<T: Sync, R: Send>(
 
 /// Replays every `(policy, frames, frame)` cell exactly as
 /// [`simulate_cell`] would, fanned over `opts.threads` workers, and
-/// returns the results unfolded, in input order.
+/// returns the results unfolded, in input order. Like [`run_grid`], it
+/// holds each frame source's frames from its first cell to its last.
 ///
 /// # Panics
 ///
@@ -454,8 +459,65 @@ pub fn simulate_cells(
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> Vec<CellResult> {
-    fan_out(cells, opts.threads, |&(policy, frames, frame)| {
-        run_cell(policy, CellSource::Frame(frames, frame), opts, cfg)
+    let mut workloads = HashMap::new();
+    let cells: Vec<_> = cells
+        .iter()
+        .map(|&(policy, frames, frame)| {
+            let next = workloads.len();
+            let wi = *workloads.entry(frames.cache_key()).or_insert(next);
+            (wi, policy, CellSource::Frame(frames, frame))
+        })
+        .collect();
+    run_cells(&cells, workloads.len(), opts.threads, opts, cfg)
+}
+
+/// Keeps one workload's frames resident from its first cell to its last:
+/// each frame cell adds its frame, and the last cell to finish drops them.
+struct Residency {
+    frames: Mutex<HashMap<u32, Arc<FrameData>>>,
+    remaining: AtomicUsize,
+}
+
+impl Residency {
+    fn new(cells: usize) -> Self {
+        Residency { frames: Mutex::default(), remaining: AtomicUsize::new(cells) }
+    }
+
+    fn keep(&self, frame: u32, data: &Arc<FrameData>) {
+        let mut frames = self.frames.lock().expect("residency poisoned");
+        frames.entry(frame).or_insert_with(|| Arc::clone(data));
+    }
+
+    /// Counts one cell done; the workload's last cell releases its frames.
+    fn finish(&self) {
+        // `AcqRel`: the release happens after every other cell's `keep`.
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.frames.lock().expect("residency poisoned").clear();
+        }
+    }
+}
+
+/// Runs `cells` on up to `threads` workers and returns their results in
+/// input order. A cell `(k, policy, source)` belongs to workload
+/// `k % workloads`; each workload's frames stay resident from its first
+/// cell to its last.
+fn run_cells(
+    cells: &[(usize, &str, CellSource<'_>)],
+    workloads: usize,
+    threads: Option<usize>,
+    opts: &RunOptions,
+    cfg: &ExperimentConfig,
+) -> Vec<CellResult> {
+    let mut counts = vec![0; workloads];
+    for &(k, ..) in cells {
+        counts[k % workloads] += 1;
+    }
+    let residency: Vec<Residency> = counts.into_iter().map(Residency::new).collect();
+    fan_out(cells, threads, |&(k, policy, source)| {
+        let keep = &residency[k % workloads];
+        let out = run_cell(policy, source, Some(keep), opts, cfg);
+        keep.finish();
+        out
     })
 }
 
@@ -467,11 +529,14 @@ pub fn simulate_cells(
 /// Workers take the cells policy, workload, frame, so a cold grid
 /// synthesizes different frames side by side; one worker takes them
 /// workload by workload, so every policy replays a workload's frames
-/// before the next workload's are rendered. The order does not bound
-/// memory: the [`crate::framecache`] keeps every frame it renders.
-/// Each aggregate sums its cells in ascending frame order, so results are
-/// byte-identical at any thread count. Annotated policies share each
-/// workload's next-use annotation: a frame's from the
+/// before the next workload's are rendered. The grid holds a workload's
+/// frames, and their next-use annotations, from its first cell to its
+/// last, then releases them. At one worker at most one workload's frames
+/// are resident at a time (unless a [`framecache::Hold`] or the caller
+/// keeps them); with more, a workload's frames go when its last cell
+/// finishes. Each aggregate sums its cells in ascending frame order, so
+/// results are byte-identical at any thread count. Annotated policies
+/// share each workload's next-use annotation: a frame's from the
 /// [`crate::framecache`], a trace's computed once per call.
 ///
 /// # Panics
@@ -502,8 +567,7 @@ pub fn run_grid(
         // A stable sort: workload, policy, frame.
         cells.sort_by_key(|&(ai, ..)| ai % workloads.len());
     }
-    let results =
-        fan_out(&cells, Some(threads), |&(_, policy, source)| run_cell(policy, source, opts, cfg));
+    let results = run_cells(&cells, workloads.len(), Some(threads), opts, cfg);
 
     // Each aggregate meets its cells in ascending frame order.
     let merge_started = Instant::now();
@@ -541,10 +605,12 @@ pub fn run_workload(opts: &RunOptions, cfg: &ExperimentConfig) -> WorkloadResult
 
 /// Replays one cell. Frame cells try the streaming disk tier first when
 /// `opts.streamed` asks for it; every other replay runs over an in-memory
-/// trace, annotated when the policy needs next-use distances.
+/// trace, annotated when the policy needs next-use distances. An in-memory
+/// frame is added to `keep`, when given.
 fn run_cell(
     policy_name: &str,
     source: CellSource<'_>,
+    keep: Option<&Residency>,
     opts: &RunOptions,
     cfg: &ExperimentConfig,
 ) -> CellResult {
@@ -576,6 +642,9 @@ fn run_cell(
     let (trace, work, next_use): (&Trace, &FrameWork, Option<&[u64]>) = match source {
         CellSource::Frame(frames, frame) => {
             data = framecache::frame_data(frames, frame, cfg.scale);
+            if let Some(keep) = keep {
+                keep.keep(frame, &data);
+            }
             (&*data.trace, &data.work, needs_nu.then(|| data.next_use().as_slice()))
         }
         CellSource::Trace(trace, slot) => {
@@ -778,7 +847,15 @@ mod tests {
     use super::*;
     use grsynth::Scale;
 
+    /// The tests revisit the same tiny frames grid after grid, so the test
+    /// process keeps them all.
+    fn hold_frames() {
+        static HOLD: OnceLock<framecache::Hold> = OnceLock::new();
+        HOLD.get_or_init(framecache::hold);
+    }
+
     fn tiny_cfg() -> ExperimentConfig {
+        hold_frames();
         ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) }
     }
 
@@ -966,6 +1043,7 @@ mod tests {
     /// cell is claimed first and cheap ones finish long before it.
     #[test]
     fn simulate_cells_returns_input_order() {
+        hold_frames();
         let cfg = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(2) };
         let apps = AppProfile::all();
         let graph = grsynth::graph_profile("cpu-like").expect("builtin profile").graph();

@@ -1,13 +1,15 @@
 //! The parallel runner's headline guarantee: results are identical for any
 //! worker count.
 
-use grbench::{run_workload, simulate_cell, ExperimentConfig, RunOptions};
+use grbench::{framecache, run_workload, simulate_cell, ExperimentConfig, RunOptions};
 use grsynth::{Scale, GRAPH_PROFILES};
 
 #[test]
 fn thread_count_does_not_change_results() {
     let cfg = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(2) };
     let policies = ["OPT", "GSPC", "DRRIP"];
+    // Both runs replay the same frames.
+    let _hold = framecache::hold();
     let run = |threads: usize| {
         let opts = RunOptions { threads: Some(threads), ..RunOptions::misses(&policies) };
         run_workload(&opts, &cfg)
@@ -51,6 +53,9 @@ fn thread_count_does_not_change_results() {
 fn streamed_run_is_bit_identical() {
     let cfg = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(2) };
     let policies = ["OPT", "GSPC", "DRRIP"];
+    // The in-memory fallback of the streamed run, and both cells of every
+    // profile below, replay the same frames.
+    let _hold = framecache::hold();
     let base = run_workload(&RunOptions { streamed: false, ..RunOptions::misses(&policies) }, &cfg);
     let streamed =
         run_workload(&RunOptions { streamed: true, ..RunOptions::misses(&policies) }, &cfg);

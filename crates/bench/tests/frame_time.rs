@@ -6,7 +6,7 @@
 //! moved onto this path; any change to the schedule it computes moves
 //! `frame_ns`.
 
-use grbench::{figures, simulate_cell, ExperimentConfig, RunOptions};
+use grbench::{figures, framecache, simulate_cell, ExperimentConfig, RunOptions};
 use grsynth::{AppProfile, Scale};
 
 /// The policies each app is replayed under.
@@ -103,6 +103,8 @@ const PINNED: [(&str, [AppCells; 2]); 4] = [
 #[test]
 fn panel_frame_times_on_real_logs_are_pinned() {
     let cfg = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) };
+    // Every panel replays the same frames.
+    let _hold = framecache::hold();
     for (panel, (key, apps)) in figures::all_panels().into_iter().zip(PINNED) {
         assert_eq!(panel.key, key, "PINNED follows the panel order");
         let opts = RunOptions {

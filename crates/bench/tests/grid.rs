@@ -2,6 +2,7 @@
 //! trace workloads it must equal the per-cell replays folded by hand in
 //! ascending frame order, at any thread count.
 
+use grbench::framecache::{self, FrameData};
 use grbench::{
     run_frame_sequence, run_grid, simulate_cell, simulate_trace_cell, AppAgg, CellResult,
     ExperimentConfig, GridSource, RunOptions,
@@ -51,6 +52,13 @@ fn fold(cells: impl IntoIterator<Item = CellResult>) -> AppAgg {
     agg
 }
 
+/// Frames `0..2` of `frames`, held so the grids and cells that revisit
+/// them render each once.
+fn hold_frames<'a>(frames: impl Into<grsynth::Frames<'a>>) -> Vec<std::sync::Arc<FrameData>> {
+    let frames = frames.into();
+    (0..2).map(|frame| framecache::frame_data(frames, frame, Scale::Tiny)).collect()
+}
+
 fn assert_same(got: &AppAgg, want: &AppAgg, what: &str) {
     assert_eq!(got.stats, want.stats, "{what}: stats");
     assert_eq!(got.chars, want.chars, "{what}: chars");
@@ -70,6 +78,7 @@ fn grid_equals_per_cell_folds_at_any_thread_count() {
         ("postfx", GridSource::Frames((&graph).into(), 2)),
         ("import", GridSource::Trace(&trace)),
     ];
+    let _held = [hold_frames(&app), hold_frames(&graph)];
     let base = RunOptions {
         characterize: true,
         timing: Some((GpuConfig::baseline(), TimingParams::ddr3_1600())),
@@ -122,6 +131,7 @@ fn shared_trace_annotation_changes_nothing() {
 fn checked_sequence_matches_unchecked() {
     let cfg = cfg();
     let app = AppProfile::by_abbrev("HAWX").expect("known app");
+    let _held = hold_frames(&app);
     for policy in mixed_policies() {
         let plain = RunOptions { check: false, ..RunOptions::misses(&[]) };
         let checked = RunOptions { check: true, ..plain.clone() };

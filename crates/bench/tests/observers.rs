@@ -3,7 +3,7 @@
 //! invariant checking, and every combination must leave the LLC statistics
 //! of every registry policy exactly as the bare replay has them.
 
-use grbench::{simulate_cell, CellResult, ExperimentConfig, RunOptions};
+use grbench::{framecache, simulate_cell, CellResult, ExperimentConfig, RunOptions};
 use grdram::TimingParams;
 use grgpu::GpuConfig;
 use grsynth::{AppProfile, Scale};
@@ -14,6 +14,8 @@ fn no_observer_combination_changes_llc_stats() {
     let cfg = ExperimentConfig { scale: Scale::Tiny, frames_per_app: Some(1) };
     let app = AppProfile::by_abbrev("HAWX").expect("known app");
     let timing = Some((GpuConfig::baseline(), TimingParams::ddr3_1600()));
+    // Every cell below replays this frame; holding it renders it once.
+    let _frame = framecache::frame_data(&app, 0, cfg.scale);
     for entry in registry::ALL_POLICIES {
         let cell = |characterize: bool, timed: bool, check: bool| -> CellResult {
             let opts = RunOptions {

@@ -20,7 +20,7 @@
 //!
 //! `conformance` and `invariants` honour `GR_SCALE` / `GR_FRAMES`.
 
-use grbench::{run_workload, ExperimentConfig, RunOptions, WorkloadResults};
+use grbench::{framecache, run_workload, ExperimentConfig, RunOptions, WorkloadResults};
 use grcheck::{conform, fuzz};
 use gspc::registry;
 use std::path::PathBuf;
@@ -40,6 +40,9 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
 }
 
 fn main() {
+    // `invariants` replays the same frames on every leg, and `conformance`
+    // replays the panel's frames again in its figure-ordering check.
+    let _hold = framecache::hold();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("fuzz") => run_fuzz(&args[1..]),

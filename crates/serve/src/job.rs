@@ -9,7 +9,9 @@
 //! fields** — every byte is a pure function of the spec, which is what
 //! makes content-addressed caching sound.
 
-use grbench::{run_grid, AppAgg, GridSource, RunOptions};
+use std::sync::OnceLock;
+
+use grbench::{framecache, run_grid, AppAgg, GridSource, RunOptions};
 use grjson::Json;
 use grsynth::AppProfile;
 use grtrace::{PolicyClass, StreamId, Trace};
@@ -39,12 +41,18 @@ pub struct JobOutput {
 /// per policy, then per workload, so the payload is byte-identical at any
 /// thread count.
 ///
+/// The first call takes a [`framecache::Hold`] for the rest of the
+/// process: jobs replay the same frames under new policies and capacities,
+/// so every frame a job renders stays resident for later jobs.
+///
 /// # Errors
 ///
 /// A trace job whose `.gtrace` file no longer holds the bytes the spec's
 /// digest names (rewritten, truncated or deleted since submission) fails
 /// with "trace file … changed between submit and execute".
 pub fn try_execute(spec: &JobSpec, base: &RunOptions) -> Result<JobOutput, String> {
+    static HOLD: OnceLock<framecache::Hold> = OnceLock::new();
+    HOLD.get_or_init(framecache::hold);
     let cfg = spec.config();
     let opts = RunOptions {
         policies: spec.policies.clone(),
