@@ -17,10 +17,22 @@
 //! - a grid ([`crate::run_grid`], [`crate::simulate_cells`]) holds each
 //!   workload's frames from its first cell to its last, so a one-grid run
 //!   frees every frame once its last policy has replayed it;
-//! - a [`Hold`] keeps every frame looked up while it lives resident until
-//!   the last `Hold` drops. Processes that revisit frames across grids
-//!   take one: the `grart` pipeline for a whole tier, `grcheck`, `grsim`,
-//!   and the serving path for the life of the process.
+//! - a [`Hold`] pins every frame looked up while it lives, until the last
+//!   `Hold` drops. Processes that revisit frames across grids take one.
+//!   [`hold`] pins without bound: the `grart` pipeline for a whole tier,
+//!   `grcheck` and `grsim`, which revisit a fixed set of frames.
+//!   [`hold_within`] keeps only the most recently looked-up frames whose
+//!   bytes (8 per trace access, plus 8 per access of a computed next-use
+//!   annotation) fit its budget, dropping the least recently looked-up
+//!   pins first. The serving path takes one for the life of the process:
+//!   a daemon sees an open-ended stream of new frames (every fresh
+//!   frame-graph coherence is a new key that no later job reads), next to
+//!   a small hot set it keeps returning to (the Table 1 app frames), which
+//!   recency keeps. While an unbounded `Hold` lives no budget applies.
+//!
+//! Dropping a pin never pulls a frame from under a running grid, which
+//! holds its own `Arc`s; a frame whose last holder is gone is freed, and
+//! asked for again it renders again under the same per-key lock.
 //!
 //! Frames come from a [`Frames`] source — a Table 1 application or a frame
 //! graph — and one set of functions serves both, keyed by
@@ -85,7 +97,10 @@ impl FrameData {
     /// trace, so fresh processes load it instead of re-running
     /// [`annotate_next_use`].
     pub fn next_use(&self) -> &Arc<Vec<u64>> {
-        self.next_use.get_or_init(|| {
+        if let Some(nu) = self.next_use.get() {
+            return nu;
+        }
+        let nu = self.next_use.get_or_init(|| {
             if let Some(path) = &self.nu_path {
                 if let Some(nu) = load_next_use(path, self.trace.len() as u64) {
                     return Arc::new(nu);
@@ -96,7 +111,18 @@ impl FrameData {
                 store_next_use(path, &nu);
             }
             Arc::new(nu)
-        })
+        });
+        // The annotation grew a pinned frame; a budget may now be exceeded.
+        let released = cache().trim();
+        drop(released);
+        nu
+    }
+
+    /// The bytes a budgeted [`Hold`] counts for this frame: 8 per trace
+    /// access, plus 8 per access once the next-use annotation is computed.
+    pub fn bytes(&self) -> u64 {
+        let nu = self.next_use.get().map_or(0, |nu| std::mem::size_of_val(nu.as_slice()));
+        (std::mem::size_of_val(self.trace.accesses()) + nu) as u64
     }
 }
 
@@ -148,14 +174,55 @@ impl Slot {
     }
 }
 
+/// A frame a [`Hold`] keeps, and the lookup that last returned it.
+struct Pin {
+    data: Arc<FrameData>,
+    last: u64,
+}
+
 #[derive(Default)]
 struct Cache {
     slots: HashMap<Key, Arc<Slot>>,
-    /// Live [`Hold`]s.
-    holds: usize,
+    /// The byte budget of each live [`Hold`]; `None` is unbounded.
+    holds: Vec<Option<u64>>,
     /// The frames looked up while a [`Hold`] lived, kept until the last
-    /// one drops.
-    pinned: HashMap<Key, Arc<FrameData>>,
+    /// one drops or a budget lets them go.
+    pinned: HashMap<Key, Pin>,
+    /// Lookups under a [`Hold`] so far: the clock of `Pin::last`.
+    lookups: u64,
+    /// Pins dropped to fit a budget, over the life of the process.
+    evictions: u64,
+}
+
+impl Cache {
+    /// The budget the pins must fit: none while an unbounded [`Hold`]
+    /// (or no `Hold`) lives, else the smallest live one.
+    fn budget(&self) -> Option<u64> {
+        if self.holds.contains(&None) {
+            return None;
+        }
+        self.holds.iter().flatten().min().copied()
+    }
+
+    fn pinned_bytes(&self) -> u64 {
+        self.pinned.values().map(|pin| pin.data.bytes()).sum()
+    }
+
+    /// Drops the least recently looked-up pins until the rest fit the
+    /// budget, and returns them so the caller frees them outside the lock.
+    fn trim(&mut self) -> Vec<Arc<FrameData>> {
+        let mut released = Vec::new();
+        let Some(budget) = self.budget() else { return released };
+        // Summed afresh each round: another thread may annotate a pinned
+        // frame meanwhile.
+        while self.pinned_bytes() > budget {
+            let oldest = self.pinned.iter().min_by_key(|(_, pin)| pin.last).map(|(k, _)| k.clone());
+            let Some(pin) = oldest.and_then(|key| self.pinned.remove(&key)) else { break };
+            self.evictions += 1;
+            released.push(pin.data);
+        }
+        released
+    }
 }
 
 /// The cache, locked. Every update leaves it valid, so a panic elsewhere
@@ -166,34 +233,65 @@ fn cache() -> MutexGuard<'static, Cache> {
     CACHE.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Keeps every frame [`frame_data`] returns resident, as long as any
-/// `Hold` is alive. For processes that revisit frames across grids; a
-/// one-grid run needs none (see the [module docs](self)). Take one with
-/// [`hold`].
+/// Keeps the frames [`frame_data`] returns resident, as long as any
+/// `Hold` is alive: all of them ([`hold`]), or the most recently
+/// looked-up ones that fit a byte budget ([`hold_within`]). For processes
+/// that revisit frames across grids; a one-grid run needs none (see the
+/// [module docs](self)).
 #[derive(Debug)]
 #[must_use = "frames stay resident only while the Hold lives"]
-pub struct Hold(());
+pub struct Hold(Option<u64>);
 
-/// Takes a [`Hold`]: from now until the last live `Hold` drops, every frame
-/// [`frame_data`] returns stays resident.
+/// Takes an unbounded [`Hold`]: from now until the last live `Hold` drops,
+/// every frame [`frame_data`] returns stays resident.
 pub fn hold() -> Hold {
-    cache().holds += 1;
-    Hold(())
+    cache().holds.push(None);
+    Hold(None)
+}
+
+/// Takes a [`Hold`] that keeps the most recently looked-up frames whose
+/// [`FrameData::bytes`] sum to at most `budget`: a lookup moves its frame
+/// to the front, and past the budget the least recently looked-up pins go
+/// first (a frame some other holder has stays resident). An unbounded
+/// `Hold` overrides it while it lives; of two budgets, the smaller holds.
+pub fn hold_within(budget: u64) -> Hold {
+    let released = {
+        let mut cache = cache();
+        cache.holds.push(Some(budget));
+        cache.trim()
+    };
+    drop(released);
+    Hold(Some(budget))
 }
 
 impl Drop for Hold {
     fn drop(&mut self) {
         let released = {
             let mut cache = cache();
-            cache.holds -= 1;
-            if cache.holds > 0 {
-                return;
+            // Every live `Hold` has its entry; a drop never panics.
+            if let Some(at) = cache.holds.iter().position(|b| *b == self.0) {
+                cache.holds.swap_remove(at);
             }
-            std::mem::take(&mut cache.pinned)
+            if cache.holds.is_empty() {
+                std::mem::take(&mut cache.pinned).into_values().map(|pin| pin.data).collect()
+            } else {
+                cache.trim()
+            }
         };
         // Freed outside the lock.
         drop(released);
     }
+}
+
+/// The bytes the live [`Hold`]s pin (see [`FrameData::bytes`]).
+pub fn pinned_bytes() -> u64 {
+    cache().pinned_bytes()
+}
+
+/// How many pins a budgeted [`Hold`] has dropped to fit its budget, over
+/// the life of the process.
+pub fn evictions() -> u64 {
+    cache().evictions
 }
 
 fn disk_dir() -> Option<&'static PathBuf> {
@@ -216,7 +314,7 @@ fn disk_dir() -> Option<&'static PathBuf> {
 /// for the same frame block on one render instead of duplicating it;
 /// callers asking for different frames proceed independently. The frame
 /// stays resident while the returned `Arc` (or any clone) lives, and while
-/// a [`Hold`] does.
+/// a [`Hold`] pins it; the lookup makes it a budgeted `Hold`'s most recent.
 ///
 /// With the disk tier active a frame whose files are whole (see
 /// [`ensure_on_disk`]) is read back from them; any other frame is rendered
@@ -242,10 +340,17 @@ pub fn frame_data<'a>(frames: impl Into<Frames<'a>>, frame: u32, scale: Scale) -
             data
         })
     });
-    let mut cache = cache();
-    if cache.holds > 0 {
-        cache.pinned.entry(key).or_insert_with(|| Arc::clone(&data));
-    }
+    let released = {
+        let mut cache = cache();
+        if cache.holds.is_empty() {
+            return data;
+        }
+        cache.lookups += 1;
+        let pin = Pin { data: Arc::clone(&data), last: cache.lookups };
+        cache.pinned.entry(key).and_modify(|old| old.last = pin.last).or_insert(pin);
+        cache.trim()
+    };
+    drop(released);
     data
 }
 

@@ -16,7 +16,7 @@
 //! * `invariants` replays the workload through every registry policy
 //!   across the checked/unchecked x mono/boxed matrix, asserts
 //!   bit-identical stats everywhere, and reports the checked-replay
-//!   overhead (budget: 3x).
+//!   overhead (budget: 3x, each side the best of three replays).
 //!
 //! `conformance` and `invariants` honour `GR_SCALE` / `GR_FRAMES`.
 
@@ -135,42 +135,43 @@ fn run_conformance(args: &[String]) {
 /// Replays every registry policy checked and unchecked, through both the
 /// monomorphized and boxed dispatch paths, asserting identical stats
 /// everywhere and a bounded slowdown from the invariant observer. Per
-/// dispatch path, the slowdown is checked replay against unchecked replay.
+/// dispatch path, the slowdown is checked replay against unchecked replay,
+/// each timed as the best of `TIMED_REPLAYS` replays; the two alternate,
+/// so a change in host load meets both sides alike.
 fn run_invariants() {
     let cfg = ExperimentConfig::from_env();
     let policies: Vec<String> = registry::ALL_POLICIES.iter().map(|e| e.name.to_string()).collect();
     let mut reference: Option<WorkloadResults> = None;
-    // Replay seconds per dispatch path (mono, boxed).
-    let mut checked_s = [0.0f64; 2];
-    let mut plain_s = [0.0f64; 2];
+    // Best replay seconds per dispatch path (mono, boxed), unchecked and
+    // checked.
+    let mut best = [[f64::INFINITY; 2]; 2];
     for boxed in [false, true] {
         let path = if boxed { "boxed" } else { "mono" };
-        for check in [false, true] {
-            let opts = RunOptions {
-                policies: policies.clone(),
-                boxed,
-                check,
-                streamed: false,
-                ..RunOptions::misses(&[])
-            };
-            let r = run_workload(&opts, &cfg);
-            if check {
-                checked_s[boxed as usize] = r.perf.replay_seconds;
-            } else {
-                plain_s[boxed as usize] = r.perf.replay_seconds;
-            }
-            // The first leg (mono, unchecked) is the reference.
-            let Some(want) = &reference else {
-                reference = Some(r);
-                continue;
-            };
-            for p in &policies {
-                for app in &want.apps {
-                    assert_eq!(
-                        want.get(p, app).stats,
-                        r.get(p, app).stats,
-                        "{p}/{app}: {path} (checked={check}) diverged from mono"
-                    );
+        for _ in 0..TIMED_REPLAYS {
+            for check in [false, true] {
+                let opts = RunOptions {
+                    policies: policies.clone(),
+                    boxed,
+                    check,
+                    streamed: false,
+                    ..RunOptions::misses(&[])
+                };
+                let r = run_workload(&opts, &cfg);
+                let slot = &mut best[boxed as usize][check as usize];
+                *slot = slot.min(r.perf.replay_seconds);
+                // The first replay (mono, unchecked) is the reference.
+                let Some(want) = &reference else {
+                    reference = Some(r);
+                    continue;
+                };
+                for p in &policies {
+                    for app in &want.apps {
+                        assert_eq!(
+                            want.get(p, app).stats,
+                            r.get(p, app).stats,
+                            "{p}/{app}: {path} (checked={check}) diverged from mono"
+                        );
+                    }
                 }
             }
         }
@@ -182,11 +183,11 @@ fn run_invariants() {
     }
     run_profile_invariants(&cfg, &policies);
     let mut failed = false;
-    for (i, path) in ["mono", "boxed"].into_iter().enumerate() {
-        let ratio = checked_s[i] / plain_s[i].max(1e-9);
+    for (path, [plain_s, checked_s]) in ["mono", "boxed"].into_iter().zip(best) {
+        let ratio = checked_s / plain_s.max(1e-9);
         println!(
-            "invariants[{path}]: checked replay {:.2}s vs {:.2}s unchecked ({ratio:.2}x)",
-            checked_s[i], plain_s[i]
+            "invariants[{path}]: checked replay {checked_s:.2}s vs {plain_s:.2}s unchecked \
+             ({ratio:.2}x, best of {TIMED_REPLAYS})"
         );
         if ratio > 3.0 {
             eprintln!("FAIL invariants[{path}]: checked replay {ratio:.2}x > 3x budget");
@@ -197,6 +198,10 @@ fn run_invariants() {
         std::process::exit(1);
     }
 }
+
+/// Replays per leg of the checked-replay budget: one sub-second replay
+/// swings with host noise, so each leg counts its fastest.
+const TIMED_REPLAYS: usize = 3;
 
 /// Frame-graph profile sweep: for every built-in profile, the streamed
 /// generator must emit exactly the materialized render, the `.gtrace`

@@ -18,6 +18,16 @@ use grtrace::{PolicyClass, StreamId, Trace};
 
 use crate::spec::{JobSpec, TraceRef};
 
+/// The frame bytes (see [`grbench::framecache::FrameData::bytes`]) the
+/// serving path keeps resident between jobs: 32 MiB. A daemon's hot set is
+/// the Table 1 app frames it replays under new policies and capacities;
+/// at its default quarter scale the twelve frame-0 traces take about
+/// 18 MB, so they fit with room for the frame graphs of the jobs in
+/// flight. In a scratch sweep of the budget on `serve-mixed` (30 s runs),
+/// 16 MiB evicted the app frames between replays (replay p50 35 ms
+/// against 23 ms), while 48 and 64 MiB only raised peak RSS.
+pub const FRAME_CACHE_BUDGET: u64 = 32 << 20;
+
 /// The result of executing one job.
 #[derive(Debug, Clone)]
 pub struct JobOutput {
@@ -41,9 +51,12 @@ pub struct JobOutput {
 /// per policy, then per workload, so the payload is byte-identical at any
 /// thread count.
 ///
-/// The first call takes a [`framecache::Hold`] for the rest of the
-/// process: jobs replay the same frames under new policies and capacities,
-/// so every frame a job renders stays resident for later jobs.
+/// The first call takes a [`framecache::Hold`] within
+/// [`FRAME_CACHE_BUDGET`] for the rest of the process: jobs replay the
+/// same app frames under new policies and capacities, so the most recently
+/// used frames stay resident for later jobs, while frames no job has asked
+/// for since (a frame graph at a coherence nobody resubmits) are freed
+/// once newer ones fill the budget.
 ///
 /// # Errors
 ///
@@ -52,7 +65,7 @@ pub struct JobOutput {
 /// with "trace file … changed between submit and execute".
 pub fn try_execute(spec: &JobSpec, base: &RunOptions) -> Result<JobOutput, String> {
     static HOLD: OnceLock<framecache::Hold> = OnceLock::new();
-    HOLD.get_or_init(framecache::hold);
+    HOLD.get_or_init(|| framecache::hold_within(FRAME_CACHE_BUDGET));
     let cfg = spec.config();
     let opts = RunOptions {
         policies: spec.policies.clone(),

@@ -53,6 +53,6 @@ pub mod resultcache;
 pub mod server;
 pub mod spec;
 
-pub use job::{execute, try_execute, JobOutput};
+pub use job::{execute, try_execute, JobOutput, FRAME_CACHE_BUDGET};
 pub use server::{default_executor, start, ExecuteFn, ServerConfig, ServerHandle};
 pub use spec::JobSpec;

@@ -100,6 +100,10 @@ pub struct ServerSnapshot {
     pub cache_corrupt: u64,
     /// Bytes resident in the disk cache tier.
     pub cache_disk_bytes: u64,
+    /// Frame bytes the serving path's frame-cache hold pins.
+    pub frame_cache_bytes: u64,
+    /// Frames the frame-cache hold let go to stay under its budget.
+    pub frame_cache_evictions: u64,
 }
 
 /// All service counters. One instance lives inside the server and is
@@ -201,6 +205,11 @@ impl Metrics {
             snap.cache_corrupt,
         );
         counter(
+            "grserve_frame_cache_evictions_total",
+            "Frames unpinned to keep the frame cache under its byte budget.",
+            snap.frame_cache_evictions,
+        );
+        counter(
             "grserve_accepts_rejected_total",
             "Connections refused at accept time (max_conns reached).",
             conns.rejected.load(Ordering::Relaxed),
@@ -263,6 +272,11 @@ impl Metrics {
             "Bytes resident in the disk result-cache tier.",
             snap.cache_disk_bytes,
         );
+        gauge(
+            "grserve_frame_cache_bytes",
+            "Frame trace and next-use bytes the frame cache keeps between jobs.",
+            snap.frame_cache_bytes,
+        );
         out
     }
 }
@@ -289,6 +303,8 @@ mod tests {
             cache_evictions: 2,
             cache_corrupt: 1,
             cache_disk_bytes: 4096,
+            frame_cache_bytes: 1 << 20,
+            frame_cache_evictions: 5,
         };
         let text = m.render(&snap, &conns);
         for series in [
@@ -308,6 +324,8 @@ mod tests {
             "grserve_jobs_inflight 1",
             "grserve_jobs_tracked 7",
             "grserve_result_cache_disk_bytes 4096",
+            "grserve_frame_cache_bytes 1048576",
+            "grserve_frame_cache_evictions_total 5",
         ] {
             assert!(text.contains(series), "missing {series:?} in:\n{text}");
         }

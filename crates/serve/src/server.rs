@@ -41,7 +41,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use grbench::{ExperimentConfig, RunOptions};
+use grbench::{framecache, ExperimentConfig, RunOptions};
 use grjson::Json;
 use grsynth::{AppProfile, Scale};
 use gspc::registry;
@@ -188,11 +188,6 @@ impl ServerHandle {
     /// running jobs complete, reads keep working. Returns immediately.
     pub fn begin_shutdown(&self) {
         self.inner.begin_shutdown();
-    }
-
-    /// True once the drain has finished (queue empty, nothing running).
-    pub fn is_drained(&self) -> bool {
-        self.inner.is_drained()
     }
 
     /// Waits for the event loop and every worker to exit. Only returns
@@ -566,6 +561,8 @@ fn metrics_response(inner: &Arc<Inner>) -> Response {
         cache_evictions: inner.cache.evictions(),
         cache_corrupt: inner.cache.corrupt(),
         cache_disk_bytes: inner.cache.disk_bytes(),
+        frame_cache_bytes: framecache::pinned_bytes(),
+        frame_cache_evictions: framecache::evictions(),
     };
     Response::new(200).with_text(inner.metrics.render(&snap, &inner.gauges))
 }

@@ -173,14 +173,16 @@ impl JobSpec {
             Some(Json::Str(path)) => {
                 let bytes =
                     std::fs::read(path).map_err(|e| format!("cannot read trace {path:?}: {e}"))?;
-                let t = grtrace::import(&bytes[..])
+                // Every import check, without building the trace: the
+                // worker imports the file again when it runs the job.
+                let header = grtrace::validate(&bytes[..])
                     .map_err(|e| format!("cannot import trace {path:?}: {e}"))?;
                 Some(TraceRef {
                     path: path.clone(),
                     digest: hash::sha256_hex(&bytes),
-                    app: t.app().to_string(),
-                    frame: t.frame(),
-                    count: t.len() as u64,
+                    app: header.app,
+                    frame: header.frame,
+                    count: header.count,
                 })
             }
             Some(_) => return Err("trace must be a string path".into()),

@@ -229,6 +229,76 @@ fn served_trace_job_is_bit_identical_to_offline_execution() {
     server.shutdown_and_join();
 }
 
+/// Every way `grtrace::import` rejects a file is a 400 at submit carrying
+/// its message, and no such job reaches a worker.
+#[test]
+fn every_import_error_is_a_400_at_submit() {
+    use grtrace::{Access, ImportError, StreamId, Trace};
+
+    let encode = |trace: &Trace| {
+        let mut bytes = Vec::new();
+        grtrace::io::write(&mut bytes, trace).expect("encode trace");
+        bytes
+    };
+    let mut trace = Trace::new("ext", 3);
+    for i in 1..=8u64 {
+        trace.push(Access::load(i * 64, StreamId::Other));
+    }
+    let good = encode(&trace);
+    let body = good.len() - 8 * 10;
+    let edit = |f: &dyn Fn(&mut Vec<u8>)| {
+        let mut bytes = good.clone();
+        f(&mut bytes);
+        bytes
+    };
+    // (name, file bytes, the import error they must give)
+    type Case = (&'static str, Vec<u8>, fn(&ImportError) -> bool);
+    let cases: [Case; 8] = [
+        ("magic", edit(&|b| b[..4].copy_from_slice(b"NOPE")), |e| {
+            matches!(e, ImportError::BadMagic(_))
+        }),
+        ("version", edit(&|b| b[4..8].copy_from_slice(&7u32.to_le_bytes())), |e| {
+            matches!(e, ImportError::UnsupportedVersion(7))
+        }),
+        ("header", good[..6].to_vec(), |e| matches!(e, ImportError::BadHeader(_))),
+        ("truncated", good[..good.len() - 5].to_vec(), |e| {
+            matches!(e, ImportError::TruncatedBody { expected: 8, got: 7 })
+        }),
+        ("empty", encode(&Trace::new("empty", 0)), |e| matches!(e, ImportError::ZeroAccesses)),
+        ("stream", edit(&|b| b[body + 8] = 9), |e| {
+            matches!(e, ImportError::BadStreamCode { index: 0, code: 9 })
+        }),
+        ("address", edit(&|b| b[body + 10..body + 18].fill(0)), |e| {
+            matches!(e, ImportError::AddressOutOfRange { index: 1, addr: 0 })
+        }),
+        ("trailing", edit(&|b| b.push(0xAB)), |e| {
+            matches!(e, ImportError::TrailingBytes { expected: 8 })
+        }),
+    ];
+
+    let dir = temp_dir("import-errors");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let gate = Gate::new();
+    let server = gated_server(1, 8, &gate);
+    let addr = server.addr().to_string();
+    for (name, bytes, is_case) in cases {
+        let err = grtrace::import(&bytes[..]).expect_err(name);
+        assert!(is_case(&err), "{name}: import reported {err:?}");
+        let path = dir.join(format!("{name}.gtrace"));
+        std::fs::write(&path, &bytes).expect("write trace file");
+        let path = path.to_str().expect("utf8 path");
+        let (status, doc) =
+            post_job(&addr, &format!(r#"{{"policies": ["NRU"], "trace": {path:?}}}"#));
+        assert_eq!(status, 400, "{name}: {doc:?}");
+        let want = format!("cannot import trace {path:?}: {err}");
+        assert_eq!(doc.get("error").and_then(Json::as_str), Some(want.as_str()), "{name}");
+    }
+    assert_eq!(gate.invocations.load(Ordering::SeqCst), 0, "a rejected job reached a worker");
+    gate.release();
+    server.shutdown_and_join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A trace file rewritten between submit and execute fails the job with
 /// the default executor's typed message, reported by `GET /v1/jobs/{id}`,
 /// instead of the untyped "execution panicked". The gate holds the worker
@@ -400,7 +470,8 @@ fn full_queue_rejects_with_429() {
 }
 
 /// Graceful drain: accepted jobs finish, new submissions get 503, reads
-/// keep working, and `join` returns.
+/// keep working, and `join` returns once the drain is over, having run
+/// each accepted job exactly once.
 #[test]
 fn shutdown_drains_accepted_jobs_and_refuses_new_ones() {
     let gate = Gate::new();
@@ -425,8 +496,8 @@ fn shutdown_drains_accepted_jobs_and_refuses_new_ones() {
     gate.release();
     await_done(&addr, &run_id);
     await_done(&addr, &queue_id);
-    assert!(server.is_drained());
     server.join();
+    assert_eq!(gate.invocations.load(Ordering::SeqCst), 2, "each accepted job runs once");
 }
 
 /// The disk tier persists across daemon restarts: a second server with a

@@ -103,7 +103,7 @@ impl<'a> Renderer<'a> {
             self.run_stage(s);
         }
         // The trace was reserved for the largest frame; callers such as the
-        // frame cache keep it for the life of the process.
+        // frame cache may keep it across many grids.
         self.kit.trace.shrink_to_fit();
         (self.kit.trace, self.kit.work)
     }

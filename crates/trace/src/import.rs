@@ -7,7 +7,8 @@
 //! outside the simulated space and bytes after the last record. Each
 //! failure mode is a distinct [`ImportError`] variant — the decoder
 //! reports the format ones too — so tools can report *what* is wrong
-//! with a file rather than a generic "invalid data".
+//! with a file rather than a generic "invalid data". [`validate`] runs the
+//! same checks, chunk by chunk, without building the [`Trace`].
 //!
 //! The accepted format is exactly the GRTR format `trace_io::write`
 //! emits; a round trip (export → import → export) is byte-identical.
@@ -18,7 +19,7 @@ use std::io::{self, BufReader, Read};
 use std::path::Path;
 
 use crate::io as trace_io;
-use crate::{Access, Trace};
+use crate::{Access, AccessSource, Trace};
 
 /// Exclusive upper bound on imported block addresses (64 TiB of physical
 /// address space — far above anything the simulator allocates, low enough
@@ -156,20 +157,76 @@ impl From<ImportError> for io::Error {
 /// assert!(import(&b"not a trace"[..]).is_err());
 /// ```
 pub fn import<R: Read>(reader: R) -> Result<Trace, ImportError> {
+    check(
+        reader,
+        // A damaged header can declare any count; reserve at most 16 Mi
+        // accesses up front and let the body prove the rest.
+        |header| {
+            let cap = header.remaining().min(1 << 24) as usize;
+            Trace::with_capacity(header.app(), header.frame(), cap)
+        },
+        |trace, chunk| trace.extend(chunk.iter().copied()),
+    )
+}
+
+/// The header of a `.gtrace` stream that passed every [`import`] check.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Validated {
+    /// Application name recorded in the header.
+    pub app: String,
+    /// Frame number recorded in the header.
+    pub frame: u32,
+    /// Access count recorded in the header (and present in the body).
+    pub count: u64,
+}
+
+/// Checks a `.gtrace` stream exactly as [`import`] does, one decoder chunk
+/// at a time, and keeps none of its accesses.
+///
+/// # Errors
+///
+/// The [`ImportError`] [`import`] would return for the same bytes.
+pub fn validate<R: Read>(reader: R) -> Result<Validated, ImportError> {
+    check(
+        reader,
+        |header| Validated {
+            app: header.app().to_string(),
+            frame: header.frame(),
+            count: header.remaining(),
+        },
+        |_, _| {},
+    )
+}
+
+/// The one check path of [`import`] and [`validate`]: decodes `reader`
+/// chunk by chunk, checks each chunk's addresses, hands each checked chunk
+/// to `add` on the value `start` made from the header, and finally checks
+/// that nothing follows the last record.
+fn check<R: Read, T>(
+    reader: R,
+    start: impl FnOnce(&trace_io::ChunkedReader<R>) -> T,
+    mut add: impl FnMut(&mut T, &[Access]),
+) -> Result<T, ImportError> {
     let mut source = trace_io::ChunkedReader::new(reader, trace_io::DEFAULT_CHUNK)?;
     let expected = source.remaining();
     if expected == 0 {
         return Err(ImportError::ZeroAccesses);
     }
-    let trace = source.read_trace()?;
+    let mut out = start(&source);
     let out_of_range = |a: &Access| a.addr() == 0 || a.addr() >= MAX_IMPORT_ADDR;
-    if let Some(index) = trace.iter().position(out_of_range) {
-        let addr = trace.accesses()[index].addr();
-        return Err(ImportError::AddressOutOfRange { index: index as u64, addr });
+    let mut index = 0;
+    while source.advance()? {
+        let chunk = source.chunk().accesses;
+        if let Some(i) = chunk.iter().position(out_of_range) {
+            let (index, addr) = (index + i as u64, chunk[i].addr());
+            return Err(ImportError::AddressOutOfRange { index, addr });
+        }
+        add(&mut out, chunk);
+        index += chunk.len() as u64;
     }
     match source.into_inner().read_exact(&mut [0u8; 1]) {
         Ok(()) => Err(ImportError::TrailingBytes { expected }),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(trace),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(out),
         Err(e) => Err(ImportError::Io(e)),
     }
 }
@@ -312,6 +369,31 @@ mod tests {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             let _ = import_typed(&flipped, &format!("flip of bit {bit}"));
+        }
+    }
+
+    /// `validate` accepts what `import` accepts, with the same header,
+    /// and rejects the rest with the same error, on every truncation and
+    /// single-bit flip of a valid file.
+    #[test]
+    fn validate_agrees_with_import() {
+        let bytes = sample_bytes();
+        let outcome = |b: &[u8]| {
+            let header = |t: Trace| (t.app().to_string(), t.frame(), t.len() as u64);
+            let imported = import(b).map(header).map_err(|e| e.to_string());
+            let validated =
+                validate(b).map(|v| (v.app, v.frame, v.count)).map_err(|e| e.to_string());
+            (imported, validated)
+        };
+        let mut cases: Vec<Vec<u8>> = (0..=bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            cases.push(flipped);
+        }
+        for case in &cases {
+            let (imported, validated) = outcome(case);
+            assert_eq!(imported, validated, "{} bytes", case.len());
         }
     }
 

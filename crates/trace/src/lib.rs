@@ -36,7 +36,7 @@ mod trace;
 
 pub use access::Access;
 pub use addr::{block_addr, BLOCK_BYTES, BLOCK_SHIFT};
-pub use import::{import, import_file, ImportError, MAX_IMPORT_ADDR};
+pub use import::{import, import_file, validate, ImportError, Validated, MAX_IMPORT_ADDR};
 pub use source::{AccessSource, ChainSource, Chunk, SliceSource};
 pub use stats::StreamStats;
 pub use stream::{PolicyClass, StreamId};
