@@ -192,6 +192,9 @@ struct Cache {
     lookups: u64,
     /// Pins dropped to fit a budget, over the life of the process.
     evictions: u64,
+    /// Frames [`frame_data`] rendered or loaded, over the life of the
+    /// process.
+    renders: u64,
 }
 
 impl Cache {
@@ -294,6 +297,13 @@ pub fn evictions() -> u64 {
     cache().evictions
 }
 
+/// How many frames [`frame_data`] has rendered, or loaded from the disk
+/// tier, because no holder had them, over the life of the process. A
+/// lookup served from memory adds nothing.
+pub fn renders() -> u64 {
+    cache().renders
+}
+
 fn disk_dir() -> Option<&'static PathBuf> {
     static DIR: OnceLock<Option<PathBuf>> = OnceLock::new();
     DIR.get_or_init(|| {
@@ -337,6 +347,7 @@ pub fn frame_data<'a>(frames: impl Into<Frames<'a>>, frame: u32, scale: Scale) -
         slot.get().unwrap_or_else(|| {
             let data = Arc::new(render(frames, frame, scale));
             *slot.frame() = Arc::downgrade(&data);
+            cache().renders += 1;
             data
         })
     });

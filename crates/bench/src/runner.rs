@@ -26,11 +26,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use grcache::{
-    CharReport, CharTracker, InvariantObserver, Llc, LlcConfig, LlcObserver, LlcStats, MemoryLog,
+    CharReport, CharTracker, InvariantObserver, Llc, LlcConfig, LlcObserver, LlcStats,
     NullObserver, Policy,
 };
 use grdram::TimingParams;
-use grgpu::{GpuConfig, Workload};
+use grgpu::{DramFeed, GpuConfig, Workload};
 use grsynth::{AppProfile, FrameGraph, FrameWork, Frames};
 use grtrace::Trace;
 use gspc::registry;
@@ -179,7 +179,9 @@ pub struct RunPerf {
     /// cells. Workers run in parallel, so this is CPU time, not wall
     /// time; it excludes trace synthesis, annotation passes, and the
     /// merge, which is what makes it the number benchmark trajectories
-    /// should track.
+    /// should track. On a timed run it includes the DRAM scheduling,
+    /// which runs inside the replay loop as the LLC emits each transfer,
+    /// and the frame-time model.
     pub replay_seconds: f64,
     /// Wall-clock seconds of the sequential merge phase.
     pub merge_seconds: f64,
@@ -687,9 +689,9 @@ fn replay_cell<S: grtrace::AccessSource>(
 }
 
 /// Drains `source` through an LLC carrying exactly the observers the run
-/// options ask for. Each arm is its own monomorphization: the default
-/// misses-only path runs with [`grcache::NullObserver`] and carries zero
-/// per-access observer branches.
+/// options ask for. Each combination is its own monomorphization: the
+/// default misses-only path runs with [`grcache::NullObserver`] and carries
+/// zero per-access observer branches.
 fn replay<P: Policy, S: grtrace::AccessSource>(
     llc_cfg: LlcConfig,
     policy: P,
@@ -704,41 +706,26 @@ fn replay<P: Policy, S: grtrace::AccessSource>(
     // `Option`) so unchecked runs keep a `WANTS_SET_STATE = false` observer
     // and pay zero per-access snapshot work.
     let inv = opts.check.then(|| InvariantObserver::new(&llc_cfg, policy.state_bits_per_block()));
-    match (opts.characterize, opts.timing.is_some(), inv) {
-        (false, false, None) => {
-            replay_with(llc_cfg, policy, NullObserver, source, started, work, opts)
-        }
-        (true, false, None) => {
+    match (opts.characterize, inv) {
+        (false, None) => replay_with(llc_cfg, policy, NullObserver, source, started, work, opts),
+        (true, None) => {
             let obs = CharTracker::new(&llc_cfg);
             replay_with(llc_cfg, policy, obs, source, started, work, opts)
         }
-        (false, true, None) => {
-            replay_with(llc_cfg, policy, MemoryLog::new(), source, started, work, opts)
-        }
-        (true, true, None) => {
-            let obs = (CharTracker::new(&llc_cfg), MemoryLog::new());
-            replay_with(llc_cfg, policy, obs, source, started, work, opts)
-        }
-        (false, false, Some(inv)) => {
+        (false, Some(inv)) => {
             replay_with(llc_cfg, policy, (inv, NullObserver), source, started, work, opts)
         }
-        (true, false, Some(inv)) => {
+        (true, Some(inv)) => {
             let obs = (inv, CharTracker::new(&llc_cfg));
-            replay_with(llc_cfg, policy, obs, source, started, work, opts)
-        }
-        (false, true, Some(inv)) => {
-            let obs = (inv, MemoryLog::new());
-            replay_with(llc_cfg, policy, obs, source, started, work, opts)
-        }
-        (true, true, Some(inv)) => {
-            let obs = (inv, (CharTracker::new(&llc_cfg), MemoryLog::new()));
             replay_with(llc_cfg, policy, obs, source, started, work, opts)
         }
     }
 }
 
 /// One monomorphized replay: drains `source` through an LLC carrying
-/// `observer` and folds the result into a [`CellResult`].
+/// `observer` — and, on a timed run, a [`DramFeed`] that schedules the
+/// frame's DRAM transfers as the LLC emits them — and folds the result
+/// into a [`CellResult`].
 fn replay_with<P: Policy, O: LlcObserver, S: grtrace::AccessSource>(
     llc_cfg: LlcConfig,
     policy: P,
@@ -748,36 +735,38 @@ fn replay_with<P: Policy, O: LlcObserver, S: grtrace::AccessSource>(
     work: &FrameWork,
     opts: &RunOptions,
 ) -> io::Result<CellResult> {
-    let mut llc = Llc::with_observer(llc_cfg, policy, observer);
+    let Some((gpu, dram)) = opts.timing else {
+        let mut llc = Llc::with_observer(llc_cfg, policy, observer);
+        let n = llc.run_source(source)?;
+        return Ok(finish_cell(&llc, n, started, 0.0));
+    };
+    let mut llc = Llc::with_observer(llc_cfg, policy, (observer, DramFeed::new(dram)));
     let n = llc.run_source(source)?;
-    Ok(finish_cell(&llc, n, started, work, opts))
+    let (_, feed) = llc.observer_mut();
+    let dram_stats = feed.finish();
+    let workload = Workload {
+        shaded_pixels: work.shaded_pixels,
+        texel_samples: work.texel_samples,
+        vertices: work.vertices,
+        llc_accesses: n,
+    };
+    let frame_ns = grgpu::frame_timing(&gpu, dram, &workload, &dram_stats).frame_ns;
+    Ok(finish_cell(&llc, n, started, frame_ns))
 }
 
 fn finish_cell<P: Policy, O: LlcObserver>(
     llc: &Llc<P, O>,
     accesses: u64,
     replay_started: Instant,
-    work: &FrameWork,
-    opts: &RunOptions,
+    frame_ns: f64,
 ) -> CellResult {
-    let mut out = CellResult {
+    CellResult {
         stats: llc.stats().clone(),
         chars: llc.characterization().cloned(),
-        frame_ns: 0.0,
+        frame_ns,
         accesses,
         replay_seconds: replay_started.elapsed().as_secs_f64(),
-    };
-    if let Some((gpu, dram)) = &opts.timing {
-        let workload = Workload {
-            shaded_pixels: work.shaded_pixels,
-            texel_samples: work.texel_samples,
-            vertices: work.vertices,
-            llc_accesses: accesses,
-        };
-        let log = llc.memory_log().unwrap_or(&[]);
-        out.frame_ns = grgpu::time_frame(gpu, *dram, &workload, log).frame_ns;
     }
-    out
 }
 
 /// Replays the consecutive frames `range` of `frames` through **one

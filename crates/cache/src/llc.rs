@@ -233,6 +233,12 @@ impl<P: Policy, O: LlcObserver> Llc<P, O> {
         &self.observer
     }
 
+    /// The attached observer, mutably: to drain one that holds work still
+    /// pending when the replay ends.
+    pub fn observer_mut(&mut self) -> &mut O {
+        &mut self.observer
+    }
+
     /// Accumulated statistics.
     pub fn stats(&self) -> &LlcStats {
         &self.stats

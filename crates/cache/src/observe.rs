@@ -10,10 +10,16 @@
 //! Provided observers:
 //!
 //! * [`NullObserver`] — nothing (the default),
-//! * [`MemoryLog`] — every DRAM-bound transfer, for the `grgpu` timing
-//!   model,
+//! * [`MemoryLog`] — records every DRAM-bound transfer, for tests and
+//!   tools that inspect the log (`grgpu::time_frame` times one),
+//! * [`InvariantObserver`] — asserts the simulator's structural
+//!   invariants after every hit and fill,
 //! * [`crate::CharTracker`] — the paper's characterization instrumentation
 //!   (Figures 6, 7, 9) implements the trait directly.
+//!
+//! The observer a timed replay attaches, `grgpu::DramFeed`, lives with the
+//! timing model: it pushes each transfer into the DDR3 scheduler as the
+//! LLC emits it, in [`MemoryLog`]'s order, and records nothing.
 //!
 //! Observers compose: a 2-tuple `(A, B)` notifies both members, and
 //! `Option<O>` selects an observer at runtime (`None` costs one

@@ -47,6 +47,7 @@ struct RefChannel {
     busy_ns: f64,
     last_was_write: bool,
     next_refresh_ns: f64,
+    latency_ns: f64,
 }
 
 /// The reference FR-FCFS DDR3 model.
@@ -88,6 +89,7 @@ impl RefDram {
                 busy_ns: 0.0,
                 last_was_write: false,
                 next_refresh_ns: if p.t_refi_ns > 0.0 { p.t_refi_ns } else { f64::MAX },
+                latency_ns: 0.0,
             })
             .collect();
         for r in requests {
@@ -95,7 +97,6 @@ impl RefDram {
         }
         let window = if self.mutation == Mutation::Window15 { WINDOW - 1 } else { WINDOW };
 
-        let mut total_latency = 0.0;
         for ch in &mut channels {
             while let Some(head) = ch.pending.front() {
                 let now = ch.bus_free_ns.max(head.arrival_ns);
@@ -169,11 +170,14 @@ impl RefDram {
                 ch.last_was_write = r.write;
                 ch.bus_free_ns = done;
                 ch.busy_ns += burst_ns;
-                total_latency += done - r.arrival_ns;
+                ch.latency_ns += done - r.arrival_ns;
                 stats.makespan_ns = stats.makespan_ns.max(done);
             }
         }
         stats.busy_ns = channels.iter().map(|c| c.busy_ns).fold(0.0, f64::max);
+        // Each channel sums its own latencies; the sums add in channel
+        // order.
+        let total_latency: f64 = channels.iter().fold(0.0, |sum, c| sum + c.latency_ns);
         stats.avg_latency_ns = total_latency / requests.len() as f64;
         stats
     }

@@ -12,16 +12,23 @@
 //! model ([`grgpu`](../grgpu/index.html)) can translate LLC miss savings
 //! into frame-rate gains, including the dampening a faster DRAM causes.
 //!
+//! The scheduler is incremental: [`DramSim::push`] takes requests one at a
+//! time, in arrival order, and [`DramSim::finish`] drains them, so a
+//! caller can feed it while it produces the requests and never hold the
+//! stream (the GPU model feeds it from the LLC replay). It keeps only each
+//! channel's 16-request window and bank state. [`DramSim::run`] schedules
+//! a whole slice through the same loop.
+//!
 //! # Example
 //!
 //! ```
 //! use grdram::{DramSim, Request, TimingParams};
 //!
 //! let mut sim = DramSim::new(TimingParams::ddr3_1600());
-//! let reqs: Vec<Request> = (0..64)
-//!     .map(|i| Request { block: i * 7, write: false, arrival_ns: i as f64 * 4.0 })
-//!     .collect();
-//! let stats = sim.run(&reqs);
+//! for i in 0..64 {
+//!     sim.push(Request { block: i * 7, write: false, arrival_ns: i as f64 * 4.0 });
+//! }
+//! let stats = sim.finish();
 //! assert_eq!(stats.reads, 64);
 //! assert!(stats.avg_latency_ns > 0.0);
 //! ```

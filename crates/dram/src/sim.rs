@@ -65,6 +65,7 @@ const WINDOW: usize = 16;
 /// `writes` is set when slot `k` is a write, and bit `k` of `row_hits`
 /// when slot `k`'s bank-row key equals its bank's open key. Bits at and
 /// above `len` are always clear.
+#[derive(Debug, Clone)]
 struct Window {
     keys: [u64; WINDOW],
     arrivals: [f64; WINDOW],
@@ -81,7 +82,7 @@ impl Window {
     /// Slots that have arrived by `now`: the longest prefix with
     /// `arrival <= now` (arrivals are sorted, so it is a prefix; slot 0
     /// always qualifies because `now` is at least its arrival). Only a
-    /// lone request can carry a NaN arrival — `run` rejects any pair
+    /// lone request can carry a NaN arrival — `push` rejects any pair
     /// with one — and a one-slot window takes the `live` branch.
     fn arrived(&self, now: f64) -> u32 {
         if self.arrivals[self.len - 1] > now {
@@ -125,14 +126,196 @@ impl Window {
     }
 }
 
+/// One channel's scheduling state: its window of pending requests, its
+/// banks' open rows and readiness, its data bus, and its share of the
+/// statistics that are summed per channel.
+#[derive(Debug, Clone)]
+struct Channel {
+    window: Window,
+    open: Vec<Option<u64>>,
+    ready_ns: Vec<f64>,
+    bus_free_ns: f64,
+    busy_ns: f64,
+    latency_ns: f64,
+    last_was_write: bool,
+    next_refresh_ns: f64,
+}
+
+/// The timing constants of one parameter set, in nanoseconds, and the
+/// address decode: computed once, by the expressions the schedule has
+/// always used.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    channel_mask: u64,
+    channel_bits: u32,
+    column_bits: u32,
+    bank_mask: u64,
+    burst_ns: f64,
+    hit_ns: f64,
+    miss_ns: f64,
+    activate_ns: f64,
+    write_recovery_ns: f64,
+    turnaround_ns: f64,
+    refresh_ns: f64,
+    refi_ns: f64,
+}
+
+impl Timing {
+    fn new(p: &TimingParams) -> Self {
+        Timing {
+            channel_mask: p.channels as u64 - 1,
+            channel_bits: p.channels.trailing_zeros(),
+            column_bits: (p.row_bytes / 64).trailing_zeros(),
+            bank_mask: p.banks as u64 - 1,
+            burst_ns: f64::from(p.burst_clocks()) * p.tck_ns,
+            hit_ns: f64::from(p.t_cas) * p.tck_ns,
+            miss_ns: f64::from(p.t_rp + p.t_rcd + p.t_cas) * p.tck_ns,
+            activate_ns: f64::from(p.t_rp + p.t_rcd) * p.tck_ns,
+            write_recovery_ns: f64::from(p.t_wr) * p.tck_ns,
+            turnaround_ns: f64::from(p.t_turnaround) * p.tck_ns,
+            refresh_ns: f64::from(p.t_rfc) * p.tck_ns,
+            refi_ns: p.t_refi_ns,
+        }
+    }
+
+    /// A request's bank-row key: its block address with the channel and
+    /// column bits dropped. Its bank is the key's low bits, so two
+    /// requests share a bank and row exactly when their keys are equal.
+    fn key_of(&self, block: u64) -> u64 {
+        (block >> self.channel_bits) >> self.column_bits
+    }
+}
+
+impl Channel {
+    fn new(p: &TimingParams) -> Self {
+        Channel {
+            window: Window {
+                keys: [0; WINDOW],
+                arrivals: [0.0; WINDOW],
+                len: 0,
+                writes: 0,
+                row_hits: 0,
+            },
+            open: vec![None; p.banks],
+            ready_ns: vec![0.0; p.banks],
+            bus_free_ns: 0.0,
+            busy_ns: 0.0,
+            latency_ns: 0.0,
+            last_was_write: false,
+            next_refresh_ns: if p.t_refi_ns > 0.0 { p.t_refi_ns } else { f64::MAX },
+        }
+    }
+
+    /// Adds a request to the window, which must have a free slot.
+    fn enqueue(&mut self, t: &Timing, r: Request) {
+        let key = t.key_of(r.block);
+        let row_hit = self.open[(key & t.bank_mask) as usize] == Some(key);
+        self.window.push(key, r.arrival_ns, r.write, row_hit);
+    }
+
+    /// Services one request of the (non-empty) window.
+    fn schedule(&mut self, t: &Timing, stats: &mut DramStats) {
+        let window = &mut self.window;
+        let now = self.bus_free_ns.max(window.arrivals[0]);
+        // FR-FCFS with write batching: prefer a row hit among the
+        // arrived window; failing that, a request that keeps the bus
+        // direction (controllers group reads and writes to amortize
+        // turnarounds); finally the oldest.
+        let arrived = window.arrived(now);
+        let same_dir = if self.last_was_write { window.writes } else { !window.writes };
+        let pick = if window.row_hits & arrived != 0 {
+            window.row_hits & arrived
+        } else {
+            same_dir & arrived
+        };
+        let pos = if pick == 0 { 0 } else { pick.trailing_zeros() as usize };
+        let (key, arrival_ns, write) = window.take(pos);
+        let bank = (key & t.bank_mask) as usize;
+        // Rank-wide refresh: when the refresh deadline passes, all banks
+        // stall for tRFC and every row closes.
+        if now >= self.next_refresh_ns {
+            while now >= self.next_refresh_ns {
+                let refresh_start = self.next_refresh_ns.max(self.bus_free_ns);
+                for ready in &mut self.ready_ns {
+                    *ready = ready.max(refresh_start + t.refresh_ns);
+                }
+                self.next_refresh_ns += t.refi_ns;
+                stats.refreshes += 1;
+            }
+            self.open.fill(None);
+            window.row_hits = 0;
+        }
+        // `ready_ns` is when the bank can accept its next command; the CAS
+        // latency pipelines behind the data bursts.
+        let issue = arrival_ns.max(self.ready_ns[bank]);
+        let hit = self.open[bank] == Some(key);
+        let access_ns = if hit { t.hit_ns } else { t.miss_ns };
+        // Switching the bus between reads and writes pays a turnaround
+        // penalty.
+        let turnaround = if self.last_was_write != write && self.busy_ns > 0.0 {
+            stats.turnarounds += 1;
+            t.turnaround_ns
+        } else {
+            0.0
+        };
+        let data_start = (issue + access_ns).max(self.bus_free_ns + turnaround);
+        let done = data_start + t.burst_ns;
+        self.ready_ns[bank] =
+            if hit { issue + t.burst_ns } else { issue + t.activate_ns + t.burst_ns };
+        // Writes hold the bank for the write-recovery window.
+        if write {
+            self.ready_ns[bank] = self.ready_ns[bank].max(done + t.write_recovery_ns);
+        }
+        if hit {
+            stats.row_hits += 1;
+        } else {
+            // The bank's row changes: its pending requests stop hitting
+            // the old row and start hitting the new one.
+            stats.row_misses += 1;
+            if let Some(old) = self.open[bank] {
+                window.row_hits &= !window.matching(old);
+            }
+            self.open[bank] = Some(key);
+            window.row_hits |= window.matching(key);
+        }
+        if write {
+            stats.writes += 1;
+        } else {
+            stats.reads += 1;
+        }
+        self.last_was_write = write;
+        self.bus_free_ns = done;
+        self.busy_ns += t.burst_ns;
+        self.latency_ns += done - arrival_ns;
+        stats.makespan_ns = stats.makespan_ns.max(done);
+    }
+}
+
 /// A dual-channel, multi-bank DDR3 timing simulator.
 ///
 /// Requests are distributed to channels and banks by address bits; within
 /// each channel a small window is scanned for row hits before falling back
 /// to the oldest request (first-ready, first-come-first-served).
+///
+/// The simulator is incremental: [`DramSim::push`] feeds it one request
+/// at a time, in arrival order, and [`DramSim::finish`] drains what is
+/// pending and returns the statistics. It holds only each channel's
+/// 16-slot window and bank state, never the request stream. A channel
+/// services a request whenever its window is full and another request
+/// arrives for it, so its window is always its oldest 16 unserviced
+/// requests and the schedule is the one a scheduler seeing the whole
+/// stream at once would pick. [`DramSim::run`] is `push` over a slice
+/// followed by `finish`.
 #[derive(Debug, Clone)]
 pub struct DramSim {
     params: TimingParams,
+    timing: Timing,
+    channels: Vec<Channel>,
+    /// The statistics so far that `finish` does not compute: the counts,
+    /// summed over channels, and `makespan_ns`, their maximum.
+    stats: DramStats,
+    pushed: u64,
+    last_arrival_ns: f64,
 }
 
 impl DramSim {
@@ -160,7 +343,14 @@ impl DramSim {
             "TimingParams::row_bytes must be a power of two of at least 64, got {}",
             params.row_bytes
         );
-        DramSim { params }
+        DramSim {
+            params,
+            timing: Timing::new(&params),
+            channels: (0..params.channels).map(|_| Channel::new(&params)).collect(),
+            stats: DramStats::default(),
+            pushed: 0,
+            last_arrival_ns: 0.0,
+        }
     }
 
     /// The timing parameters in force.
@@ -168,150 +358,63 @@ impl DramSim {
         self.params
     }
 
+    /// Adds one request. If its channel's window is full, the channel
+    /// first services one of the requests already in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` arrives before the request pushed before it.
+    #[inline]
+    pub fn push(&mut self, r: Request) {
+        if self.pushed > 0 {
+            assert!(r.arrival_ns >= self.last_arrival_ns, "requests must be sorted by arrival");
+        }
+        self.pushed += 1;
+        self.last_arrival_ns = r.arrival_ns;
+        let ch = &mut self.channels[(r.block & self.timing.channel_mask) as usize];
+        if ch.window.len == WINDOW {
+            ch.schedule(&self.timing, &mut self.stats);
+        }
+        ch.enqueue(&self.timing, r);
+    }
+
+    /// Services every pending request, channel by channel, and returns
+    /// the statistics of everything pushed since the simulator was made
+    /// or last finished. The simulator is then empty and ready for a new
+    /// stream.
+    ///
+    /// `avg_latency_ns` is the channels' latency sums, added in channel
+    /// order, over the request count.
+    pub fn finish(&mut self) -> DramStats {
+        let fresh = DramSim::new(self.params);
+        let DramSim { timing, mut channels, mut stats, pushed, .. } =
+            std::mem::replace(self, fresh);
+        let mut total_latency = 0.0;
+        for ch in &mut channels {
+            while ch.window.len > 0 {
+                ch.schedule(&timing, &mut stats);
+            }
+            stats.busy_ns = stats.busy_ns.max(ch.busy_ns);
+            total_latency += ch.latency_ns;
+        }
+        if pushed > 0 {
+            stats.avg_latency_ns = total_latency / pushed as f64;
+        }
+        stats
+    }
+
     /// Services `requests` (must be sorted by `arrival_ns`) and returns
-    /// aggregate statistics.
+    /// aggregate statistics: [`DramSim::push`] on each, then
+    /// [`DramSim::finish`].
     ///
     /// # Panics
     ///
     /// Panics if arrivals are not monotonically non-decreasing.
     pub fn run(&mut self, requests: &[Request]) -> DramStats {
-        let p = self.params;
-        let mut stats = DramStats::default();
-        if requests.is_empty() {
-            return stats;
+        for &r in requests {
+            self.push(r);
         }
-        // One decode pass: each channel's requests, in arrival order.
-        let channel_mask = p.channels as u64 - 1;
-        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); p.channels];
-        for (i, r) in requests.iter().enumerate() {
-            if i > 0 {
-                assert!(
-                    r.arrival_ns >= requests[i - 1].arrival_ns,
-                    "requests must be sorted by arrival"
-                );
-            }
-            queues[(r.block & channel_mask) as usize].push(i);
-        }
-
-        // A request's bank-row key is its block address with the channel
-        // and column bits dropped; its bank is the key's low bits, so two
-        // requests share a bank and row exactly when their keys are equal.
-        let channel_bits = p.channels.trailing_zeros();
-        let column_bits = (p.row_bytes / 64).trailing_zeros();
-        let key_of = |block: u64| (block >> channel_bits) >> column_bits;
-        let bank_mask = p.banks as u64 - 1;
-        let burst_ns = f64::from(p.burst_clocks()) * p.tck_ns;
-        let hit_ns = f64::from(p.t_cas) * p.tck_ns;
-        let miss_ns = f64::from(p.t_rp + p.t_rcd + p.t_cas) * p.tck_ns;
-        let activate_ns = f64::from(p.t_rp + p.t_rcd) * p.tck_ns;
-        let write_recovery_ns = f64::from(p.t_wr) * p.tck_ns;
-        let turnaround_ns = f64::from(p.t_turnaround) * p.tck_ns;
-        let refresh_ns = f64::from(p.t_rfc) * p.tck_ns;
-
-        let mut open: Vec<Option<u64>> = vec![None; p.banks];
-        let mut ready_ns = vec![0.0f64; p.banks];
-        let mut total_latency = 0.0;
-        for queue in &queues {
-            open.fill(None);
-            ready_ns.fill(0.0);
-            let mut bus_free_ns: f64 = 0.0;
-            let mut busy_ns = 0.0;
-            let mut last_was_write = false;
-            let mut next_refresh_ns = if p.t_refi_ns > 0.0 { p.t_refi_ns } else { f64::MAX };
-            let mut window = Window {
-                keys: [0; WINDOW],
-                arrivals: [0.0; WINDOW],
-                len: 0,
-                writes: 0,
-                row_hits: 0,
-            };
-            let mut queued = queue.iter().map(|&i| &requests[i]);
-            for r in queued.by_ref().take(WINDOW) {
-                window.push(key_of(r.block), r.arrival_ns, r.write, false);
-            }
-            while window.len > 0 {
-                let now = bus_free_ns.max(window.arrivals[0]);
-                // FR-FCFS with write batching: prefer a row hit among the
-                // arrived window; failing that, a request that keeps the
-                // bus direction (controllers group reads and writes to
-                // amortize turnarounds); finally the oldest.
-                let arrived = window.arrived(now);
-                let same_dir = if last_was_write { window.writes } else { !window.writes };
-                let pick = if window.row_hits & arrived != 0 {
-                    window.row_hits & arrived
-                } else {
-                    same_dir & arrived
-                };
-                let pos = if pick == 0 { 0 } else { pick.trailing_zeros() as usize };
-                let (key, arrival_ns, write) = window.take(pos);
-                let bank = (key & bank_mask) as usize;
-                // Rank-wide refresh: when the refresh deadline passes, all
-                // banks stall for tRFC and every row closes.
-                if now >= next_refresh_ns {
-                    while now >= next_refresh_ns {
-                        let refresh_start = next_refresh_ns.max(bus_free_ns);
-                        for ready in &mut ready_ns {
-                            *ready = ready.max(refresh_start + refresh_ns);
-                        }
-                        next_refresh_ns += p.t_refi_ns;
-                        stats.refreshes += 1;
-                    }
-                    open.fill(None);
-                    window.row_hits = 0;
-                }
-                // `ready_ns` is when the bank can accept its next command;
-                // the CAS latency pipelines behind the data bursts.
-                let issue = arrival_ns.max(ready_ns[bank]);
-                let hit = open[bank] == Some(key);
-                let access_ns = if hit { hit_ns } else { miss_ns };
-                // Switching the bus between reads and writes pays a
-                // turnaround penalty.
-                let turnaround = if last_was_write != write && busy_ns > 0.0 {
-                    stats.turnarounds += 1;
-                    turnaround_ns
-                } else {
-                    0.0
-                };
-                let data_start = (issue + access_ns).max(bus_free_ns + turnaround);
-                let done = data_start + burst_ns;
-                ready_ns[bank] =
-                    if hit { issue + burst_ns } else { issue + activate_ns + burst_ns };
-                // Writes hold the bank for the write-recovery window.
-                if write {
-                    ready_ns[bank] = ready_ns[bank].max(done + write_recovery_ns);
-                }
-                if hit {
-                    stats.row_hits += 1;
-                } else {
-                    // The bank's row changes: its pending requests stop
-                    // hitting the old row and start hitting the new one.
-                    stats.row_misses += 1;
-                    if let Some(old) = open[bank] {
-                        window.row_hits &= !window.matching(old);
-                    }
-                    open[bank] = Some(key);
-                    window.row_hits |= window.matching(key);
-                }
-                if write {
-                    stats.writes += 1;
-                } else {
-                    stats.reads += 1;
-                }
-                last_was_write = write;
-                bus_free_ns = done;
-                busy_ns += burst_ns;
-                total_latency += done - arrival_ns;
-                stats.makespan_ns = stats.makespan_ns.max(done);
-                if let Some(r) = queued.next() {
-                    let key = key_of(r.block);
-                    let row_hit = open[(key & bank_mask) as usize] == Some(key);
-                    window.push(key, r.arrival_ns, r.write, row_hit);
-                }
-            }
-            stats.busy_ns = stats.busy_ns.max(busy_ns);
-        }
-        stats.avg_latency_ns = total_latency / requests.len() as f64;
-        stats
+        self.finish()
     }
 }
 
@@ -411,6 +514,61 @@ mod tests {
             Request { block: 1, write: false, arrival_ns: 1.0 },
         ];
         DramSim::new(TimingParams::ddr3_1600()).run(&reqs);
+    }
+
+    #[test]
+    #[should_panic(expected = "requests must be sorted by arrival")]
+    fn unsorted_pushes_are_rejected() {
+        let mut sim = DramSim::new(TimingParams::ddr3_1600());
+        sim.push(Request { block: 0, write: false, arrival_ns: 5.0 });
+        sim.push(Request { block: 1, write: false, arrival_ns: 1.0 });
+    }
+
+    #[test]
+    fn pushing_one_by_one_matches_run() {
+        // Streams long enough to fill and refill every window: spaced,
+        // simultaneous and bursty arrivals over a few hot rows, mixed
+        // reads and writes, under both presets and a refresh-heavy one.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed >> 33
+        };
+        let presets = [
+            TimingParams::ddr3_1600(),
+            TimingParams::ddr3_1867(),
+            TimingParams { t_refi_ns: 200.0, ..TimingParams::ddr3_1600() },
+        ];
+        for p in presets {
+            for spacing in [0.0, 1.5, 40.0] {
+                let mut now = 0.0;
+                let reqs: Vec<Request> = (0..3000)
+                    .map(|i| {
+                        if i % 64 == 0 {
+                            now += 500.0;
+                        }
+                        now += spacing * (next() % 3) as f64;
+                        let row = next() % 4 * (p.row_bytes / 64) * (p.banks * p.channels) as u64;
+                        Request {
+                            block: row + next() % 64,
+                            write: next() % 5 == 0,
+                            arrival_ns: now,
+                        }
+                    })
+                    .collect();
+                let whole = DramSim::new(p).run(&reqs);
+                let mut sim = DramSim::new(p);
+                for &r in &reqs {
+                    sim.push(r);
+                }
+                let pushed = sim.finish();
+                assert_eq!(format!("{pushed:?}"), format!("{whole:?}"), "spacing {spacing}");
+                assert_eq!(pushed.reads + pushed.writes, reqs.len() as u64);
+                // `finish` leaves an empty simulator behind.
+                let again = sim.run(&reqs);
+                assert_eq!(format!("{again:?}"), format!("{whole:?}"), "spacing {spacing}");
+            }
+        }
     }
 
     #[test]

@@ -21,19 +21,36 @@
 //!
 //! # Example
 //!
-//! ```
-//! use grdram::TimingParams;
-//! use grgpu::{FrameTiming, GpuConfig, Workload};
+//! A replay times its frame by attaching a [`DramFeed`] to the LLC, which
+//! streams every DRAM-bound transfer into the DDR3 model as the LLC emits
+//! it; [`time_frame`] does the same for a transfer log already recorded.
 //!
-//! let cfg = GpuConfig::baseline();
+//! ```
+//! use grcache::{Llc, LlcConfig};
+//! use grdram::TimingParams;
+//! use grgpu::{DramFeed, GpuConfig, Workload};
+//! use grtrace::{Access, StreamId, Trace};
+//! use gspc::registry;
+//!
+//! let cfg = LlcConfig { size_bytes: 64 * 1024, ways: 16, banks: 4, sample_period: 64 };
+//! let dram = TimingParams::ddr3_1600();
+//! let mut trace = Trace::new("example", 0);
+//! for i in 0..20_000u64 {
+//!     trace.push(Access::new(i * 7 % 5_000 * 64, StreamId::Texture, i % 4 == 0));
+//! }
+//! let policy = registry::create("DRRIP", &cfg).expect("registered policy");
+//! let mut llc = Llc::with_observer(cfg, policy, DramFeed::new(dram));
+//! llc.run_trace(&trace, None);
+//! let llc_misses = llc.stats().total_misses();
 //! let work = Workload {
 //!     shaded_pixels: 2_000_000,
 //!     texel_samples: 16_000_000,
 //!     vertices: 800_000,
-//!     llc_accesses: 2_500_000,
+//!     llc_accesses: trace.len() as u64,
 //! };
-//! let requests: Vec<(u64, bool)> = (0..100_000u64).map(|i| (i * 3, i % 4 == 0)).collect();
-//! let t = grgpu::time_frame(&cfg, TimingParams::ddr3_1600(), &work, &requests);
+//! let stats = llc.into_observer().finish();
+//! assert_eq!(stats.reads, llc_misses);
+//! let t = grgpu::frame_timing(&GpuConfig::baseline(), dram, &work, &stats);
 //! assert!(t.fps() > 0.0);
 //! ```
 
@@ -41,4 +58,4 @@ mod config;
 mod timing;
 
 pub use config::GpuConfig;
-pub use timing::{time_frame, FrameTiming, Workload};
+pub use timing::{frame_timing, time_frame, DramFeed, FrameTiming, Workload};

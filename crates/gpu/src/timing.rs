@@ -1,6 +1,7 @@
 //! The interval frame-time model.
 
-use grdram::{DramSim, Request, TimingParams};
+use grcache::{AccessInfo, LlcObserver};
+use grdram::{DramSim, DramStats, Request, TimingParams};
 
 use crate::GpuConfig;
 
@@ -61,21 +62,90 @@ impl FrameTiming {
     }
 }
 
-/// Computes the frame time for `work` given the DRAM-bound transfer log of
-/// the LLC run (`(block, is_write)` pairs from
-/// [`grcache::Llc::with_memory_log`]).
-///
-/// The memory requests are replayed back-to-back through the DDR3 timing
-/// model to measure the frame's total memory service time (the bandwidth
-/// bound, including row conflicts, turnarounds, and refresh); the exposure
-/// term then uses an analytic loaded-latency estimate built from the
-/// measured row-hit rate, which stays numerically stable where a
-/// critically-loaded queueing replay would not.
+/// Streams an LLC's DRAM-bound transfers into the DDR3 model as the LLC
+/// emits them: demand-miss fills and bypassed accesses (with the access's
+/// write flag) and dirty-victim writebacks, in [`grcache::MemoryLog`]'s
+/// order, every one arriving at 0 ns. Attach it to the
+/// [`grcache::Llc`], replay the frame, then [`DramFeed::finish`] and
+/// [`frame_timing`] give the frame time. It holds the scheduler's
+/// per-channel windows, never the transfer log.
+#[derive(Debug, Clone)]
+pub struct DramFeed {
+    sim: DramSim,
+}
+
+impl DramFeed {
+    /// A feed into an empty DDR3 model with timing `dram`.
+    pub fn new(dram: TimingParams) -> Self {
+        DramFeed { sim: DramSim::new(dram) }
+    }
+
+    /// Services the transfers still pending and returns the statistics
+    /// of everything fed so far; the feed is then empty.
+    pub fn finish(&mut self) -> DramStats {
+        self.sim.finish()
+    }
+
+    #[inline]
+    fn push(&mut self, block: u64, write: bool) {
+        self.sim.push(Request { block, write, arrival_ns: 0.0 });
+    }
+}
+
+impl LlcObserver for DramFeed {
+    /// Writebacks go to the *victim's* address, rebuilt from its tag.
+    const NEEDS_VICTIM_ADDR: bool = true;
+
+    #[inline]
+    fn observe_bypass(&mut self, info: &AccessInfo) {
+        self.push(info.block, info.write);
+    }
+
+    #[inline]
+    fn observe_evict(&mut self, _info: &AccessInfo, _way: usize, victim_block: u64, dirty: bool) {
+        if dirty {
+            self.push(victim_block, true);
+        }
+    }
+
+    #[inline]
+    fn observe_fill(&mut self, info: &AccessInfo, _way: usize) {
+        self.push(info.block, false);
+    }
+}
+
+/// Computes the frame time for `work` from an already recorded transfer
+/// log (`(block, is_write)` pairs from [`grcache::Llc::with_memory_log`]):
+/// feeds the log through a [`DramFeed`] and hands the statistics to
+/// [`frame_timing`]. A replay that times its frame attaches the
+/// [`DramFeed`] instead, and never records the log.
 pub fn time_frame(
     cfg: &GpuConfig,
     dram: TimingParams,
     work: &Workload,
     memory_requests: &[(u64, bool)],
+) -> FrameTiming {
+    let mut feed = DramFeed::new(dram);
+    for &(block, write) in memory_requests {
+        feed.push(block, write);
+    }
+    frame_timing(cfg, dram, work, &feed.finish())
+}
+
+/// Computes the frame time for `work` given `saturated`, the DDR3 model's
+/// statistics for the frame's DRAM-bound transfers, all issued at 0 ns
+/// (a [`DramFeed`]'s).
+///
+/// The transfers' makespan is the frame's total memory service time (the
+/// bandwidth bound, including row conflicts, turnarounds, and refresh);
+/// the exposure term then uses an analytic loaded-latency estimate built
+/// from the measured row-hit rate, which stays numerically stable where a
+/// critically-loaded queueing replay would not.
+pub fn frame_timing(
+    cfg: &GpuConfig,
+    dram: TimingParams,
+    work: &Workload,
+    saturated: &DramStats,
 ) -> FrameTiming {
     let shader_ops =
         work.shaded_pixels as f64 * cfg.ops_per_pixel + work.vertices as f64 * cfg.ops_per_vertex;
@@ -87,14 +157,9 @@ pub fn time_frame(
 
     let compute_bound = t_shader_ns.max(t_sampler_ns).max(t_llc_ns);
 
-    // Bandwidth bound: replay back-to-back to measure the total DRAM
-    // service time, including row conflicts, bus turnarounds, and refresh
-    // (costs that the data-bus busy time alone would miss).
-    let requests: Vec<Request> = memory_requests
-        .iter()
-        .map(|&(block, write)| Request { block, write, arrival_ns: 0.0 })
-        .collect();
-    let saturated = DramSim::new(dram).run(&requests);
+    // Bandwidth bound: the back-to-back service time of every transfer,
+    // including row conflicts, bus turnarounds, and refresh (costs that
+    // the data-bus busy time alone would miss).
     let t_mem = saturated.makespan_ns;
     let frame_base = compute_bound.max(t_mem);
 
@@ -108,7 +173,7 @@ pub fn time_frame(
     let load = (t_mem / frame_base.max(1.0)).min(0.95);
     let latency_ns = service_ns * (1.0 + load / (2.0 * (1.0 - load)));
 
-    let misses = memory_requests.iter().filter(|&&(_, w)| !w).count() as f64;
+    let misses = saturated.reads as f64;
     // Raw exposed latency if every thread simply waited...
     let hiding = f64::from(cfg.thread_contexts()) * cfg.mlp * cfg.hiding_efficiency;
     let raw_exposure = misses * latency_ns / hiding.max(1.0);

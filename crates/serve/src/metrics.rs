@@ -104,6 +104,9 @@ pub struct ServerSnapshot {
     pub frame_cache_bytes: u64,
     /// Frames the frame-cache hold let go to stay under its budget.
     pub frame_cache_evictions: u64,
+    /// Frames rendered (or loaded from the trace tier) into the frame
+    /// cache.
+    pub frames_rendered: u64,
 }
 
 /// All service counters. One instance lives inside the server and is
@@ -210,6 +213,11 @@ impl Metrics {
             snap.frame_cache_evictions,
         );
         counter(
+            "grserve_frames_rendered_total",
+            "Frames rendered into the frame cache because no holder had them.",
+            snap.frames_rendered,
+        );
+        counter(
             "grserve_accepts_rejected_total",
             "Connections refused at accept time (max_conns reached).",
             conns.rejected.load(Ordering::Relaxed),
@@ -305,6 +313,7 @@ mod tests {
             cache_disk_bytes: 4096,
             frame_cache_bytes: 1 << 20,
             frame_cache_evictions: 5,
+            frames_rendered: 6,
         };
         let text = m.render(&snap, &conns);
         for series in [
@@ -326,6 +335,7 @@ mod tests {
             "grserve_result_cache_disk_bytes 4096",
             "grserve_frame_cache_bytes 1048576",
             "grserve_frame_cache_evictions_total 5",
+            "grserve_frames_rendered_total 6",
         ] {
             assert!(text.contains(series), "missing {series:?} in:\n{text}");
         }

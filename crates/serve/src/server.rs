@@ -563,6 +563,7 @@ fn metrics_response(inner: &Arc<Inner>) -> Response {
         cache_disk_bytes: inner.cache.disk_bytes(),
         frame_cache_bytes: framecache::pinned_bytes(),
         frame_cache_evictions: framecache::evictions(),
+        frames_rendered: framecache::renders(),
     };
     Response::new(200).with_text(inner.metrics.render(&snap, &inner.gauges))
 }

@@ -3,7 +3,9 @@
 //! coherences (frames no later job reads) keeps the pinned frame bytes at
 //! or under the budget, as `framecache` and `/metrics` both report, lets
 //! the oldest of those frames go, and keeps the app frames a client keeps
-//! replaying. Eviction changes no payload byte.
+//! replaying: `/metrics` counts two frames rendered per two-frame graph
+//! job and none for a replay job on the warm app frames. Eviction changes
+//! no payload byte.
 //!
 //! One test in its own process: the frame cache is process-wide.
 
@@ -124,14 +126,21 @@ fn synth_churn_stays_within_the_budget_and_keeps_the_replayed_app_frames() {
         let gauge = metric(&addr, "grserve_frame_cache_bytes");
         assert!(gauge <= FRAME_CACHE_BUDGET, "/metrics reads {gauge} bytes after {after}");
     };
+    let rendered = || metric(&addr, "grserve_frames_rendered_total");
     for round in 0..ROUNDS {
         for i in 0..SYNTHS_PER_REPLAY {
             let (spec, ..) = synth_spec(round * SYNTHS_PER_REPLAY + i);
+            let before = rendered();
             served.push((spec.clone(), run_job(&addr, &spec)));
+            assert_eq!(rendered() - before, 2, "{spec} did not render its two frames");
             within_budget(&spec);
         }
         let spec = replay_spec(round);
+        let before = rendered();
         served.push((spec.clone(), run_job(&addr, &spec)));
+        // The first replay renders the app frames; the rest find them warm.
+        let cold = if round == 0 { APPS.len() as u64 } else { 0 };
+        assert_eq!(rendered() - before, cold, "{spec} rendered the wrong frame count");
         within_budget(&spec);
     }
     let synths = ROUNDS * SYNTHS_PER_REPLAY;

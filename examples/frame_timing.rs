@@ -7,7 +7,7 @@
 
 use gpu_llc_repro::cache::{Llc, LlcConfig};
 use gpu_llc_repro::dram::TimingParams;
-use gpu_llc_repro::gpu::{GpuConfig, Workload};
+use gpu_llc_repro::gpu::{frame_timing, DramFeed, GpuConfig, Workload};
 use gpu_llc_repro::policies::registry;
 use gpu_llc_repro::synth::{AppProfile, Frames, Scale};
 
@@ -32,7 +32,8 @@ fn main() {
     );
     for name in ["DRRIP+UCD", "GSPC+UCD"] {
         let policy = registry::create(name, &cfg).expect("known policy");
-        let mut llc = Llc::new(cfg, policy).with_memory_log();
+        // The feed schedules each DRAM transfer as the LLC emits it.
+        let mut llc = Llc::with_observer(cfg, policy, DramFeed::new(dram));
         llc.run_trace(&trace, None);
         let workload = Workload {
             shaded_pixels: work.shaded_pixels,
@@ -40,8 +41,7 @@ fn main() {
             vertices: work.vertices,
             llc_accesses: trace.len() as u64,
         };
-        let log = llc.memory_log().unwrap_or(&[]).to_vec();
-        let t = gpu_llc_repro::gpu::time_frame(&gpu, dram, &workload, &log);
+        let t = frame_timing(&gpu, dram, &workload, &llc.observer_mut().finish());
         println!(
             "{:<12} {:>9} {:>10.0} {:>11.0} {:>9.1}",
             name,
