@@ -83,7 +83,9 @@ fn heap_peak<R>(f: impl FnOnce() -> R) -> (R, usize) {
 fn a_timed_cell_holds_no_memory_log() {
     let cfg = ExperimentConfig { scale: Scale::Quarter, frames_per_app: Some(1) };
     let app = AppProfile::by_abbrev("BioShock").expect("known app");
-    let policy = "GSPC";
+    // Any plain registry row will do; the first is the DRRIP baseline.
+    let policy =
+        registry::ALL_POLICIES.iter().find(|e| !e.needs_next_use()).expect("plain row").name;
     let llc_cfg = cfg.llc(8);
     let opts = RunOptions {
         timing: Some((GpuConfig::baseline(), TimingParams::ddr3_1600())),

@@ -196,21 +196,31 @@ impl LlcObserver for InvariantObserver {
             info.block
         );
 
-        // Validity-bitmask consistency and metadata budget across the set.
+        // Validity-bitmask consistency and metadata budget across the set,
+        // folded into per-way masks and compared once; only a mismatch
+        // walks the set again, to name the first failing way.
+        let limit = self.meta_limit.unwrap_or(u64::MAX);
+        let (mut valid, mut dirty_invalid, mut over) = (0u64, 0u64, 0u64);
         for (w, b) in snap.blocks.iter().enumerate() {
-            assert_eq!(
-                snap.valid_mask >> w & 1 == 1,
-                b.valid,
-                "seq {seq}: validity mask bit {w} disagrees with Block::valid"
-            );
-            assert!(!b.dirty || b.valid, "seq {seq}: way {w} dirty but invalid");
-            if let (true, Some(limit)) = (b.valid, self.meta_limit) {
+            valid |= u64::from(b.valid) << w;
+            dirty_invalid |= u64::from(b.dirty & !b.valid) << w;
+            over |= u64::from(b.valid & (u64::from(b.meta) >= limit)) << w;
+        }
+        if (valid ^ snap.valid_mask) & (u64::MAX >> (64 - ways)) | dirty_invalid | over != 0 {
+            for (w, b) in snap.blocks.iter().enumerate() {
+                assert_eq!(
+                    snap.valid_mask >> w & 1 == 1,
+                    b.valid,
+                    "seq {seq}: validity mask bit {w} disagrees with Block::valid"
+                );
+                assert!(!b.dirty || b.valid, "seq {seq}: way {w} dirty but invalid");
                 assert!(
-                    u64::from(b.meta) < limit,
+                    !b.valid || u64::from(b.meta) < limit,
                     "seq {seq}: way {w} meta {:#x} exceeds the declared {limit}-value budget",
                     b.meta
                 );
             }
+            unreachable!("seq {seq}: the folded set check and the walk disagree");
         }
 
         // Monotonic occupancy: hits preserve it, fills grow it by one until
@@ -477,6 +487,50 @@ mod tests {
         combo.observe_fill(&info(3, false), 0);
         assert_eq!(combo.memory_log(), Some(&[(3u64, false)][..]));
         assert!(combo.char_report().is_none());
+    }
+
+    /// Checks a two-way set just after block 0 was filled into way 0, as a
+    /// fresh [`InvariantObserver`] sees it, once `edit` has changed its
+    /// ways and validity mask.
+    fn check_fill(edit: impl FnOnce(&mut [Block; 2], &mut u64)) {
+        // Block 0 maps to bank 0, set 0, tag 0 in every geometry.
+        let cfg = LlcConfig { size_bytes: 1024, ways: 2, banks: 4, sample_period: 2 };
+        let (mut blocks, mut valid_mask) = ([Block::default(); 2], 0b01);
+        blocks[0].valid = true;
+        edit(&mut blocks, &mut valid_mask);
+        let snap =
+            SetSnapshot { tags: &[0, 0], valid_mask, blocks: &blocks, touched_way: 0, hit: false };
+        InvariantObserver::new(&cfg, 2).observe_set_state(&info(0, false), snap);
+    }
+
+    #[test]
+    fn invariant_observer_accepts_a_consistent_fill() {
+        check_fill(|_, _| {});
+        check_fill(|blocks, _| blocks[0].meta = 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "seq 0: validity mask bit 1 disagrees with Block::valid")]
+    fn invariant_observer_catches_mask_block_disagreement() {
+        check_fill(|blocks, _| blocks[1].valid = true);
+    }
+
+    #[test]
+    #[should_panic(expected = "seq 0: way 1 dirty but invalid")]
+    fn invariant_observer_catches_dirty_invalid_way() {
+        check_fill(|blocks, _| blocks[1].dirty = true);
+    }
+
+    #[test]
+    #[should_panic(expected = "seq 0: way 1 meta 0x4 exceeds the declared 4-value budget")]
+    fn invariant_observer_catches_meta_overrun_on_an_untouched_way() {
+        check_fill(|blocks, mask| (blocks[1], *mask) = (Block { meta: 4, ..blocks[0] }, 0b11));
+    }
+
+    #[test]
+    #[should_panic(expected = "seq 0: set 0 occupancy 2 (expected 1 after fill)")]
+    fn invariant_observer_catches_occupancy_jump() {
+        check_fill(|blocks, mask| (blocks[1], *mask) = (blocks[0], 0b11));
     }
 
     #[test]

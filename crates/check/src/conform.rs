@@ -8,11 +8,10 @@
 //!
 //! * the production `OPT` replay matches the independent
 //!   [`crate::optcheck::opt_misses`] bound exactly;
-//! * no bypass-free policy ever beats that bound (so an OPT-*trained*
-//!   policy like `GOPT` can approach but never pass its teacher);
+//! * no bypass-free policy ever beats that bound;
 //! * hits + misses account for every access (conservation);
 //! * every miss-ratio ceiling declared in the registry holds: GSPC keeps
-//!   its headline edge over SRRIP/DRRIP, GOPT beats its SRRIP baseline
+//!   its headline edge over SRRIP/DRRIP, GSPC+UCD over DRRIP
 //!   (figure-level fidelity);
 //! * at the pinned configuration (`Scale::Tiny`, frame 0 of the first
 //!   app), per-stream hit rates match any goldens the registry pins for
@@ -35,7 +34,7 @@ use crate::optcheck::opt_misses;
 /// The conformance panel: every registry row that opts in via
 /// [`registry::Conformance::panel`], in table order. A deliberate
 /// cross-section — the paper's baselines, the graphics-aware proposals,
-/// the OPT-trained predictor, and the offline bound itself.
+/// and the offline bound itself.
 pub fn panel() -> Vec<&'static PolicyEntry> {
     registry::ALL_POLICIES.iter().filter(|e| e.meta.conformance.panel).collect()
 }
@@ -370,12 +369,11 @@ mod tests {
     }
 
     /// The panel comes from registry metadata and keeps its paper
-    /// cross-section: baselines, the GSPC family, OPT, and the
-    /// OPT-trained GOPT.
+    /// cross-section: baselines, the GSPC family and OPT.
     #[test]
     fn panel_is_registry_driven() {
         let names: Vec<&str> = panel().iter().map(|e| e.name).collect();
-        for required in ["DRRIP", "SRRIP", "GSPC", "OPT", "GOPT"] {
+        for required in ["DRRIP", "SRRIP", "GSPC", "OPT"] {
             assert!(names.contains(&required), "{required} missing from panel");
         }
         assert!(names.len() >= 9, "panel shrank to {names:?}");

@@ -409,6 +409,11 @@ mod tests {
         }
     }
 
+    /// The shrinking fuzzer on an annotation-free and an annotated policy:
+    /// clean replay agrees with the independent oracle on both geometries
+    /// (next-use annotations flow through the differential harness
+    /// automatically), and an injected mirror desync is caught and
+    /// ddmin-shrunk.
     #[test]
     fn injected_mirror_desync_is_caught_and_shrinks() {
         // Loads of one block, twice: corrupting the mirror after the first
@@ -419,50 +424,30 @@ mod tests {
         // Ensure the first block recurs later in the trace.
         let first = accesses[0];
         accesses.push(Access::load(first.addr(), first.stream()));
-        let d = differential_replay(&cfg, "DRRIP", &accesses, Fault::MirrorDesyncAfterFirst)
-            .expect_err("mirror desync must diverge");
-        assert!(d.index > 0);
-        let repro = shrink(&cfg, "DRRIP", &accesses, Fault::MirrorDesyncAfterFirst);
-        assert!(repro.len() <= 100, "reproducer did not shrink: {} accesses remain", repro.len());
-        // The shrunk trace still diverges.
-        assert!(differential_replay(&cfg, "DRRIP", &repro, Fault::MirrorDesyncAfterFirst).is_err());
+        for name in ["DRRIP", "OPT"] {
+            for llc in [&cfg, &alt_llc()] {
+                differential_replay(llc, name, &accesses, Fault::None)
+                    .unwrap_or_else(|d| panic!("{name} diverged: {} @{}", d.detail, d.index));
+            }
+            let d = differential_replay(&cfg, name, &accesses, Fault::MirrorDesyncAfterFirst)
+                .expect_err("mirror desync must diverge");
+            assert!(d.index > 0);
+            let repro = shrink(&cfg, name, &accesses, Fault::MirrorDesyncAfterFirst);
+            assert!(repro.len() <= 100, "{name} reproducer did not shrink: {} left", repro.len());
+            // The shrunk trace still diverges.
+            assert!(differential_replay(&cfg, name, &repro, Fault::MirrorDesyncAfterFirst).is_err());
+        }
     }
 
-    /// The default campaign roster is the registry's fuzz set, so the
-    /// OPT-trained newcomer (and any future row) is fuzzed without this
-    /// crate changing.
+    /// The default campaign roster is the registry's fuzz set, so any
+    /// future row is fuzzed without this crate changing.
     #[test]
     fn default_roster_comes_from_the_registry() {
         let names = FuzzConfig::all_policies();
-        for expected in ["GOPT", "OPT", "GSPC", "GSPZTC(t=2)", "GSPZTC(t=16)"] {
+        for expected in ["OPT", "GSPC", "GSPZTC(t=2)", "GSPZTC(t=16)"] {
             assert!(names.contains(&expected.to_string()), "{expected} not in default fuzz set");
         }
         assert_eq!(names.len(), registry::fuzz_names().len());
-    }
-
-    /// GOPT under the shrinking fuzzer: clean replay agrees with its
-    /// independent oracle (next-use annotations flow through the
-    /// differential harness automatically), and an injected mirror desync
-    /// is caught and ddmin-shrunk just like for the hand-written policies.
-    #[test]
-    fn gopt_differential_replay_and_shrink() {
-        let cfg = fuzz_llc();
-        // A plan-backed case (≢ 2 mod 3): its locality knob makes the first
-        // block recur quickly, so the injected desync is observable.
-        let mut accesses = synth_trace(9, 3, 3000);
-        differential_replay(&cfg, "GOPT", &accesses, Fault::None)
-            .unwrap_or_else(|d| panic!("GOPT diverged from its oracle: {} @{}", d.detail, d.index));
-        differential_replay(&alt_llc(), "GOPT", &accesses, Fault::None)
-            .unwrap_or_else(|d| panic!("GOPT diverged on alt geometry: {} @{}", d.detail, d.index));
-
-        let first = accesses[0];
-        accesses.push(Access::load(first.addr(), first.stream()));
-        let d = differential_replay(&cfg, "GOPT", &accesses, Fault::MirrorDesyncAfterFirst)
-            .expect_err("mirror desync must diverge under GOPT too");
-        assert!(d.index > 0);
-        let repro = shrink(&cfg, "GOPT", &accesses, Fault::MirrorDesyncAfterFirst);
-        assert!(repro.len() <= 100, "GOPT reproducer did not shrink: {} left", repro.len());
-        assert!(differential_replay(&cfg, "GOPT", &repro, Fault::MirrorDesyncAfterFirst).is_err());
     }
 
     /// Cases `≡ 2 (mod 3)` come from the frame-graph registry: they keep

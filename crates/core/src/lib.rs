@@ -34,7 +34,6 @@
 mod belady;
 mod counters;
 mod duel;
-mod gopt;
 mod gs_drrip;
 mod gspc_policy;
 mod gspztc;
@@ -51,7 +50,6 @@ mod ucd;
 pub use belady::Belady;
 pub use counters::{GspcCounters, SatCounter};
 pub use duel::{Duel, Leader};
-pub use gopt::{Gopt, GoptModel, RegionCounts, Reuse};
 pub use gs_drrip::GsDrrip;
 pub use gspc_policy::Gspc;
 pub use gspztc::Gspztc;

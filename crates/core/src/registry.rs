@@ -41,8 +41,8 @@ use grcache::{LlcConfig, Policy};
 use grtrace::StreamId;
 
 use crate::{
-    Belady, Drrip, Gopt, GsDrrip, Gspc, Gspztc, GspztcTse, Lru, Nru, ShipMem, Srrip,
-    StaticWayPartition, Ucd, UcpLite,
+    Belady, Drrip, GsDrrip, Gspc, Gspztc, GspztcTse, Lru, Nru, ShipMem, Srrip, StaticWayPartition,
+    Ucd, UcpLite,
 };
 
 /// How grcheck verifies a policy differentially.
@@ -439,12 +439,6 @@ define_registry! { cfg;
         PolicyMeta::new().oracle("opt").annotated().panel()
     },
     {
-        "GOPT" => "OPT-trained region predictor (learns Belady decisions per region)",
-        Gopt::new(cfg),
-        PolicyMeta::new().oracle("gopt").annotated().panel()
-            .ceilings(&[("SRRIP", 1.00)])
-    },
-    {
         "WayPart" => "Static per-stream way partitioning (Z:2 TEX:6 RT:6 other:2)",
         StaticWayPartition::proportional(cfg),
         PolicyMeta::new().no_oracle(CLONE_ONLY)
@@ -621,13 +615,12 @@ mod tests {
     #[test]
     fn only_the_opt_family_needs_annotations() {
         assert!(needs_next_use("OPT"));
-        assert!(needs_next_use("GOPT"));
         assert!(!needs_next_use("GSPC"));
         assert!(!needs_next_use("GSPZTC(t=2)"), "parameterized spellings inherit the base row");
         assert!(!needs_next_use("PLRU"), "unknown names are not annotated");
         let opt = find("OPT").expect("OPT listed");
         assert!(opt.needs_next_use());
-        assert_eq!(ALL_POLICIES.iter().filter(|e| e.needs_next_use()).count(), 2);
+        assert_eq!(ALL_POLICIES.iter().filter(|e| e.needs_next_use()).count(), 1);
     }
 
     /// Every listed alias constructs the same policy as its canonical
